@@ -9,14 +9,14 @@ stated constant, never a matter of tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CheckFailed, InvalidInput, NumericFailure
 from .features import sample_finite_rank
 from .kernels import make_finite_rank_kernel
-from .linalg import eigengaps, fractional_power, matrix_norm, spectral_projector, sym_eig
+from .linalg import Spectrum, eigengaps, fractional_power, matrix_norm, spectral_projector, sym_eig
 from .measures import draw_samples, uniform_measure
 from .oracle import op_aa, op_jj
 from .rng import derive_seed, generator
@@ -66,12 +66,15 @@ class PerturbationCase:
 
     Hypotheses checked at construction: lambda_d(a) > 0, the perturbation
     is within half the half-gap at d (||b||_HS <= delta_d / 2), and a + b
-    stays PSD within tolerance.
+    stays PSD within tolerance.  The decompositions of a and a + b made
+    for those checks are kept as ``spec_a`` and ``spec_ab``.
     """
 
     a: np.ndarray
     b: np.ndarray
     d: int
+    spec_a: Spectrum = field(init=False, repr=False, compare=False)
+    spec_ab: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
@@ -80,27 +83,31 @@ class PerturbationCase:
         object.__setattr__(self, "b", b)
         if a.shape != b.shape:
             raise InvalidInput(f"PerturbationCase: shapes {a.shape} != {b.shape}")
-        spec = sym_eig(a)
-        vals = spec.eigenvalues
+        object.__setattr__(self, "spec_a", sym_eig(a))
+        vals = self.spec_a.eigenvalues
         if self.d < 1 or self.d >= vals.size:
             raise InvalidInput(f"PerturbationCase: d={self.d} outside 1..{vals.size - 1}")
         if vals[self.d - 1] <= 0.0:
             raise InvalidInput("PerturbationCase: lambda_d must be positive")
         if vals.min() < -1e-10 * max(vals.max(), 1.0):
             raise InvalidInput("PerturbationCase: a is not PSD")
-        delta = float(eigengaps(spec)[self.d - 1])
-        b_hs = matrix_norm(b, "hilbert_schmidt")
+        delta, b_hs = self.delta_d, self.b_hs
         if b_hs > delta / 2.0 * (1.0 + 1e-12):
             raise InvalidInput(
                 f"PerturbationCase: ||b||_HS = {b_hs:.6e} exceeds delta_d/2 = {delta / 2:.6e}"
             )
-        sum_vals = sym_eig(a + b).eigenvalues
+        object.__setattr__(self, "spec_ab", sym_eig(a + b))
+        sum_vals = self.spec_ab.eigenvalues
         if sum_vals.min() < -1e-10 * max(sum_vals.max(), 1.0):
             raise InvalidInput("PerturbationCase: a + b is not PSD within tolerance")
 
     @property
     def delta_d(self) -> float:
-        return float(eigengaps(sym_eig(self.a))[self.d - 1])
+        return float(eigengaps(self.spec_a)[self.d - 1])
+
+    @property
+    def b_hs(self) -> float:
+        return float(np.linalg.norm(self.b))
 
 
 @dataclass(frozen=True)
@@ -126,15 +133,12 @@ def perturb_check(case: PerturbationCase) -> PerturbReport:
     with the operator-norm fallback ||a||_op ||b||_HS / delta_d reported
     alongside for comparison.
     """
-    spec_a = sym_eig(case.a)
-    spec_ab = sym_eig(case.a + case.b)
-    p_a = spectral_projector(spec_a, case.d)
-    p_ab = spectral_projector(spec_ab, case.d)
-    diff = p_a - p_ab
+    spec_a = case.spec_a
+    diff = spectral_projector(spec_a, case.d) - spectral_projector(case.spec_ab, case.d)
     delta = case.delta_d
-    b_hs = matrix_norm(case.b, "hilbert_schmidt")
+    b_hs = case.b_hs
     lam_d = float(spec_a.eigenvalues[case.d - 1])
-    root_a = fractional_power(case.a, 0.5)
+    root_a = fractional_power(spec_a, 0.5)
     plain = BoundReport(
         name="projector_perturbation",
         lhs=float(np.linalg.norm(diff)),
@@ -145,7 +149,7 @@ def perturb_check(case: PerturbationCase) -> PerturbReport:
         lhs=float(np.linalg.norm(root_a @ diff @ root_a)),
         rhs=b_hs * case.d * lam_d / delta,
     )
-    trivial = matrix_norm(case.a, "operator") * b_hs / delta
+    trivial = float(np.max(np.abs(spec_a.eigenvalues))) * b_hs / delta
     return PerturbReport(plain=plain, weighted=weighted, trivial_rhs=trivial)
 
 
@@ -183,7 +187,7 @@ def make_perturbation_cases(count: int, seed: int,
             g = rng.standard_normal((dim, dim))
             b = (g + g.T) / 2.0
             b *= rho * delta / 2.0 / np.linalg.norm(b)
-            if sym_eig(a + b).eigenvalues.min() >= -1e-12 * vals.max():
+            if np.linalg.eigvalsh(a + b).min() >= -1e-12 * vals.max():
                 break
         else:
             raise NumericFailure("make_perturbation_cases: could not keep a + b PSD")
@@ -280,27 +284,21 @@ def operator_inequality_suite(trials: int, seed: int) -> OperatorInequalitySuite
         dim = int(rng.integers(2, 13))
         a = _psd(rng, dim)
         b = _psd(rng, dim)
+        spec_a, spec_b = sym_eig(a), sym_eig(b)
         dist_hs = matrix_norm(a - b, "hilbert_schmidt")
         dist_op = matrix_norm(a - b, "operator")
-        va = sym_eig(a).eigenvalues
-        vb = sym_eig(b).eigenvalues
-        checks += 1
-        if float(np.linalg.norm(va - vb)) > dist_hs + _BOUND_SLACK * (1.0 + dist_hs):
-            violations += 1
-        for t in (0.25, 0.5, 0.75):
-            lhs = matrix_norm(fractional_power(a, t) - fractional_power(b, t), "operator")
-            rhs = dist_op**t
-            checks += 1
-            if lhs > rhs + _BOUND_SLACK * (1.0 + rhs):
-                violations += 1
-        cap = max(matrix_norm(a, "operator"), matrix_norm(b, "operator"))
-        for t in (1.5, 2.0):
-            lhs = matrix_norm(fractional_power(a, t) - fractional_power(b, t),
-                              "hilbert_schmidt")
-            rhs = t * cap ** (t - 1.0) * dist_hs
-            checks += 1
-            if lhs > rhs + _BOUND_SLACK * (1.0 + rhs):
-                violations += 1
+        va, vb = spec_a.eigenvalues, spec_b.eigenvalues
+        cap = float(max(np.max(np.abs(va)), np.max(np.abs(vb))))
+        reports = [BoundReport("eigenvalue_stability", float(np.linalg.norm(va - vb)), dist_hs)]
+        for t in (0.25, 0.5, 0.75, 1.5, 2.0):
+            gap = fractional_power(spec_a, t) - fractional_power(spec_b, t)
+            if t < 1.0:
+                reports.append(BoundReport("power", matrix_norm(gap, "operator"), dist_op**t))
+            else:
+                rhs = t * cap ** (t - 1.0) * dist_hs
+                reports.append(BoundReport("power", matrix_norm(gap, "hilbert_schmidt"), rhs))
+        checks += len(reports)
+        violations += sum(not r.holds for r in reports)
         f = rng.standard_normal(dim)
         g = rng.standard_normal(dim)
         for other in (g, np.zeros(dim)):

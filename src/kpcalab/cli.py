@@ -34,11 +34,8 @@ from .bounds import (
     perturb_check,
 )
 from .errors import CheckFailed, ConfigError, InvalidInput, NumericFailure
-from .kernels import make_finite_rank_kernel
-from .linalg import matrix_norm
-from .measures import uniform_measure
-from .oracle import op_jj, oracle_snapshot, proj_pop, recon_error, tail_energy
-from .rates import ExperimentConfig, run_grid, transition_study
+from .oracle import oracle_snapshot, proj_pop, recon_error, tail_energy
+from .rates import ExperimentConfig, _decay_schedule, _oracle, run_grid, transition_study
 from .rng import derive_seed
 
 __all__ = ["main"]
@@ -111,25 +108,6 @@ def _effective_seed(config: dict, override: int | None) -> int:
     return int(config["seed"])
 
 
-def _decay_lambdas(config: dict) -> np.ndarray:
-    rank = int(config["rank"])
-    if rank < 2:
-        raise ConfigError(f"rank must be >= 2, got {rank}")
-    i = 1.0 + np.arange(rank)
-    decay = config["decay"]
-    if decay == "poly":
-        alpha = config.get("alpha")
-        if alpha is None or not float(alpha) > 1.0:
-            raise ConfigError(f"poly decay needs alpha > 1, got {alpha}")
-        return i ** -float(alpha)
-    if decay == "expo":
-        gamma = config.get("gamma")
-        if gamma is None or not float(gamma) > 0.0:
-            raise ConfigError(f"expo decay needs gamma > 0, got {gamma}")
-        return np.exp(-float(gamma) * i)
-    raise ConfigError(f"unknown decay {decay!r}")
-
-
 _EXPERIMENT_KEYS = {
     "decay", "alpha", "gamma", "theta", "tau", "n_grid", "replications",
     "atoms", "rank", "seed", "metric", "ell_fixed", "slope_tolerance",
@@ -147,14 +125,9 @@ def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
-def _snapshot_for(cfg: ExperimentConfig) -> dict:
-    from .rates import lambda_schedule
-
-    measure = uniform_measure(cfg.atoms)
-    kernel = make_finite_rank_kernel(
-        measure, lambda_schedule(cfg), derive_seed(cfg.seed, "kernel")
-    )
-    return oracle_snapshot(kernel, measure, seed=cfg.seed)
+def _snapshot(report) -> dict:
+    kernel = report.kernel
+    return oracle_snapshot(kernel, kernel.table.measure, report.pop, seed=report.config.seed)
 
 
 def _cmd_spectrum(config: dict, seed: int, threads: int):
@@ -166,13 +139,11 @@ def _cmd_spectrum(config: dict, seed: int, threads: int):
     )
     atoms = int(config["atoms"])
     rank = int(config["rank"])
-    lambdas = _decay_lambdas(config)
+    lambdas = _decay_schedule(config["decay"], rank, config.get("alpha"), config.get("gamma"))
     ells = [int(e) for e in config["ells"]]
     if not ells or any(not 1 <= e <= rank - 1 for e in ells):
         raise ConfigError(f"ells must be nonempty and lie in 1..{rank - 1}")
-    measure = uniform_measure(atoms)
-    kernel = make_finite_rank_kernel(measure, lambdas, derive_seed(seed, "kernel"))
-    pop = op_jj(kernel, measure)
+    _, pop = _oracle(atoms, lambdas, seed)
     vals = pop.spectrum.eigenvalues
     padded = np.zeros(atoms)
     padded[:rank] = lambdas
@@ -243,7 +214,7 @@ def _cmd_rates(config: dict, seed: int, threads: int):
         ("projector_swap_inequality", report.swap_violations == 0,
          f"min margin {report.swap_min_margin:.3e} over valid cells"),
     ]
-    return header, rows, _rate_summary(report), verdicts, _snapshot_for(cfg)
+    return header, rows, _rate_summary(report), verdicts, _snapshot(report)
 
 
 def _cmd_transition(config: dict, seed: int, threads: int):
@@ -290,7 +261,7 @@ def _cmd_transition(config: dict, seed: int, threads: int):
             for row in study.rows
         ],
     }
-    return header, rows, summary, verdicts, _snapshot_for(base)
+    return header, rows, summary, verdicts, _snapshot(study.reports[0])
 
 
 def _cmd_bounds(config: dict, seed: int, threads: int):
@@ -315,8 +286,7 @@ def _cmd_bounds(config: dict, seed: int, threads: int):
         min_plain = min(min_plain, rep.plain.margin)
         min_weighted = min(min_weighted, rep.weighted.margin)
         rows.append([
-            i, case.a.shape[0], case.d, case.delta_d,
-            matrix_norm(case.b, "hilbert_schmidt"),
+            i, case.a.shape[0], case.d, case.delta_d, case.b_hs,
             rep.plain.lhs, rep.plain.rhs, rep.plain.holds,
             rep.weighted.lhs, rep.weighted.rhs, rep.weighted.holds,
             rep.trivial_rhs, rep.sharper_than_trivial,
@@ -401,6 +371,8 @@ _HANDLERS = {
 
 def _parse_threads(raw: str) -> int:
     if raw == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return max(os.cpu_count() or 1, 1)
     try:
         threads = int(raw)
@@ -432,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's seed")
         p.add_argument("--threads", default="1",
-                       help="worker threads for grid cells, or 'auto'")
+                       help="worker threads for grid cells, or 'auto' for the "
+                            "number of CPUs this process may run on")
     return parser
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidInput, NumericFailure
-from .measures import DiscreteMeasure
+from .measures import _WEIGHT_SUM_ATOL, DiscreteMeasure
 from .rng import generator
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
 _ORTHO_ATOL = 1e-10
 _GS_BREAKDOWN = 1e-10
 _GS_MAX_RETRIES = 100
-_WEIGHT_SUM_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,9 @@ def center_gram(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if k.size and np.max(np.abs(k - k.T)) > 1e-12:
         raise InvalidInput("center_gram: input matrix is not symmetric within 1e-12")
     if abs(w.sum() - 1.0) > _WEIGHT_SUM_ATOL:
-        raise InvalidInput(f"center_gram: weights sum to {w.sum()!r}, not 1 within 1e-12")
+        raise InvalidInput(
+            f"center_gram: weights sum to {w.sum()!r}, not 1 within {_WEIGHT_SUM_ATOL:g}"
+        )
     kw = k @ w
     www = float(w @ kw)
     out = k - kw[:, None] - kw[None, :] + www

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateModel, InvalidInput, RankError
 from .features import FeatureSample, feature_matrix
 from .kernels import Kernel, center_gram, cross_gram, gram
-from .linalg import Spectrum, fix_signs, sym_eig
+from .linalg import RANK_RTOL, fix_signs, sym_eig
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "pop_rf_cov",
 ]
 
-_RANK_RTOL = 1e-10
 # Top eigenvalue below kappa times this means the centered Gram carries
 # no signal at all (e.g. a constant kernel).
 _DEGENERATE_RTOL = 1e-12
@@ -105,7 +104,7 @@ class RfKpcaModel:
 def _retained(vals: np.ndarray, scale_floor: float) -> int:
     if vals.size == 0 or vals[0] <= scale_floor:
         return 0
-    return int(np.sum(vals > _RANK_RTOL * vals[0]))
+    return int(np.sum(vals > RANK_RTOL * vals[0]))
 
 
 def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:

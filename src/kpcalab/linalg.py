@@ -75,7 +75,12 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-_fix_signs = fix_signs
+def _eig_solve(solver, a: np.ndarray, op: str):
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        # The LAPACK info code (failed iteration count) rides in the message.
+        raise NumericFailure(f"{op}: eigensolver did not converge ({exc})") from exc
 
 
 def sym_eig(a: np.ndarray) -> Spectrum:
@@ -85,43 +90,39 @@ def sym_eig(a: np.ndarray) -> Spectrum:
     and NumericFailure if the underlying solver does not converge.
     """
     a = _require_symmetric(a, "sym_eig")
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        # The LAPACK info code (failed iteration count) rides in the message.
-        raise NumericFailure(f"sym_eig: eigensolver did not converge ({exc})") from exc
+    vals, vecs = _eig_solve(np.linalg.eigh, a, "sym_eig")
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    vecs = _fix_signs(vecs[:, order])
+    vecs = fix_signs(vecs[:, order])
     return Spectrum(vals, vecs)
 
 
 def matrix_norm(a: np.ndarray, kind: str) -> float:
-    """Spectral norms of a symmetric matrix via its eigenvalues.
+    """Spectral norms of a symmetric matrix, computed without eigenvectors.
 
     kind: "operator" (max |eigenvalue|), "hilbert_schmidt" (l2 of the
-    eigenvalues, equal to the Frobenius norm), or "trace" (l1).
+    eigenvalues, computed as the Frobenius norm), or "trace" (l1).
+    Raises NumericFailure if the eigenvalue solver does not converge.
     """
-    spec = sym_eig(a)
-    vals = spec.eigenvalues
-    if kind == "operator":
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+    a = _require_symmetric(a, "matrix_norm")
     if kind == "hilbert_schmidt":
-        return float(np.sqrt(np.sum(vals**2)))
-    if kind == "trace":
-        return float(np.sum(np.abs(vals)))
-    raise InvalidInput(f"matrix_norm: unknown kind {kind!r}")
+        return float(np.linalg.norm(a))
+    if kind not in ("operator", "trace"):
+        raise InvalidInput(f"matrix_norm: unknown kind {kind!r}")
+    vals = np.abs(_eig_solve(np.linalg.eigvalsh, a, "matrix_norm"))
+    return float(np.sum(vals) if kind == "trace" else np.max(vals, initial=0.0))
 
 
-def fractional_power(a: np.ndarray, t: float) -> np.ndarray:
+def fractional_power(a: np.ndarray | Spectrum, t: float) -> np.ndarray:
     """A**t for PSD ``a`` and real exponent t >= 0.
 
+    ``a`` may also be its ``sym_eig`` Spectrum, which is then reused as is.
     Eigenvalues in [-RANK_RTOL * ||a||_op, 0) are clamped to zero; more
     negative ones raise NotPositiveSemidefinite.
     """
     if t < 0:
         raise InvalidInput(f"fractional_power: exponent must be >= 0, got {t}")
-    spec = sym_eig(a)
+    spec = a if isinstance(a, Spectrum) else sym_eig(a)
     vals = spec.eigenvalues.copy()
     top = float(np.max(np.abs(vals))) if vals.size else 0.0
     floor = -RANK_RTOL * top

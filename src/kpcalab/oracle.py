@@ -17,6 +17,7 @@ makes convergence-rate measurements against ground truth possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .features import FeatureSample, feature_matrix
 from .kernels import Kernel, center_gram, gram
 from .kpca import KpcaModel, RfKpcaModel, _eigenfunction_matrix
 from .linalg import Spectrum, matrix_norm, spectral_projector, sym_eig
-from .measures import DiscreteMeasure, discrete_measure, draw_samples, uniform_measure
+from .measures import DiscreteMeasure
 
 __all__ = [
     "PopOperator",
@@ -39,10 +40,6 @@ __all__ = [
     "recon_error",
     "proj_distance",
     "oracle_snapshot",
-    "DiscreteMeasure",
-    "discrete_measure",
-    "uniform_measure",
-    "draw_samples",
 ]
 
 _PROJECTOR_ATOL = 1e-8
@@ -50,15 +47,18 @@ _PROJECTOR_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class PopOperator:
-    """A population operator in symmetrized coordinates, with its spectrum."""
+    """A population operator in symmetrized coordinates, decomposed on first read."""
 
     kind: str
     matrix: np.ndarray
-    spectrum: Spectrum
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return sym_eig(self.matrix)
 
     @property
     def hs_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.spectrum.eigenvalues**2)))
+        return float(np.linalg.norm(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def op_jj(kernel: Kernel, measure: DiscreteMeasure) -> PopOperator:
     root_w = np.sqrt(measure.weights)
     s = root_w[:, None] * centered * root_w[None, :]
     s = (s + s.T) / 2.0
-    return PopOperator(kind="jj", matrix=s, spectrum=sym_eig(s))
+    return PopOperator(kind="jj", matrix=s)
 
 
 def op_aa(features: FeatureSample, measure: DiscreteMeasure) -> PopOperator:
@@ -102,7 +102,7 @@ def op_aa(features: FeatureSample, measure: DiscreteMeasure) -> PopOperator:
     b = np.sqrt(measure.weights)[:, None] * fbar
     s = b @ b.T
     s = (s + s.T) / 2.0
-    return PopOperator(kind="aa", matrix=s, spectrum=sym_eig(s))
+    return PopOperator(kind="aa", matrix=s)
 
 
 def tail_energy(spectrum: Spectrum, ell: int) -> float:
@@ -159,9 +159,10 @@ def proj_distance(p: ProjectionLike, q: ProjectionLike) -> float:
     return matrix_norm(p.matrix - q.matrix, "operator")
 
 
-def oracle_snapshot(kernel: Kernel, measure: DiscreteMeasure, seed: int | None = None) -> dict:
-    """JSON-ready description of an oracle: measure, kernel, exact spectrum."""
-    pop = op_jj(kernel, measure)
+def oracle_snapshot(kernel: Kernel, measure: DiscreteMeasure, pop: PopOperator,
+                    seed: int | None = None) -> dict:
+    """JSON-ready description of an oracle: measure, kernel, and the exact
+    spectrum of ``pop = op_jj(kernel, measure)``."""
     snap: dict = {
         "atoms": np.asarray(measure.atoms).tolist(),
         "weights": measure.weights.tolist(),

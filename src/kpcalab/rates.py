@@ -38,10 +38,10 @@ from .errors import ConfigError, EigengapError, OutOfRegime, RankError
 from .features import sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
 from .kpca import fit_exact, fit_rf
+from .linalg import GAP_TOL, RANK_RTOL
 from .measures import DiscreteMeasure, draw_samples, uniform_measure
 from .oracle import (
     PopOperator,
-    ProjectionLike,
     op_aa,
     op_jj,
     proj_distance,
@@ -80,7 +80,6 @@ _RF_METRICS = ("recon_rf_pop", "recon_rf_hat", "proj_rf_pop", "proj_rf_hat")
 # Empirical eigenvalue divisions are only trusted this far above the
 # retained-rank floor of 1e-10 * lambda_1.
 _GUARD_FACTOR = 100.0
-_RANK_RTOL = 1e-10
 _SWAP_SLACK = 1e-8
 
 
@@ -120,18 +119,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if self.decay == "poly":
-            if self.alpha is None or not self.alpha > 1.0:
-                raise ConfigError(f"poly decay needs alpha > 1, got {self.alpha}")
-            if self.gamma is not None:
-                raise ConfigError("poly decay takes no gamma")
-        elif self.decay == "expo":
-            if self.gamma is None or not self.gamma > 0.0:
-                raise ConfigError(f"expo decay needs gamma > 0, got {self.gamma}")
-            if self.alpha is not None:
-                raise ConfigError("expo decay takes no alpha")
-        else:
-            raise ConfigError(f"unknown decay {self.decay!r}")
+        _decay_schedule(self.decay, self.rank, self.alpha, self.gamma)
+        unused = "gamma" if self.decay == "poly" else "alpha"
+        if getattr(self, unused) is not None:
+            raise ConfigError(f"{self.decay} decay takes no {unused}")
         if self.theta < 0.0:
             raise ConfigError(f"theta must be >= 0, got {self.theta}")
         if self.metric not in METRICS:
@@ -146,7 +137,7 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be strictly increasing")
         if self.replications < 5:
             raise ConfigError(f"need >= 5 replications, got {self.replications}")
-        if self.rank < 2 or self.atoms < self.rank + 1:
+        if self.atoms < self.rank + 1:
             raise ConfigError(
                 f"need atoms >= rank + 1 >= 3, got atoms={self.atoms} rank={self.rank}"
             )
@@ -157,12 +148,25 @@ class ExperimentConfig:
                 raise ConfigError(f"ell_fixed={self.ell_fixed} outside 1..{self.rank - 1}")
 
 
+def _decay_schedule(decay: str, rank: int, alpha: float | None, gamma: float | None) -> np.ndarray:
+    """i^-alpha (poly) or e^-gamma*i (expo) for i = 1..rank; ConfigError if invalid."""
+    if rank < 2:
+        raise ConfigError(f"rank must be >= 2, got {rank}")
+    i = 1.0 + np.arange(rank)
+    if decay == "poly":
+        if alpha is None or not float(alpha) > 1.0:
+            raise ConfigError(f"poly decay needs alpha > 1, got {alpha}")
+        return i ** -float(alpha)
+    if decay == "expo":
+        if gamma is None or not float(gamma) > 0.0:
+            raise ConfigError(f"expo decay needs gamma > 0, got {gamma}")
+        return np.exp(-float(gamma) * i)
+    raise ConfigError(f"unknown decay {decay!r}")
+
+
 def lambda_schedule(config: ExperimentConfig) -> np.ndarray:
     """The synthetic population spectrum, length rank, strictly descending."""
-    i = 1.0 + np.arange(config.rank)
-    if config.decay == "poly":
-        return i ** -config.alpha
-    return np.exp(-config.gamma * i)
+    return _decay_schedule(config.decay, config.rank, config.alpha, config.gamma)
 
 
 def _round_half_up(x: float) -> int:
@@ -325,6 +329,8 @@ class RateRow:
 
 @dataclass(frozen=True)
 class RateReport:
+    """A measured grid and its fitted rate, with the kernel and S_J it used."""
+
     config: ExperimentConfig
     beta: float | None
     rows: tuple[RateRow, ...]
@@ -335,17 +341,19 @@ class RateReport:
     predicted: float
     swap_min_margin: float
     swap_violations: int
+    kernel: Kernel = field(repr=False, compare=False)
+    pop: PopOperator = field(repr=False, compare=False)
 
     @property
     def verdict(self) -> bool:
         return abs(self.slope - self.predicted) <= self.config.slope_tolerance
 
 
-def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> dict:
+def _grid_plan(config: ExperimentConfig, pop: PopOperator) -> dict:
     """Per-n precomputation: ell, m, population projector, and bias."""
     plan = {}
     vals = pop.spectrum.eigenvalues
-    floor = _GUARD_FACTOR * _RANK_RTOL * vals[0]
+    floor = _GUARD_FACTOR * RANK_RTOL * vals[0]
     for n in config.n_grid:
         ell = ell_for(config, n)
         if vals[ell - 1] < floor:
@@ -353,7 +361,7 @@ def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> di
                 f"population eigenvalue {ell} at n={n} sits below the division guard; "
                 f"shrink theta or the grid"
             )
-        gap_ok = ell >= vals.size or vals[ell - 1] - vals[ell] > 1e-12
+        gap_ok = ell >= vals.size or vals[ell - 1] - vals[ell] > GAP_TOL
         if not gap_ok:
             raise ConfigError(f"population spectrum is degenerate at ell={ell} (n={n})")
         p_pop = proj_pop(pop, ell)
@@ -372,7 +380,7 @@ def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> di
 def _empirical_guard_ok(eigvals: np.ndarray, ell: int) -> bool:
     if eigvals.shape[0] < ell:
         return False
-    return eigvals[ell - 1] >= _GUARD_FACTOR * _RANK_RTOL * eigvals[0]
+    return eigvals[ell - 1] >= _GUARD_FACTOR * RANK_RTOL * eigvals[0]
 
 
 def _run_cell(config: ExperimentConfig, kernel: Kernel, measure: DiscreteMeasure,
@@ -438,11 +446,21 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     inequality |sqrt(R_emp) - sqrt(R_pop)| <= ||S||_HS * dist with 1e-8
     slack; the report carries the minimum margin and violation count.
     """
-    lambdas = lambda_schedule(config)
-    measure = uniform_measure(config.atoms)
-    kernel = make_finite_rank_kernel(measure, lambdas, derive_seed(config.seed, "kernel"))
-    pop = op_jj(kernel, measure)
-    plan = _grid_plan(config, kernel, pop)
+    oracle = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    return _measure_grid(config, *oracle, threads, full_support)
+
+
+def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOperator]:
+    """The seeded synthetic kernel on uniform atoms and its S_J operator."""
+    measure = uniform_measure(atoms)
+    kernel = make_finite_rank_kernel(measure, lambdas, derive_seed(seed, "kernel"))
+    return kernel, op_jj(kernel, measure)
+
+
+def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
+                  threads: int, full_support: bool) -> RateReport:
+    measure = kernel.table.measure
+    plan = _grid_plan(config, pop)
     coords = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
 
     def task(coord):
@@ -484,6 +502,8 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
         predicted=predicted,
         swap_min_margin=min(margins) if margins else math.nan,
         swap_violations=sum(mar < 0.0 for mar in margins),
+        kernel=kernel,
+        pop=pop,
     )
 
 
@@ -522,7 +542,10 @@ def transition_study(base: ExperimentConfig, taus, threads: int = 1) -> Transiti
         raise ConfigError(f"transition_study needs metric proj_rf_hat, got {base.metric}")
     if not taus:
         raise ConfigError("transition_study needs at least one tau")
-    reference = run_grid(replace(base, tau=None, metric="proj_hat"), threads=threads)
+    # The oracle depends on seed, atoms and schedule only, so every run shares it.
+    oracle = _oracle(base.atoms, lambda_schedule(base), base.seed)
+    reference = _measure_grid(replace(base, tau=None, metric="proj_hat"), *oracle,
+                              threads, False)
     if base.decay == "poly":
         b = _beta_for(base, None)
         threshold = 0.5 + base.theta * (2.0 * b - base.alpha) / base.alpha
@@ -531,7 +554,7 @@ def transition_study(base: ExperimentConfig, taus, threads: int = 1) -> Transiti
     rows = []
     reports = [reference]
     for tau in taus:
-        rep = run_grid(replace(base, tau=float(tau)), threads=threads)
+        rep = _measure_grid(replace(base, tau=float(tau)), *oracle, threads, False)
         reports.append(rep)
         if tau >= threshold:
             expected = reference.slope

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import kpcalab.bounds
+import kpcalab.linalg
 from kpcalab import (
     BoundReport,
     InvalidInput,
@@ -19,6 +21,20 @@ from kpcalab import (
     rank_one_norms_check,
     tensor_lemma_check,
 )
+
+
+def _count_sym_eig(monkeypatch):
+    """Record every sym_eig call made through bounds or inside linalg."""
+    calls = []
+    real = kpcalab.linalg.sym_eig
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(kpcalab.bounds, "sym_eig", counted)
+    monkeypatch.setattr(kpcalab.linalg, "sym_eig", counted)
+    return calls
 
 
 def _offdiag(dim, i, j, value):
@@ -48,17 +64,21 @@ def test_two_by_two_case_against_trigonometric_solution():
     assert not rep.sharper_than_trivial
 
 
-def test_three_by_three_case_where_weighting_is_sharper():
+def test_three_by_three_case_where_weighting_is_sharper(monkeypatch):
     # perturb inside the (e2, e3) plane of diag(10, 1, 1/2) at d = 2:
     # d lambda_d = 2 while ||A||_op = 10, a factor-5 sharper constant
     a = np.diag([10.0, 1.0, 0.5])
+    calls = _count_sym_eig(monkeypatch)
     case = PerturbationCase(a=a, b=_offdiag(3, 1, 2, 0.08), d=2)
+    assert len(calls) == 2  # a and a + b, once each
     assert case.delta_d == pytest.approx(0.25, abs=1e-15)
+    assert case.b_hs == pytest.approx(0.08 * math.sqrt(2.0), rel=1e-15)
     mu_top = 0.75 + math.sqrt(0.25**2 + 0.08**2)
     psi = math.atan((mu_top - 1.0) / 0.08)
     s, c = math.sin(psi), math.cos(psi)
     b_hs = 0.08 * math.sqrt(2.0)
     rep = perturb_check(case)
+    assert len(calls) == 2  # the check reuses the case's decompositions
     assert rep.plain.lhs == pytest.approx(math.sqrt(2.0) * s, abs=1e-12)
     assert rep.weighted.lhs == pytest.approx(
         math.sqrt(1.25 * s**4 + c**2 * s**2), abs=1e-12)
@@ -125,8 +145,10 @@ def test_rank_one_norms():
         assert out[kind] == pytest.approx(25.0, rel=1e-12)
 
 
-def test_operator_inequality_suite_counts():
+def test_operator_inequality_suite_counts(monkeypatch):
+    calls = _count_sym_eig(monkeypatch)
     report = operator_inequality_suite(25, seed=4)
+    assert len(calls) == 2 * 25  # A and B once per trial
     assert report.trials == 25
     assert report.checks == 25 * 9
     assert report.violations == 0

@@ -132,10 +132,15 @@ def test_numeric_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_thread_argument_parsing(tmp_path, capsys):
+def test_thread_argument_parsing(tmp_path, monkeypatch, capsys):
+    # 'auto' counts the CPUs this process may run on, not the machine's
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     cfg = _bounds_config(tmp_path)
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "auto"),
                      "--threads", "auto"]) == 0
+    summary = json.loads((tmp_path / "auto" / "summary.json").read_text())
+    assert summary["threads"] == 1
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "z"),
                      "--threads", "0"]) == 1
     assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "z"),

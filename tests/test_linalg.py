@@ -13,6 +13,7 @@ from kpcalab import (
     EigengapError,
     InvalidInput,
     NotPositiveSemidefinite,
+    NumericFailure,
     RankError,
     Spectrum,
     eigengaps,
@@ -137,13 +138,21 @@ def test_sym_eig_rejects_asymmetric_and_nan():
         sym_eig(np.ones((2, 3)))
 
 
-def test_matrix_norms_on_diagonal():
+def test_matrix_norms_on_diagonal(monkeypatch):
     a = np.diag([3.0, -4.0])
     assert matrix_norm(a, "operator") == pytest.approx(4.0, abs=1e-14)
     assert matrix_norm(a, "hilbert_schmidt") == pytest.approx(5.0, abs=1e-14)
     assert matrix_norm(a, "trace") == pytest.approx(7.0, abs=1e-14)
     with pytest.raises(InvalidInput):
         matrix_norm(a, "nuclear")
+
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    for kind in ("operator", "trace"):
+        with pytest.raises(NumericFailure):
+            matrix_norm(a, kind)
 
 
 @settings(deadline=None, max_examples=25)
@@ -155,6 +164,11 @@ def test_matrix_norms_agree_with_svd(seed, dim):
     assert matrix_norm(a, "trace") == pytest.approx(sv.sum(), rel=1e-10)
     assert matrix_norm(a, "hilbert_schmidt") == pytest.approx(
         np.linalg.norm(a), rel=1e-10)
+    # and the full-eigendecomposition route, to working precision
+    vals = np.abs(sym_eig(a).eigenvalues)
+    for kind, ref in (("operator", vals.max()), ("trace", vals.sum()),
+                      ("hilbert_schmidt", np.sqrt(np.sum(vals**2)))):
+        assert matrix_norm(a, kind) == pytest.approx(ref, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=25)
@@ -165,6 +179,9 @@ def test_fractional_power_half_squares_back(seed, dim):
     assert np.max(np.abs(root @ root - a)) <= 1e-8 * (1.0 + np.linalg.norm(a))
     assert np.max(np.abs(fractional_power(a, 1.0) - a)) <= 1e-10
     assert np.max(np.abs(fractional_power(a, 2.0) - a @ a)) <= 1e-8
+    spec = sym_eig(a)
+    for t in (0.25, 0.5, 1.5):
+        assert np.array_equal(fractional_power(spec, t), fractional_power(a, t))
 
 
 def test_fractional_power_rejects_negative_definite():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kpcalab.oracle
 from kpcalab import (
     InvalidInput,
     ProjectionLike,
@@ -108,15 +109,24 @@ def test_rf_projector_with_exact_features_and_full_support():
     assert proj_distance(proj_pop(pop, 2), q) < 1e-8
 
 
-def test_feature_operator_converges_in_m():
+def test_feature_operator_converges_in_m(monkeypatch):
     measure, ker = _setup(t_count=4, n_atoms=16)
     pop = op_jj(ker, measure)
+    calls = []
+    real = kpcalab.oracle.sym_eig
+    monkeypatch.setattr(kpcalab.oracle, "sym_eig", lambda a: calls.append(1) or real(a))
     devs = []
     for m in (8, 128, 2048):
         fs = sample_finite_rank(ker, m, seed=41, mixed=True)
         devs.append(np.linalg.norm(op_aa(fs, measure).matrix - pop.matrix))
     assert devs[2] < devs[1] < devs[0]
     assert devs[2] < 0.1 * devs[0]
+    # operators used only as matrices are never decomposed; a read
+    # decomposes once and the spectrum is kept
+    assert calls == []
+    s_a = op_aa(fs, measure)
+    assert s_a.spectrum is s_a.spectrum
+    assert len(calls) == 1
 
 
 def test_draw_samples_frequencies_and_degenerate_weights():
@@ -141,7 +151,7 @@ def test_draw_samples_reproducible():
 
 def test_snapshot_structure():
     measure, ker = _setup(t_count=3, n_atoms=9)
-    snap = oracle_snapshot(ker, measure, seed=5)
+    snap = oracle_snapshot(ker, measure, op_jj(ker, measure), seed=5)
     assert snap["seed"] == 5
     assert len(snap["atoms"]) == 9 and len(snap["weights"]) == 9
     spec = snap["population_spectrum"]

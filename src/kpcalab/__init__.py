@@ -45,6 +45,7 @@ from .errors import (
 from .features import (
     FeatureSample,
     approx_kernel,
+    basis_factor,
     cos_form_kernel,
     feature_matrix,
     sample_finite_rank,
@@ -132,8 +133,8 @@ __all__ = [
     "FunctionTable", "Kernel", "gaussian_kernel", "finite_rank_kernel",
     "make_finite_rank_kernel", "kernel_eval", "gram", "cross_gram", "center_gram",
     # features
-    "FeatureSample", "sample_rff", "sample_finite_rank", "feature_matrix",
-    "approx_kernel", "cos_form_kernel",
+    "FeatureSample", "sample_rff", "sample_finite_rank", "basis_factor",
+    "feature_matrix", "approx_kernel", "cos_form_kernel",
     # kpca
     "KpcaModel", "RfKpcaModel", "fit_exact", "eigenfunction_eval", "embed_exact",
     "fit_rf", "embed_rf", "pop_rf_cov",

@@ -16,7 +16,15 @@ import numpy as np
 from .errors import CheckFailed, InvalidInput, NumericFailure
 from .features import sample_finite_rank
 from .kernels import make_finite_rank_kernel
-from .linalg import Spectrum, eigengaps, fractional_power, matrix_norm, spectral_projector, sym_eig
+from .linalg import (
+    RANK_RTOL,
+    Spectrum,
+    eigengaps,
+    fractional_power,
+    matrix_norm,
+    spectral_projector,
+    sym_eig,
+)
 from .measures import draw_samples, uniform_measure
 from .oracle import op_aa, op_jj
 from .rng import derive_seed, generator
@@ -40,6 +48,9 @@ __all__ = [
 
 # lhs <= rhs + SLACK * (1 + rhs) is the uniform pass rule for proved bounds.
 _BOUND_SLACK = 1e-9
+# A generated a + b is redrawn until its least eigenvalue is at least
+# -_CASE_PSD_RTOL times a's largest, well inside PerturbationCase's PSD floor.
+_CASE_PSD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,7 @@ class PerturbationCase:
             raise InvalidInput(f"PerturbationCase: d={self.d} outside 1..{vals.size - 1}")
         if vals[self.d - 1] <= 0.0:
             raise InvalidInput("PerturbationCase: lambda_d must be positive")
-        if vals.min() < -1e-10 * max(vals.max(), 1.0):
+        if vals.min() < -RANK_RTOL * max(vals.max(), 1.0):
             raise InvalidInput("PerturbationCase: a is not PSD")
         delta, b_hs = self.delta_d, self.b_hs
         if b_hs > delta / 2.0 * (1.0 + 1e-12):
@@ -98,7 +109,7 @@ class PerturbationCase:
             )
         object.__setattr__(self, "spec_ab", sym_eig(a + b))
         sum_vals = self.spec_ab.eigenvalues
-        if sum_vals.min() < -1e-10 * max(sum_vals.max(), 1.0):
+        if sum_vals.min() < -RANK_RTOL * max(sum_vals.max(), 1.0):
             raise InvalidInput("PerturbationCase: a + b is not PSD within tolerance")
 
     @property
@@ -187,7 +198,7 @@ def make_perturbation_cases(count: int, seed: int,
             g = rng.standard_normal((dim, dim))
             b = (g + g.T) / 2.0
             b *= rho * delta / 2.0 / np.linalg.norm(b)
-            if np.linalg.eigvalsh(a + b).min() >= -1e-12 * vals.max():
+            if np.linalg.eigvalsh(a + b).min() >= -_CASE_PSD_RTOL * vals.max():
                 break
         else:
             raise NumericFailure("make_perturbation_cases: could not keep a + b PSD")

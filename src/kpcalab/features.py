@@ -34,6 +34,7 @@ __all__ = [
     "FeatureSample",
     "sample_rff",
     "sample_finite_rank",
+    "basis_factor",
     "feature_matrix",
     "approx_kernel",
     "cos_form_kernel",
@@ -139,10 +140,24 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int,
         kind="finite_rank", m=m, d=int(indices.shape[0]), seed=seed, kappa_m=0.0,
         kernel=kernel, indices=indices, probs=probs, row_scale=row_scale, coeffs=coeffs,
     )
-    atoms = np.arange(kernel.table.measure.size)
-    kappa_m = float(np.max(np.sum(feature_matrix(sample, atoms) ** 2, axis=1)))
-    object.__setattr__(sample, "kappa_m", kappa_m)
+    # ||Phi(x)||^2 = ||L' psi(x)||^2 over the atoms, without the N x m feature matrix.
+    root = basis_factor(sample).T @ kernel.table.values
+    object.__setattr__(sample, "kappa_m", float(np.max(np.sum(root**2, axis=0))))
     return sample
+
+
+def basis_factor(sample: FeatureSample) -> np.ndarray:
+    """The T x T factor L of a finite-rank draw in basis coordinates.
+
+    Phi(x)'Phi(y) = psi(x)' L L' psi(y) for the kernel's basis psi, where
+    L L' = C' diag(sum of row_scale^2 per drawn index) C with C = coeffs, so
+    L = C' diag(sqrt of those sums); L L' is the feature Gram G'G.
+    """
+    if sample.kind != "finite_rank":
+        raise InvalidInput(f"basis_factor: sample kind is {sample.kind!r}")
+    t_count = sample.coeffs.shape[0]
+    mass = np.bincount(sample.indices, weights=sample.row_scale**2, minlength=t_count)
+    return sample.coeffs.T * np.sqrt(mass)[None, :]
 
 
 def feature_matrix(sample: FeatureSample, points: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, InvalidInput, NumericFailure
+from .linalg import _SYMMETRY_ATOL
 from .measures import _WEIGHT_SUM_ATOL, DiscreteMeasure
 from .rng import generator
 
@@ -241,8 +242,10 @@ def center_gram(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or w.shape != (k.shape[0],):
         raise InvalidInput(f"center_gram: shapes {k.shape} and {w.shape} are incompatible")
-    if k.size and np.max(np.abs(k - k.T)) > 1e-12:
-        raise InvalidInput("center_gram: input matrix is not symmetric within 1e-12")
+    if k.size and np.max(np.abs(k - k.T)) > _SYMMETRY_ATOL:
+        raise InvalidInput(
+            f"center_gram: input matrix is not symmetric within {_SYMMETRY_ATOL:g}"
+        )
     if abs(w.sum() - 1.0) > _WEIGHT_SUM_ATOL:
         raise InvalidInput(
             f"center_gram: weights sum to {w.sum()!r}, not 1 within {_WEIGHT_SUM_ATOL:g}"

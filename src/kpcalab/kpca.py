@@ -101,10 +101,12 @@ class RfKpcaModel:
         return int(self.eigvals.shape[0])
 
 
-def _retained(vals: np.ndarray, scale_floor: float) -> int:
-    if vals.size == 0 or vals[0] <= scale_floor:
-        return 0
-    return int(np.sum(vals > RANK_RTOL * vals[0]))
+def _retained_rank(vals: np.ndarray, kappa: float, n: int, op: str) -> int:
+    """Count of descending ``vals`` above RANK_RTOL times the top one, at most
+    n - 1.  Raises DegenerateModel when the top one sits at kappa's noise floor."""
+    if vals.size == 0 or vals[0] <= _DEGENERATE_RTOL * kappa:
+        raise DegenerateModel(f"{op}: no component above the noise floor")
+    return min(int(np.sum(vals > RANK_RTOL * vals[0])), n - 1)
 
 
 def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
@@ -128,29 +130,22 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
         small = sym_eig(m_mat @ m_mat.T)
         sigma = small.eigenvalues
         lam_hat = sigma / n
-        r = _retained(lam_hat, _DEGENERATE_RTOL * kernel.kappa)
-        if r == 0:
-            raise DegenerateModel("fit_exact: no component above the noise floor")
-        r = min(r, n - 1)
+        r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
         alphas = (m_mat.T @ small.eigenvectors[:, :r]) / np.sqrt(sigma[:r])[None, :]
 
-        def k_quad(vec: np.ndarray) -> float:
-            return float(np.sum((b @ vec) ** 2))
+        def k_quad(vecs: np.ndarray) -> np.ndarray:
+            return np.sum((b @ vecs) ** 2, axis=0)
 
     else:
         gram_cache = gram(kernel, samples)
         centered = center_gram(gram_cache, np.full(n, 1.0 / n))
         spec = sym_eig(centered)
         lam_hat = spec.eigenvalues / n
-        r = _retained(lam_hat, _DEGENERATE_RTOL * kernel.kappa)
-        if r == 0:
-            raise DegenerateModel("fit_exact: no component above the noise floor")
-        r = min(r, n - 1)
+        r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
         alphas = spec.eigenvectors[:, :r]
-        k_full = gram_cache
 
-        def k_quad(vec: np.ndarray) -> float:
-            return float(vec @ (k_full @ vec))
+        def k_quad(vecs: np.ndarray) -> np.ndarray:
+            return np.sum(vecs * (gram_cache @ vecs), axis=0)
 
     # Exact centering and unit scale before the K-quadratic rescale; both
     # are no-ops up to rounding but pin the documented normalization.
@@ -158,10 +153,7 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
     alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
     alphas = fix_signs(alphas)
     lam_kept = lam_hat[:r].copy()
-    gammas = np.empty((r, n))
-    for i in range(r):
-        quad = k_quad(alphas[:, i])
-        gammas[i] = alphas[:, i] * np.sqrt(n * lam_kept[i] / quad)
+    gammas = (alphas * np.sqrt(n * lam_kept / k_quad(alphas))).T
     return KpcaModel(
         train_points=samples, kernel=kernel, eigvals=lam_kept,
         dual_coeffs=gammas, _gram=gram_cache,
@@ -217,10 +209,7 @@ def fit_rf(features: FeatureSample, samples: np.ndarray) -> RfKpcaModel:
     cov = (cov + cov.T) / 2.0
     spec = sym_eig(cov)
     lam = spec.eigenvalues
-    r = _retained(lam, _DEGENERATE_RTOL * features.kappa_m)
-    if r == 0:
-        raise DegenerateModel("fit_rf: no component above the noise floor")
-    r = min(r, n - 1)
+    r = _retained_rank(lam, features.kappa_m, n, "fit_rf")
     return RfKpcaModel(
         features=features, train_points=samples, mean=mean,
         eigvals=lam[:r].copy(), components=spec.eigenvectors[:, :r].copy(),

@@ -47,7 +47,8 @@ _PROJECTOR_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class PopOperator:
-    """A population operator in symmetrized coordinates, decomposed on first read."""
+    """A population operator in symmetrized coordinates; its spectrum and HS
+    norm are computed on first read and kept."""
 
     kind: str
     matrix: np.ndarray
@@ -56,7 +57,7 @@ class PopOperator:
     def spectrum(self) -> Spectrum:
         return sym_eig(self.matrix)
 
-    @property
+    @cached_property
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
 

@@ -35,22 +35,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, EigengapError, OutOfRegime, RankError
-from .features import sample_finite_rank
+from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
-from .kpca import fit_exact, fit_rf
-from .linalg import GAP_TOL, RANK_RTOL
-from .measures import DiscreteMeasure, draw_samples, uniform_measure
-from .oracle import (
-    PopOperator,
-    op_aa,
-    op_jj,
-    proj_distance,
-    proj_hat,
-    proj_hat_rf,
-    proj_pop,
-    recon_error,
-    tail_energy,
-)
+from .kpca import _retained_rank, fit_exact
+from .linalg import GAP_TOL, RANK_RTOL, matrix_norm, spectral_projector, sym_eig
+from .measures import draw_samples, uniform_measure
+from .oracle import PopOperator, op_jj, tail_energy
 from .rng import derive_seed
 
 __all__ = [
@@ -94,7 +84,8 @@ class ExperimentConfig:
     ell_fixed: overrides the schedule with a constant (theta must be 0,
         the constant-ell regime).
     tau: feature growth exponent in (0, 1]; m(n) = round(n^tau).
-        Required by the rf metrics, forbidden meaningless otherwise.
+        Required by the rf metrics and rejected by the others, which
+        draw no features.
     n_grid: strictly increasing sample sizes, at least 4 for slope fits.
     replications: independent repetitions per n, at least 5 so medians
         are meaningful.
@@ -129,8 +120,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if self.tau is not None and not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.metric in _RF_METRICS and self.tau is None:
-            raise ConfigError(f"metric {self.metric} needs tau")
+        if (self.tau is None) == (self.metric in _RF_METRICS):
+            need = "needs" if self.tau is None else "takes no"
+            raise ConfigError(f"metric {self.metric} {need} tau")
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
             raise ConfigError("n_grid must hold sample sizes >= 2")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -349,10 +341,18 @@ class RateReport:
         return abs(self.slope - self.predicted) <= self.config.slope_tolerance
 
 
-def _grid_plan(config: ExperimentConfig, pop: PopOperator) -> dict:
-    """Per-n precomputation: ell, m, population projector, and bias."""
+def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> dict:
+    """Per-n precomputation: ell, m, population projector in T-coordinates, and bias."""
     plan = {}
     vals = pop.spectrum.eigenvalues
+    lam = kernel.lambdas
+    # The cells score in the kernel's basis, where S_J is diag(lambda); that
+    # needs S_J's spectrum to be the schedule padded with zeros.
+    spec_err = np.max(np.abs(vals - np.pad(lam, (0, vals.size - lam.size))))
+    if spec_err > RANK_RTOL * lam[0]:
+        raise ConfigError(
+            f"oracle self-check failed: S_J spectrum is off the schedule by {spec_err:.3e}"
+        )
     floor = _GUARD_FACTOR * RANK_RTOL * vals[0]
     for n in config.n_grid:
         ell = ell_for(config, n)
@@ -364,16 +364,9 @@ def _grid_plan(config: ExperimentConfig, pop: PopOperator) -> dict:
         gap_ok = ell >= vals.size or vals[ell - 1] - vals[ell] > GAP_TOL
         if not gap_ok:
             raise ConfigError(f"population spectrum is degenerate at ell={ell} (n={n})")
-        p_pop = proj_pop(pop, ell)
-        r_pop = tail_energy(pop.spectrum, ell)
-        check = recon_error(pop, p_pop)
-        if abs(check - r_pop) > 1e-10 * max(r_pop, 1e-300):
-            raise ConfigError(
-                f"oracle self-check failed at ell={ell}: tail {r_pop!r} vs "
-                f"projector residual {check!r}"
-            )
+        p_pop = np.diag((np.arange(lam.size) < ell).astype(float))
         m = m_for(config, n) if config.tau is not None else None
-        plan[n] = (ell, m, p_pop, r_pop)
+        plan[n] = (ell, m, p_pop, tail_energy(pop.spectrum, ell))
     return plan
 
 
@@ -383,13 +376,21 @@ def _empirical_guard_ok(eigvals: np.ndarray, ell: int) -> bool:
     return eigvals[ell - 1] >= _GUARD_FACTOR * RANK_RTOL * eigvals[0]
 
 
-def _run_cell(config: ExperimentConfig, kernel: Kernel, measure: DiscreteMeasure,
-              pop: PopOperator, plan: dict, n: int, rep: int,
-              full_support: bool) -> tuple[RateRow, float | None]:
+def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: dict,
+              n: int, rep: int, full_support: bool) -> tuple[RateRow, float | None]:
     """One (n, rep) measurement.  Returns the row and the swap-inequality margin
-    (None when the cell is invalid)."""
+    (None when the cell is invalid).
+
+    Every estimated projector lies in the span of the kernel's T basis
+    functions, so it is built and scored as a T x T matrix Q in that basis,
+    where S_J is Lambda = diag(lambda) and its top-ell projector is diag(1_ell, 0):
+    the same numbers as proj_hat / proj_hat_rf / proj_pop(op_aa) scored by
+    recon_error and proj_distance, at a cost free of N and m.
+    """
     ell, m, p_pop, r_pop = plan[n]
-    sigma_hs = pop.hs_norm
+    measure = kernel.table.measure
+    psi = kernel.table.values
+    lam = kernel.lambdas
     if full_support:
         samples = np.asarray(measure.atoms)
     else:
@@ -403,33 +404,60 @@ def _run_cell(config: ExperimentConfig, kernel: Kernel, measure: DiscreteMeasure
                     f"empirical eigenvalue {ell} fell below the division guard at "
                     f"n={n}, rep={rep}"
                 )
-            q = proj_hat(model, kernel, measure, ell)
-            r_emp = recon_error(pop, q)
-        elif metric in ("recon_rf_pop", "proj_rf_pop"):
-            fs = sample_finite_rank(
-                kernel, m, derive_seed(config.seed, "features", n, rep), mixed=True
-            )
-            q = proj_pop(op_aa(fs, measure), ell)
-            r_emp = recon_error(pop, q)
+            # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis
+            # coordinates Lambda psi(samples) gamma_i / sqrt(n lambda_i).
+            eigvals = model.eigvals[:ell]
+            coords = lam[:, None] * (psi[:, samples] @ model.dual_coeffs[:ell].T)
+            q = _plug_in(coords / np.sqrt(samples.shape[0] * eigvals), eigvals)
         else:
             fs = sample_finite_rank(
                 kernel, m, derive_seed(config.seed, "features", n, rep), mixed=True
             )
-            rf_model = fit_rf(fs, samples)
-            if not _empirical_guard_ok(rf_model.eigvals, ell):
-                raise RankError("rf model rank below ell")
-            q = proj_hat_rf(rf_model, measure, ell)
-            r_emp = recon_error(pop, q)
+            factor = basis_factor(fs)
+            if metric in ("recon_rf_pop", "proj_rf_pop"):
+                q = spectral_projector(sym_eig(factor @ factor.T), ell)
+            else:
+                q = _plug_in(*_rf_hat_coords(factor, fs.kappa_m, psi, samples, ell))
     except (RankError, EigengapError):
         # A feature draw too degenerate to carry ell components; the
         # hypotheses of the theory exclude these, so the cell is marked
         # invalid rather than silently redrawn.
         return RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=math.nan), None
 
-    dist = proj_distance(p_pop, q)
+    r_emp = float(np.sum((np.diag(lam) - q * lam[None, :]) ** 2))
+    dist = matrix_norm(p_pop - q, "operator")
     value = dist if metric.startswith("proj") else r_emp
-    margin = sigma_hs * dist + _SWAP_SLACK - abs(math.sqrt(r_emp) - math.sqrt(r_pop))
+    margin = pop.hs_norm * dist + _SWAP_SLACK - abs(math.sqrt(r_emp) - math.sqrt(r_pop))
     return RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=value), margin
+
+
+def _plug_in(coords: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
+    """sum_i c_i c_i' / lambda_i over the columns c_i of ``coords``."""
+    q = (coords / eigvals) @ coords.T
+    return (q + q.T) / 2.0
+
+
+def _rf_hat_coords(factor: np.ndarray, kappa_m: float, psi: np.ndarray,
+                   samples: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis coordinates and eigenvalues of fit_rf's top ell components.
+
+    With Sigma the sample covariance of psi and G the feature coefficients
+    (G G' = L L' for L = basis_factor), fit_rf's m x m covariance G' Sigma G
+    shares its nonzero spectrum with the T x T matrix L' Sigma L, and an
+    eigenpair (y, mu) of the latter is the component whose centred embedding
+    has basis coordinates L y.  fit_rf's retained-rank rule and the
+    division guard apply unchanged.
+    """
+    n = samples.shape[0]
+    p_hat = np.bincount(samples, minlength=psi.shape[1]) / n
+    centred = (psi - (psi @ p_hat)[:, None]) * np.sqrt(p_hat)[None, :]
+    root = factor.T @ centred
+    spec = sym_eig(root @ root.T)
+    mu = spec.eigenvalues
+    r = _retained_rank(mu, kappa_m, n, "fit_rf")
+    if not _empirical_guard_ok(mu[:r], ell):
+        raise RankError("rf model rank below ell")
+    return factor @ spec.eigenvectors[:, :ell], mu[:ell]
 
 
 def run_grid(config: ExperimentConfig, threads: int = 1,
@@ -459,13 +487,12 @@ def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOper
 
 def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
                   threads: int, full_support: bool) -> RateReport:
-    measure = kernel.table.measure
-    plan = _grid_plan(config, pop)
+    plan = _grid_plan(config, kernel, pop)
     coords = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
 
     def task(coord):
         n, rep = coord
-        return _run_cell(config, kernel, measure, pop, plan, n, rep, full_support)
+        return _run_cell(config, kernel, pop, plan, n, rep, full_support)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -6,6 +6,7 @@ import pytest
 from kpcalab import (
     InvalidInput,
     approx_kernel,
+    basis_factor,
     cos_form_kernel,
     feature_matrix,
     gaussian_kernel,
@@ -111,9 +112,19 @@ def test_feature_draw_reproducibility_and_kappa():
     a = sample_finite_rank(ker, 12, seed=21)
     b = sample_finite_rank(ker, 12, seed=21)
     assert np.array_equal(a.indices, b.indices)
-    phi = feature_matrix(a, measure.atoms)
-    assert a.kappa_m == pytest.approx(np.max(np.sum(phi**2, axis=1)), rel=1e-12)
     assert feature_matrix(a, measure.atoms).shape == (measure.size, 12)
+    psi = ker.table.values
+    for mixed in (False, True):
+        for m, deterministic in ((12, False), (5, True)):
+            fs = sample_finite_rank(ker, m, seed=21, deterministic=deterministic, mixed=mixed)
+            phi = feature_matrix(fs, measure.atoms)
+            # kappa_m is computed in basis coordinates; the row norms are the reference
+            assert fs.kappa_m == pytest.approx(np.max(np.sum(phi**2, axis=1)), rel=1e-12)
+            factor = basis_factor(fs)
+            approx = psi.T @ factor @ factor.T @ psi
+            assert np.max(np.abs(approx - phi @ phi.T)) < 1e-12
+    with pytest.raises(InvalidInput):
+        basis_factor(sample_rff(1.0, 2, 4, seed=0))
 
 
 def test_kind_mismatch_errors():

@@ -8,16 +8,31 @@ import pytest
 
 from kpcalab import (
     ConfigError,
+    EigengapError,
     ExperimentConfig,
     OutOfRegime,
+    RankError,
+    derive_seed,
+    draw_samples,
     ell_for,
+    fit_exact,
+    fit_rf,
     fit_slope,
     lambda_schedule,
     m_for,
+    op_aa,
     predicted_exponent,
+    proj_distance,
+    proj_hat,
+    proj_hat_rf,
+    proj_pop,
+    recon_error,
     run_grid,
+    sample_finite_rank,
     transition_study,
 )
+from kpcalab import linalg
+from kpcalab.rates import _empirical_guard_ok, _measure_grid, _oracle
 
 
 def _cfg(**kw):
@@ -152,6 +167,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(metric="recon_rf_hat")  # no tau
     with pytest.raises(ConfigError):
+        _cfg(tau=0.5)  # recon_hat draws no features
+    with pytest.raises(ConfigError):
         _cfg(metric="florp")
     with pytest.raises(ConfigError):
         _cfg(n_grid=(64, 64))
@@ -224,3 +241,79 @@ def test_transition_study_smoke():
     with pytest.raises(ConfigError):
         transition_study(dataclasses.replace(base, metric="proj_hat", tau=None),
                          (0.3, 0.9))
+
+
+_SMALL_GRID = (32, 48, 64, 96)
+
+
+def _sample_level_cell(config, report, n, rep):
+    """A cell recomputed on the N atoms through the public sample-level API."""
+    kernel, pop = report.kernel, report.pop
+    measure = kernel.table.measure
+    ell = ell_for(config, n)
+    samples = draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
+    try:
+        if config.tau is None:
+            q = proj_hat(fit_exact(kernel, samples), kernel, measure, ell)
+        else:
+            fs = sample_finite_rank(kernel, m_for(config, n),
+                                    derive_seed(config.seed, "features", n, rep), mixed=True)
+            if config.metric.endswith("_pop"):
+                q = proj_pop(op_aa(fs, measure), ell)
+            else:
+                model = fit_rf(fs, samples)
+                if not _empirical_guard_ok(model.eigvals, ell):
+                    return math.nan
+                q = proj_hat_rf(model, measure, ell)
+    except (RankError, EigengapError):
+        return math.nan
+    if config.metric.startswith("proj"):
+        return proj_distance(proj_pop(pop, ell), q)
+    return recon_error(pop, q)
+
+
+def _grid_cases():
+    for seed in range(3):
+        for metric, tau in (("recon_hat", None), ("proj_hat", None), ("recon_rf_pop", 0.5),
+                            ("proj_rf_pop", 0.5), ("recon_rf_hat", 0.5), ("proj_rf_hat", 0.3)):
+            yield _ecfg(theta=0.2, metric=metric, tau=tau, n_grid=_SMALL_GRID, seed=seed), 0
+    # m(n) = 2 features: a draw that repeats its index cannot carry ell = 2
+    for metric in ("proj_rf_pop", "proj_rf_hat"):
+        yield _ecfg(theta=0.0, ell_fixed=2, metric=metric, tau=0.2, n_grid=_SMALL_GRID,
+                    seed=0), 2
+
+
+@pytest.mark.parametrize("config, invalid", list(_grid_cases()))
+def test_cells_match_the_sample_level_route(config, invalid):
+    report = run_grid(config)
+    got = np.array([row.value for row in report.rows])
+    want = np.array([_sample_level_cell(config, report, row.n, row.rep)
+                     for row in report.rows])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert int(np.sum(np.isnan(got))) == invalid
+    ok = ~np.isnan(want)
+    assert np.max(np.abs(got[ok] - want[ok]) / want[ok]) <= 1e-10
+
+
+def test_rf_hat_grid_solves_no_matrix_of_n_or_m_per_cell(monkeypatch):
+    sizes = []
+    solve = linalg._eig_solve
+
+    def recording(solver, a, op):
+        sizes.append(a.shape[0])
+        return solve(solver, a, op)
+
+    monkeypatch.setattr(linalg, "_eig_solve", recording)
+    config = _ecfg(theta=0.2, metric="proj_rf_hat", tau=0.8, n_grid=_SMALL_GRID)
+    report = run_grid(config)
+    assert max(r.m for r in report.rows) > config.rank
+    # only the N x N population spectrum is larger than the T x T cell solves
+    assert [size for size in sizes if size > config.rank] == [config.atoms]
+
+
+def test_grid_rejects_an_operator_off_the_kernel_schedule():
+    config = _ecfg(theta=0.2, n_grid=_SMALL_GRID)
+    kernel, _ = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    _, other = _oracle(config.atoms, 1.01 * lambda_schedule(config), config.seed)
+    with pytest.raises(ConfigError, match="self-check"):
+        _measure_grid(config, kernel, other, 1, False)

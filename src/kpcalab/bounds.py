@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckFailed, InvalidInput, NumericFailure
-from .features import sample_finite_rank
+from .features import basis_factor, sample_finite_rank
 from .kernels import make_finite_rank_kernel
 from .linalg import (
     RANK_RTOL,
@@ -26,7 +26,6 @@ from .linalg import (
     sym_eig,
 )
 from .measures import draw_samples, uniform_measure
-from .oracle import op_aa, op_jj
 from .rng import derive_seed, generator
 
 __all__ = [
@@ -51,6 +50,23 @@ _BOUND_SLACK = 1e-9
 # A generated a + b is redrawn until its least eigenvalue is at least
 # -_CASE_PSD_RTOL times a's largest, well inside PerturbationCase's PSD floor.
 _CASE_PSD_RTOL = 1e-12
+# Absolute slack of the tensor difference lemma.
+_TENSOR_ATOL = 1e-12
+# Relative slack (times 1 + ||f||^2) of the rank-one norm identity.
+_RANK_ONE_RTOL = 1e-10
+
+
+def _within_bound(lhs, rhs):
+    """The uniform pass rule for proved bounds, elementwise on arrays."""
+    return lhs <= rhs + _BOUND_SLACK * (1.0 + rhs)
+
+
+def _by_dimension(dims: list[int]) -> dict[int, list[int]]:
+    """Positions of each dimension in ``dims``, so draws can be stacked per dimension."""
+    groups: dict[int, list[int]] = {}
+    for i, dim in enumerate(dims):
+        groups.setdefault(dim, []).append(i)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,7 @@ class BoundReport:
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs + _BOUND_SLACK * (1.0 + self.rhs)
+        return _within_bound(self.lhs, self.rhs)
 
     @property
     def margin(self) -> float:
@@ -94,8 +110,23 @@ class PerturbationCase:
         object.__setattr__(self, "b", b)
         if a.shape != b.shape:
             raise InvalidInput(f"PerturbationCase: shapes {a.shape} != {b.shape}")
-        object.__setattr__(self, "spec_a", sym_eig(a))
-        vals = self.spec_a.eigenvalues
+        self._adopt(sym_eig(a), sym_eig(a + b))
+
+    @classmethod
+    def _from_spectra(cls, a: np.ndarray, b: np.ndarray, d: int,
+                      spec_a: Spectrum, spec_ab: Spectrum) -> "PerturbationCase":
+        """A case whose a and a + b were decomposed elsewhere, checked like the constructor's."""
+        case = object.__new__(cls)
+        for name, value in (("a", a), ("b", b), ("d", d)):
+            object.__setattr__(case, name, value)
+        case._adopt(spec_a, spec_ab)
+        return case
+
+    def _adopt(self, spec_a: Spectrum, spec_ab: Spectrum) -> None:
+        """Keep the spectra of a and a + b and check the hypotheses on them."""
+        object.__setattr__(self, "spec_a", spec_a)
+        object.__setattr__(self, "spec_ab", spec_ab)
+        vals = spec_a.eigenvalues
         if self.d < 1 or self.d >= vals.size:
             raise InvalidInput(f"PerturbationCase: d={self.d} outside 1..{vals.size - 1}")
         if vals[self.d - 1] <= 0.0:
@@ -107,8 +138,7 @@ class PerturbationCase:
             raise InvalidInput(
                 f"PerturbationCase: ||b||_HS = {b_hs:.6e} exceeds delta_d/2 = {delta / 2:.6e}"
             )
-        object.__setattr__(self, "spec_ab", sym_eig(a + b))
-        sum_vals = self.spec_ab.eigenvalues
+        sum_vals = spec_ab.eigenvalues
         if sum_vals.min() < -RANK_RTOL * max(sum_vals.max(), 1.0):
             raise InvalidInput("PerturbationCase: a + b is not PSD within tolerance")
 
@@ -164,6 +194,20 @@ def perturb_check(case: PerturbationCase) -> PerturbReport:
     return PerturbReport(plain=plain, weighted=weighted, trivial_rhs=trivial)
 
 
+def _draw_case(rng: np.random.Generator, dim: int) -> tuple:
+    """A case's spectrum, raw rotation, cut index d and half-gap delta_d."""
+    if rng.uniform() < 0.5:
+        gaps = rng.uniform(0.05, 1.0, size=dim)
+        vals = 0.3 + np.cumsum(gaps)[::-1]
+    else:
+        ratio = rng.uniform(0.35, 0.7)
+        scale = rng.uniform(1.0, 4.0)
+        vals = scale * (ratio ** np.arange(dim) + 0.05)
+    q_raw = rng.standard_normal((dim, dim))
+    d = int(rng.integers(1, max(dim // 2, 1) + 1))
+    return vals, q_raw, d, (vals[d - 1] - vals[d]) / 2.0
+
+
 def make_perturbation_cases(count: int, seed: int,
                             dims: tuple[int, int] = (4, 20)) -> list[PerturbationCase]:
     """Seeded random cases with well-gapped spectra and admissible b.
@@ -175,34 +219,42 @@ def make_perturbation_cases(count: int, seed: int,
     over 1..dim/2 and ||b||_HS is a uniform fraction of delta_d / 2; b is
     resampled until a + b is PSD.
     """
-    cases = []
-    for i in range(count):
-        rng = generator(seed, "perturb-case", i)
-        dim = int(rng.integers(dims[0], dims[1] + 1))
-        if rng.uniform() < 0.5:
-            gaps = rng.uniform(0.05, 1.0, size=dim)
-            vals = 0.3 + np.cumsum(gaps)[::-1]
-        else:
-            ratio = rng.uniform(0.35, 0.7)
-            scale = rng.uniform(1.0, 4.0)
-            vals = scale * (ratio ** np.arange(dim) + 0.05)
-        q_raw = rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(q_raw)
-        q = q * np.sign(np.diag(r))
-        a = (q * vals) @ q.T
-        a = (a + a.T) / 2.0
-        d = int(rng.integers(1, max(dim // 2, 1) + 1))
-        delta = (vals[d - 1] - vals[d]) / 2.0
-        for attempt in range(100):
-            rho = 1.0 - rng.uniform(0.0, 1.0)  # uniform on (0, 1]
-            g = rng.standard_normal((dim, dim))
-            b = (g + g.T) / 2.0
-            b *= rho * delta / 2.0 / np.linalg.norm(b)
-            if np.linalg.eigvalsh(a + b).min() >= -_CASE_PSD_RTOL * vals.max():
+    # Each case draws from its own stream in a fixed order: dim, then
+    # _draw_case's values, then (rho, g) per attempt.  Only dim is drawn up
+    # front, so the other draws of a dimension exist only while its stack is built.
+    rngs = [generator(seed, "perturb-case", i) for i in range(count)]
+    cases: list[PerturbationCase] = [None] * count
+    for dim, members in _by_dimension([int(rng.integers(dims[0], dims[1] + 1))
+                                       for rng in rngs]).items():
+        group_rngs = [rngs[i] for i in members]
+        vals, q_raw, ds, deltas = zip(*(_draw_case(rng, dim) for rng in group_rngs))
+        vals = np.stack(vals)
+        q, r = np.linalg.qr(np.stack(q_raw))
+        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        a = (q * vals[:, None, :]) @ q.swapaxes(1, 2)
+        a = (a + a.swapaxes(1, 2)) / 2.0
+        b = np.empty_like(a)
+        # Each case redraws (rho, g) from its own generator until its a + b is PSD.
+        pending = np.arange(len(members))
+        for _ in range(100):
+            for k in pending:
+                rho = 1.0 - group_rngs[k].uniform(0.0, 1.0)  # uniform on (0, 1]
+                g = group_rngs[k].standard_normal((dim, dim))
+                bk = (g + g.T) / 2.0
+                b[k] = bk * (rho * deltas[k] / 2.0 / np.linalg.norm(bk))
+            low = np.linalg.eigvalsh(a[pending] + b[pending]).min(axis=-1)
+            pending = pending[~(low >= -_CASE_PSD_RTOL * vals[pending].max(axis=-1))]
+            if not pending.size:
                 break
         else:
             raise NumericFailure("make_perturbation_cases: could not keep a + b PSD")
-        cases.append(PerturbationCase(a=a, b=b, d=d))
+        spec_a, spec_ab = sym_eig(a), sym_eig(a + b)
+        for k, i in enumerate(members):
+            cases[i] = PerturbationCase._from_spectra(
+                a[k], b[k], ds[k],
+                Spectrum(spec_a.eigenvalues[k], spec_a.eigenvectors[k]),
+                Spectrum(spec_ab.eigenvalues[k], spec_ab.eigenvectors[k]),
+            )
     return cases
 
 
@@ -229,21 +281,42 @@ def perturbation_suite(count: int, seed: int) -> PerturbationSuiteReport:
     )
 
 
+def _tensor_lemma(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the tensor difference lemma and whether it is violated.
+
+    f and g are vectors on the last axis, or stacks of them.
+    """
+    lhs = np.linalg.norm(f[..., :, None] * f[..., None, :] - g[..., :, None] * g[..., None, :],
+                         axis=(-2, -1))
+    nf = np.linalg.norm(f, axis=-1)
+    ng = np.linalg.norm(g, axis=-1)
+    rhs = np.linalg.norm(f - g, axis=-1) * np.sqrt(nf**2 + ng**2 + 4.0 * nf * ng)
+    return lhs, rhs, lhs > rhs + _TENSOR_ATOL
+
+
 def tensor_lemma_check(f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """Difference of rank-one tensors against its vector bound.
 
     ||f f' - g g'||_HS <= ||f - g|| sqrt(||f||^2 + ||g||^2 + 4 ||f|| ||g||),
     with equality at g = 0.  Raises CheckFailed on violation.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    lhs = float(np.linalg.norm(np.outer(f, f) - np.outer(g, g)))
-    nf = float(np.linalg.norm(f))
-    ng = float(np.linalg.norm(g))
-    rhs = float(np.linalg.norm(f - g)) * math.sqrt(nf**2 + ng**2 + 4.0 * nf * ng)
-    if lhs > rhs + 1e-12:
-        raise CheckFailed(f"tensor lemma violated: {lhs!r} > {rhs!r} + 1e-12")
+    lhs, rhs, violated = _tensor_lemma(np.asarray(f, dtype=float), np.asarray(g, dtype=float))
+    lhs, rhs = float(lhs), float(rhs)
+    if violated:
+        raise CheckFailed(f"tensor lemma violated: {lhs!r} > {rhs!r} + {_TENSOR_ATOL:g}")
     return lhs, rhs
+
+
+def _rank_one_norms(f: np.ndarray) -> tuple[dict, np.ndarray, dict]:
+    """The three norms of f f', the target ||f||^2, and which norms stray from it.
+
+    f is a vector on the last axis, or a stack of them.
+    """
+    target = (f[..., None, :] @ f[..., :, None])[..., 0, 0]
+    mat = f[..., :, None] * f[..., None, :]
+    norms = {kind: matrix_norm(mat, kind) for kind in ("operator", "hilbert_schmidt", "trace")}
+    tol = _RANK_ONE_RTOL * (1.0 + target)
+    return norms, target, {kind: np.abs(val - target) > tol for kind, val in norms.items()}
 
 
 def rank_one_norms_check(f: np.ndarray) -> dict:
@@ -251,16 +324,14 @@ def rank_one_norms_check(f: np.ndarray) -> dict:
 
     Raises CheckFailed if any of the three strays beyond 1e-10 relative.
     """
-    f = np.asarray(f, dtype=float)
-    target = float(f @ f)
-    mat = np.outer(f, f)
-    out = {kind: matrix_norm(mat, kind) for kind in ("operator", "hilbert_schmidt", "trace")}
-    tol = 1e-10 * (1.0 + target)
-    for kind, val in out.items():
-        if abs(val - target) > tol:
-            raise CheckFailed(f"rank-one {kind} norm {val!r} != {target!r} beyond 1e-10")
-    out["target"] = target
-    return out
+    norms, target, strays = _rank_one_norms(np.asarray(f, dtype=float))
+    target = float(target)
+    for kind, val in norms.items():
+        if strays[kind]:
+            raise CheckFailed(
+                f"rank-one {kind} norm {val!r} != {target!r} beyond {_RANK_ONE_RTOL:g}"
+            )
+    return {**norms, "target": target}
 
 
 @dataclass(frozen=True)
@@ -280,50 +351,39 @@ def operator_inequality_suite(trials: int, seed: int) -> OperatorInequalitySuite
       * ||A^t - B^t||_HS <= t max(||A||_op, ||B||_op)^(t-1) ||A - B||_HS
         for t in {1.5, 2};
     plus the rank-one norm identity and the tensor difference lemma on
-    random vectors (with the g = 0 equality case).
+    random vectors (with the g = 0 equality case).  Trials are drawn one
+    by one and checked one stack per dimension.
     """
-    violations = 0
-    checks = 0
 
     def _psd(rng: np.random.Generator, dim: int) -> np.ndarray:
         g = rng.standard_normal((dim, dim))
         m = g @ g.T / dim
         return (m + m.T) / 2.0
 
-    for i in range(trials):
-        rng = generator(seed, "op-ineq", i)
-        dim = int(rng.integers(2, 13))
-        a = _psd(rng, dim)
-        b = _psd(rng, dim)
+    # Each trial draws dim, A, B, f, g from its own stream; only dim up front.
+    rngs = [generator(seed, "op-ineq", i) for i in range(trials)]
+    violations = 0
+    for dim, members in _by_dimension([int(rng.integers(2, 13)) for rng in rngs]).items():
+        draws = [(_psd(rng, dim), _psd(rng, dim), rng.standard_normal(dim),
+                  rng.standard_normal(dim)) for rng in (rngs[i] for i in members)]
+        a, b, f, g = (np.stack(part) for part in zip(*draws))
         spec_a, spec_b = sym_eig(a), sym_eig(b)
         dist_hs = matrix_norm(a - b, "hilbert_schmidt")
         dist_op = matrix_norm(a - b, "operator")
         va, vb = spec_a.eigenvalues, spec_b.eigenvalues
-        cap = float(max(np.max(np.abs(va)), np.max(np.abs(vb))))
-        reports = [BoundReport("eigenvalue_stability", float(np.linalg.norm(va - vb)), dist_hs)]
+        cap = np.maximum(np.abs(va).max(axis=-1), np.abs(vb).max(axis=-1))
+        sides = [(np.linalg.norm(va - vb, axis=-1), dist_hs)]
         for t in (0.25, 0.5, 0.75, 1.5, 2.0):
             gap = fractional_power(spec_a, t) - fractional_power(spec_b, t)
             if t < 1.0:
-                reports.append(BoundReport("power", matrix_norm(gap, "operator"), dist_op**t))
+                sides.append((matrix_norm(gap, "operator"), dist_op**t))
             else:
-                rhs = t * cap ** (t - 1.0) * dist_hs
-                reports.append(BoundReport("power", matrix_norm(gap, "hilbert_schmidt"), rhs))
-        checks += len(reports)
-        violations += sum(not r.holds for r in reports)
-        f = rng.standard_normal(dim)
-        g = rng.standard_normal(dim)
-        for other in (g, np.zeros(dim)):
-            checks += 1
-            try:
-                tensor_lemma_check(f, other)
-            except CheckFailed:
-                violations += 1
-        checks += 1
-        try:
-            rank_one_norms_check(f)
-        except CheckFailed:
-            violations += 1
-    return OperatorInequalitySuiteReport(trials=trials, violations=violations, checks=checks)
+                sides.append((matrix_norm(gap, "hilbert_schmidt"), t * cap ** (t - 1.0) * dist_hs))
+        violations += sum(int(np.sum(~_within_bound(lhs, rhs))) for lhs, rhs in sides)
+        for other in (g, np.zeros_like(g)):
+            violations += int(np.sum(_tensor_lemma(f, other)[2]))
+        violations += int(np.sum(np.any(list(_rank_one_norms(f)[2].values()), axis=0)))
+    return OperatorInequalitySuiteReport(trials=trials, violations=violations, checks=9 * trials)
 
 
 @dataclass(frozen=True)
@@ -427,10 +487,11 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
     measure = uniform_measure(config.atoms)
     kernel = make_finite_rank_kernel(measure, lambdas, derive_seed(config.seed, "mc-kernel"))
     deviations = np.empty(config.replications)
+    # Both experiments' population operator in the kernel's basis coordinates.
+    pop = np.diag(kernel.lambdas)
     if experiment == "cov_deviation":
         radius = bernstein_bound("cov_centered_mean", kernel.kappa, config.tau, config.count)
         nu = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
-        pop = np.diag(kernel.lambdas)
         for rep in range(config.replications):
             idx = draw_samples(measure, config.count, derive_seed(config.seed, "mc-cov", rep))
             v = nu[:, idx]
@@ -439,12 +500,13 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
             deviations[rep] = np.linalg.norm(c_hat - pop)
     elif experiment == "feature_op_deviation":
         radius = bernstein_bound("feature_op", kernel.kappa, config.tau, config.count)
-        s_j = op_jj(kernel, measure).matrix
         for rep in range(config.replications):
             fs = sample_finite_rank(
                 kernel, config.count, derive_seed(config.seed, "mc-feat", rep)
             )
-            deviations[rep] = np.linalg.norm(op_aa(fs, measure).matrix - s_j)
+            # ||S_A - S_J||_HS in basis coordinates: S_A is L L', S_J is diag(lambda).
+            factor = basis_factor(fs)
+            deviations[rep] = np.linalg.norm(factor @ factor.T - pop)
     else:
         raise InvalidInput(f"mc_tail: unknown experiment {experiment!r}")
     exceed = int(np.sum(deviations > radius.bound))

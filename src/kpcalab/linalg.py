@@ -8,6 +8,7 @@ platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class Spectrum:
     eigenvectors: shape (n, n), column i pairs with eigenvalues[i]; each
         column is normalized so its largest-magnitude entry is positive
         (ties broken by the lowest index).
+    For a stack of matrices both carry the stack's leading axes, shapes
+    (..., n) and (..., n, n), and member k is exactly the Spectrum of
+    matrix k decomposed alone.
     """
 
     eigenvalues: np.ndarray
@@ -50,16 +54,21 @@ class Spectrum:
 
 
 def _require_symmetric(a: np.ndarray, op: str) -> np.ndarray:
+    """``a`` as floats: one square matrix, or a stack of them on the last two axes."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"{op}: expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{op}: matrix contains non-finite entries")
-    if a.size and np.max(np.abs(a - a.T)) > _SYMMETRY_ATOL:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise InvalidInput(
-            f"{op}: matrix is not symmetric within {_SYMMETRY_ATOL:g} "
-            f"(max asymmetry {np.max(np.abs(a - a.T)):.3e})"
+            f"{op}: expected a square matrix or a stack of them, got shape {a.shape}"
         )
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{op}: matrix contains non-finite entries")
+    if a.size:
+        asymmetry = np.abs(a - a.swapaxes(-1, -2)).max()
+        if asymmetry > _SYMMETRY_ATOL:
+            raise InvalidInput(
+                f"{op}: matrix is not symmetric within {_SYMMETRY_ATOL:g} "
+                f"(max asymmetry {asymmetry:.3e})"
+            )
     return a
 
 
@@ -67,12 +76,15 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs so each largest-magnitude entry is positive.
 
     Ties go to the lowest index.  Applied to every eigenvector basis in
-    the library so decompositions are reproducible.
+    the library so decompositions are reproducible.  A stack of bases
+    (..., rows, columns) is fixed member by member.
     """
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+    rows, cols = vectors.shape[-2:]
+    members = vectors.reshape(math.prod(vectors.shape[:-2]), rows, cols)
+    lead = np.abs(members).argmax(axis=1)
+    signs = np.sign(members[np.arange(len(members))[:, None], lead, np.arange(cols)])
     signs[signs == 0.0] = 1.0
-    return vectors * signs
+    return (members * signs[:, None, :]).reshape(vectors.shape)
 
 
 def _eig_solve(solver, a: np.ndarray, op: str):
@@ -84,55 +96,70 @@ def _eig_solve(solver, a: np.ndarray, op: str):
 
 
 def sym_eig(a: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a real symmetric matrix.
+    """Full eigendecomposition of a real symmetric matrix or a stack of them.
 
     Raises InvalidInput for non-square, non-finite, or asymmetric input
-    and NumericFailure if the underlying solver does not converge.
+    (any member of a stack) and NumericFailure if the underlying solver
+    does not converge.
     """
     a = _require_symmetric(a, "sym_eig")
     vals, vecs = _eig_solve(np.linalg.eigh, a, "sym_eig")
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = fix_signs(vecs[:, order])
-    return Spectrum(vals, vecs)
+    n = a.shape[-1]
+    flat = vals.reshape(math.prod(a.shape[:-2]), n)
+    member = np.arange(len(flat))[:, None]
+    order = np.argsort(flat, axis=-1)[:, ::-1]
+    # Columns are gathered as rows of the transpose, which leaves each member
+    # in the memory layout a 2-D column gather gives, so products downstream
+    # round the same way for a stack member as for the matrix alone.
+    cols = vecs.reshape(flat.shape + (n,)).swapaxes(1, 2)[member, order].swapaxes(1, 2)
+    return Spectrum(flat[member, order].reshape(vals.shape), fix_signs(cols).reshape(vecs.shape))
 
 
-def matrix_norm(a: np.ndarray, kind: str) -> float:
+def matrix_norm(a: np.ndarray, kind: str) -> float | np.ndarray:
     """Spectral norms of a symmetric matrix, computed without eigenvectors.
 
     kind: "operator" (max |eigenvalue|), "hilbert_schmidt" (l2 of the
     eigenvalues, computed as the Frobenius norm), or "trace" (l1).
+    A float for one matrix, an array over the leading axes for a stack.
     Raises NumericFailure if the eigenvalue solver does not converge.
     """
     a = _require_symmetric(a, "matrix_norm")
     if kind == "hilbert_schmidt":
-        return float(np.linalg.norm(a))
-    if kind not in ("operator", "trace"):
+        flat = a.reshape(*a.shape[:-2], 1, -1)
+        norms = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    elif kind in ("operator", "trace"):
+        vals = np.abs(_eig_solve(np.linalg.eigvalsh, a, "matrix_norm"))
+        norms = vals.sum(axis=-1) if kind == "trace" else vals.max(axis=-1, initial=0.0)
+    else:
         raise InvalidInput(f"matrix_norm: unknown kind {kind!r}")
-    vals = np.abs(_eig_solve(np.linalg.eigvalsh, a, "matrix_norm"))
-    return float(np.sum(vals) if kind == "trace" else np.max(vals, initial=0.0))
+    return float(norms) if a.ndim == 2 else norms
 
 
 def fractional_power(a: np.ndarray | Spectrum, t: float) -> np.ndarray:
-    """A**t for PSD ``a`` and real exponent t >= 0.
+    """A**t for PSD ``a`` (or each member of a stack) and real exponent t >= 0.
 
     ``a`` may also be its ``sym_eig`` Spectrum, which is then reused as is.
     Eigenvalues in [-RANK_RTOL * ||a||_op, 0) are clamped to zero; more
-    negative ones raise NotPositiveSemidefinite.
+    negative ones raise NotPositiveSemidefinite, each member of a stack
+    measured against its own floor.
     """
     if t < 0:
         raise InvalidInput(f"fractional_power: exponent must be >= 0, got {t}")
     spec = a if isinstance(a, Spectrum) else sym_eig(a)
     vals = spec.eigenvalues.copy()
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    floor = -RANK_RTOL * top
-    if np.any(vals < floor):
+    floor = -RANK_RTOL * np.abs(vals).max(axis=-1, initial=0.0)
+    low = vals.min(axis=-1, initial=np.inf)
+    below = low < floor
+    if below.any():
+        worst = np.argmin(np.where(below, low - floor, np.inf))
         raise NotPositiveSemidefinite(
-            f"fractional_power: eigenvalue {vals.min():.6e} below PSD tolerance {floor:.6e}"
+            f"fractional_power: eigenvalue {low.flat[worst]:.6e} "
+            f"below PSD tolerance {floor.flat[worst]:.6e}"
         )
     vals[vals < 0.0] = 0.0
-    out = (spec.eigenvectors * vals**t) @ spec.eigenvectors.T
-    return (out + out.T) / 2.0
+    vecs = spec.eigenvectors
+    out = (vecs * vals[..., None, :] ** t) @ vecs.swapaxes(-1, -2)
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 def spectral_projector(spectrum: Spectrum, ell: int) -> np.ndarray:

@@ -71,6 +71,8 @@ _RF_METRICS = ("recon_rf_pop", "recon_rf_hat", "proj_rf_pop", "proj_rf_hat")
 # retained-rank floor of 1e-10 * lambda_1.
 _GUARD_FACTOR = 100.0
 _SWAP_SLACK = 1e-8
+# Fewest (n, median) points a log-log slope is fitted to.
+_MIN_SLOPE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,10 @@ class ExperimentConfig:
         if (self.tau is None) == (self.metric in _RF_METRICS):
             need = "needs" if self.tau is None else "takes no"
             raise ConfigError(f"metric {self.metric} {need} tau")
-        if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
+        if len(self.n_grid) < _MIN_SLOPE_POINTS:
+            raise ConfigError(f"n_grid needs at least {_MIN_SLOPE_POINTS} sample sizes "
+                              f"for the slope fit, got {len(self.n_grid)}")
+        if any(n < 2 for n in self.n_grid):
             raise ConfigError("n_grid must hold sample sizes >= 2")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
@@ -291,8 +296,8 @@ def fit_slope(ns, values) -> tuple[float, float]:
     """Least-squares slope and its standard error in log-log coordinates."""
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
-    if ns.shape != values.shape or ns.size < 4:
-        raise ConfigError(f"fit_slope: need >= 4 matched points, got {ns.size}")
+    if ns.shape != values.shape or ns.size < _MIN_SLOPE_POINTS:
+        raise ConfigError(f"fit_slope: need >= {_MIN_SLOPE_POINTS} matched points, got {ns.size}")
     if np.any(ns <= 0.0) or np.any(values <= 0.0):
         raise ConfigError("fit_slope: log-log fit needs strictly positive data")
     x = np.log(ns)

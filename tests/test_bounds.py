@@ -9,17 +9,28 @@ import kpcalab.bounds
 import kpcalab.linalg
 from kpcalab import (
     BoundReport,
+    CheckFailed,
     InvalidInput,
     McTailConfig,
     PerturbationCase,
     bernstein_bound,
+    derive_seed,
+    fractional_power,
+    generator,
+    make_finite_rank_kernel,
     make_perturbation_cases,
+    matrix_norm,
     mc_tail,
+    op_aa,
+    op_jj,
     operator_inequality_suite,
     perturb_check,
     perturbation_suite,
     rank_one_norms_check,
+    sample_finite_rank,
+    sym_eig,
     tensor_lemma_check,
+    uniform_measure,
 )
 
 
@@ -127,6 +138,111 @@ def test_perturbation_suite_and_case_generator():
     assert not all(np.array_equal(x.a, y.a) for x, y in zip(one, other))
 
 
+def _cases_one_by_one(count, seed):
+    """make_perturbation_cases' draws, one case at a time: (a, b, d, redraws)."""
+    out = []
+    for i in range(count):
+        rng = generator(seed, "perturb-case", i)
+        dim = int(rng.integers(4, 21))
+        if rng.uniform() < 0.5:
+            vals = 0.3 + np.cumsum(rng.uniform(0.05, 1.0, size=dim))[::-1]
+        else:
+            ratio = rng.uniform(0.35, 0.7)
+            scale = rng.uniform(1.0, 4.0)
+            vals = scale * (ratio ** np.arange(dim) + 0.05)
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        q = q * np.sign(np.diag(r))
+        a = (q * vals) @ q.T
+        a = (a + a.T) / 2.0
+        d = int(rng.integers(1, max(dim // 2, 1) + 1))
+        delta = (vals[d - 1] - vals[d]) / 2.0
+        for redraws in range(100):
+            rho = 1.0 - rng.uniform(0.0, 1.0)
+            g = rng.standard_normal((dim, dim))
+            b = (g + g.T) / 2.0
+            b *= rho * delta / 2.0 / np.linalg.norm(b)
+            if np.linalg.eigvalsh(a + b).min() >= -1e-12 * vals.max():
+                break
+        out.append((a, b, d, redraws))
+    return out
+
+
+def test_case_generator_decomposes_one_stack_per_dimension(monkeypatch):
+    calls = _count_sym_eig(monkeypatch)
+    cases = make_perturbation_cases(60, seed=34)
+    dims = {case.a.shape[0] for case in cases}
+    assert len(dims) > 1
+    assert len(calls) == 2 * len(dims)  # a and a + b, once per dimension
+    assert sorted(shape[0] for shape in calls) == sorted(
+        2 * [sum(case.a.shape[0] == dim for case in cases) for dim in dims])
+    reference = _cases_one_by_one(60, seed=34)
+    assert any(redraws for *_, redraws in reference)  # the PSD retry ran
+    for case, (a, b, d, _) in zip(cases, reference):
+        assert np.array_equal(case.a, a) and np.array_equal(case.b, b) and case.d == d
+        alone_a, alone_ab = sym_eig(case.a), sym_eig(case.a + case.b)
+        assert np.array_equal(case.spec_a.eigenvalues, alone_a.eigenvalues)
+        assert np.array_equal(case.spec_a.eigenvectors, alone_a.eigenvectors)
+        assert np.array_equal(case.spec_ab.eigenvalues, alone_ab.eigenvalues)
+        assert np.array_equal(case.spec_ab.eigenvectors, alone_ab.eigenvectors)
+        rebuilt = PerturbationCase(a=case.a, b=case.b, d=case.d)
+        assert perturb_check(rebuilt) == perturb_check(case)
+
+
+def _psd_draw(rng, dim):
+    g = rng.standard_normal((dim, dim))
+    m = g @ g.T / dim
+    return (m + m.T) / 2.0
+
+
+def _operator_violations_trial_by_trial(trials, seed):
+    """operator_inequality_suite's tally, one trial at a time through the scalar API."""
+    violations = 0
+    for i in range(trials):
+        rng = generator(seed, "op-ineq", i)
+        dim = int(rng.integers(2, 13))
+        a = _psd_draw(rng, dim)
+        b = _psd_draw(rng, dim)
+        spec_a, spec_b = sym_eig(a), sym_eig(b)
+        dist_hs = matrix_norm(a - b, "hilbert_schmidt")
+        dist_op = matrix_norm(a - b, "operator")
+        va, vb = spec_a.eigenvalues, spec_b.eigenvalues
+        cap = max(np.abs(va).max(), np.abs(vb).max())
+        reports = [BoundReport("eigenvalue_stability", float(np.linalg.norm(va - vb)), dist_hs)]
+        for t in (0.25, 0.5, 0.75, 1.5, 2.0):
+            gap = fractional_power(spec_a, t) - fractional_power(spec_b, t)
+            if t < 1.0:
+                reports.append(BoundReport("power", matrix_norm(gap, "operator"), dist_op**t))
+            else:
+                rhs = t * cap ** (t - 1.0) * dist_hs
+                reports.append(BoundReport("power", matrix_norm(gap, "hilbert_schmidt"), rhs))
+        violations += sum(not r.holds for r in reports)
+        f = rng.standard_normal(dim)
+        g = rng.standard_normal(dim)
+        for check, args in ((tensor_lemma_check, (f, g)),
+                            (tensor_lemma_check, (f, np.zeros(dim))),
+                            (rank_one_norms_check, (f,))):
+            try:
+                check(*args)
+            except CheckFailed:
+                violations += 1
+    return violations
+
+
+@pytest.mark.parametrize("slack", [1e-9, -0.5, -1.0])
+def test_operator_suite_matches_a_trial_by_trial_tally(monkeypatch, slack):
+    # slack -0.5 fails some bound checks and passes others; -1 fails all six
+    # bound checks of every trial (their lhs is a norm, so never <= -1)
+    monkeypatch.setattr(kpcalab.bounds, "_BOUND_SLACK", slack)
+    trials = 40
+    report = operator_inequality_suite(trials, seed=8)
+    assert report.checks == 9 * trials
+    assert report.violations == _operator_violations_trial_by_trial(trials, seed=8)
+    if slack == -1.0:
+        assert report.violations == 6 * trials
+    if slack == -0.5:
+        assert 0 < report.violations < 6 * trials
+
+
 def test_tensor_lemma_equality_and_hand_case():
     f = np.array([1.5, -2.0, 0.5])
     lhs, rhs = tensor_lemma_check(f, np.zeros(3))
@@ -148,7 +264,9 @@ def test_rank_one_norms():
 def test_operator_inequality_suite_counts(monkeypatch):
     calls = _count_sym_eig(monkeypatch)
     report = operator_inequality_suite(25, seed=4)
-    assert len(calls) == 2 * 25  # A and B once per trial
+    dims = {int(generator(4, "op-ineq", i).integers(2, 13)) for i in range(25)}
+    assert len(calls) == 2 * len(dims)  # A and B, one stack per dimension
+    assert sum(shape[0] for shape in calls) == 2 * 25
     assert report.trials == 25
     assert report.checks == 25 * 9
     assert report.violations == 0
@@ -188,6 +306,25 @@ def test_mc_tail_smoke_both_experiments():
         assert report.bound > 0.0
     with pytest.raises(InvalidInput):
         mc_tail("florp", config)
+
+
+def test_feature_op_deviation_matches_the_atom_level_operators():
+    # mc_tail scores ||S_A - S_J||_HS as ||L L' - diag(lambda)||_F in basis
+    # coordinates; recompute every deviation from the N x N operators
+    config = McTailConfig(tau=2.0, count=200, replications=50, seed=3, atoms=32, rank=8)
+    report = mc_tail("feature_op_deviation", config)
+    measure = uniform_measure(config.atoms)
+    kernel = make_finite_rank_kernel(measure, (1.0 + np.arange(config.rank)) ** -2.0,
+                                     derive_seed(config.seed, "mc-kernel"))
+    s_j = op_jj(kernel, measure).matrix
+    deviations = np.array([
+        np.linalg.norm(op_aa(sample_finite_rank(
+            kernel, config.count, derive_seed(config.seed, "mc-feat", rep)), measure).matrix - s_j)
+        for rep in range(config.replications)
+    ])
+    assert report.max_deviation == pytest.approx(deviations.max(), rel=1e-12)
+    assert report.median_deviation == pytest.approx(np.median(deviations), rel=1e-12)
+    assert report.exceed_count == int(np.sum(deviations > report.bound))
 
 
 def test_mc_tail_config_checks():

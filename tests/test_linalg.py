@@ -220,3 +220,67 @@ def test_eigengaps_are_half_gaps():
     assert np.allclose(eigengaps(spec), [1.0, 0.5])
     with pytest.raises(InvalidInput):
         eigengaps(Spectrum(eigenvalues=np.array([1.0]), eigenvectors=np.eye(1)))
+
+
+def _psd_stack(dim=6):
+    """PSD members with distinct, repeated and zero eigenvalues."""
+    members = [_rand_psd(seed, dim) for seed in range(4)]
+    members.append(np.diag([2.0, 2.0, 1.0, 0.5, 0.5, 0.25]))  # ties resolved by argsort
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((dim, dim)))[0]
+    members.append((q * [3.0, 1.0, 1.0, 1.0, 0.0, 0.0]) @ q.T)  # rank 4, a triple eigenvalue
+    v = np.random.default_rng(6).standard_normal((dim, 2))
+    members.append(v @ v.T)  # rank 2
+    return np.stack([(m + m.T) / 2.0 for m in members])
+
+
+def test_stacks_match_each_member_alone():
+    stack = _psd_stack()
+    spec = sym_eig(stack)
+    assert spec.eigenvalues.shape == (7, 6) and spec.eigenvectors.shape == (7, 6, 6)
+    powers = {t: (fractional_power(stack, t), fractional_power(spec, t)) for t in (0.25, 0.5, 2.0)}
+    norms = {kind: matrix_norm(stack, kind) for kind in ("operator", "hilbert_schmidt", "trace")}
+    for k, a in enumerate(stack):
+        alone = sym_eig(a)
+        assert np.array_equal(spec.eigenvalues[k], alone.eigenvalues)
+        assert np.array_equal(spec.eigenvectors[k], alone.eigenvectors)
+        for t, (from_matrix, from_spectrum) in powers.items():
+            assert np.array_equal(from_matrix[k], fractional_power(a, t))
+            assert np.array_equal(from_spectrum[k], fractional_power(alone, t))
+        for kind, values in norms.items():
+            assert isinstance(matrix_norm(a, kind), float)
+            assert values[k] == matrix_norm(a, kind)
+    # any number of leading axes
+    nested = sym_eig(stack[:6].reshape(2, 3, 6, 6))
+    assert np.array_equal(nested.eigenvectors[1, 2], spec.eigenvectors[5])
+    assert matrix_norm(stack[:6].reshape(2, 3, 6, 6), "trace").shape == (2, 3)
+
+
+def test_stack_validation_covers_every_member():
+    stack = _psd_stack()
+    asymmetric = stack.copy()
+    asymmetric[1, 0, 3] += 1e-6
+    asymmetric[4, 2, 5] += 3e-6
+    for op in (sym_eig, lambda a: matrix_norm(a, "operator"),
+               lambda a: fractional_power(a, 0.5)):
+        with pytest.raises(InvalidInput, match="max asymmetry 3.000e-06"):
+            op(asymmetric)
+    nonfinite = stack.copy()
+    nonfinite[3, 1, 1] = np.inf
+    with pytest.raises(InvalidInput):
+        sym_eig(nonfinite)
+    with pytest.raises(InvalidInput):
+        sym_eig(np.zeros((3, 4, 5)))
+    with pytest.raises(InvalidInput):
+        sym_eig(np.zeros(4))
+
+
+def test_stack_psd_floor_is_per_member():
+    # -1e-5 is within the floor of a member whose top eigenvalue is 1e6,
+    # and far below the floor of one whose top eigenvalue is 1
+    big = np.diag([1e6, 1.0, -1e-5])
+    fractional_power(np.stack([big, np.eye(3)]), 0.5)
+    with pytest.raises(NotPositiveSemidefinite, match="-1.000000e-05"):
+        fractional_power(np.stack([big, np.diag([1.0, 0.5, -1e-5])]), 0.5)
+    with pytest.raises(NotPositiveSemidefinite):
+        fractional_power(sym_eig(np.stack([np.eye(3), np.diag([1.0, -0.5, 0.2])])), 0.5)
+

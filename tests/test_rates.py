@@ -36,7 +36,7 @@ from kpcalab.rates import _empirical_guard_ok, _measure_grid, _oracle
 
 
 def _cfg(**kw):
-    base = dict(decay="poly", theta=0.2, n_grid=(64, 128), replications=5,
+    base = dict(decay="poly", theta=0.2, n_grid=(64, 128, 256, 512), replications=5,
                 atoms=24, rank=8, seed=0, metric="recon_hat", alpha=2.0)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -171,7 +171,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(metric="florp")
     with pytest.raises(ConfigError):
-        _cfg(n_grid=(64, 64))
+        _cfg(n_grid=(64, 64, 128, 256))
+    with pytest.raises(ConfigError):
+        _cfg(n_grid=(64, 128, 256))  # a slope fit needs 4 points
     with pytest.raises(ConfigError):
         _cfg(gamma=0.5)  # poly takes no gamma
     with pytest.raises(ConfigError):

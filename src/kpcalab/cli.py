@@ -130,7 +130,7 @@ def _snapshot(report) -> dict:
     return oracle_snapshot(kernel, kernel.table.measure, report.pop, seed=report.config.seed)
 
 
-def _cmd_spectrum(config: dict, seed: int, threads: int):
+def _cmd_spectrum(config: dict, seed: int):
     _require_keys(
         config,
         allowed={"atoms", "rank", "decay", "alpha", "gamma", "seed", "ells"},
@@ -200,11 +200,11 @@ def _rate_summary(report) -> dict:
     }
 
 
-def _cmd_rates(config: dict, seed: int, threads: int):
+def _cmd_rates(config: dict, seed: int):
     _require_keys(config, allowed=_EXPERIMENT_KEYS, required={"decay", "theta", "n_grid",
                   "replications", "atoms", "rank", "metric"}, command="rates")
     cfg = _experiment_config(config, seed)
-    report = run_grid(cfg, threads=threads)
+    report = run_grid(cfg)
     header = ["n", "m", "ell", "rep", "metric", "value"]
     rows = _rate_rows(report)
     verdicts = [
@@ -217,7 +217,7 @@ def _cmd_rates(config: dict, seed: int, threads: int):
     return header, rows, _rate_summary(report), verdicts, _snapshot(report)
 
 
-def _cmd_transition(config: dict, seed: int, threads: int):
+def _cmd_transition(config: dict, seed: int):
     _require_keys(config, allowed=_EXPERIMENT_KEYS | {"taus"},
                   required={"decay", "theta", "n_grid", "replications", "atoms",
                             "rank", "metric", "taus"}, command="transition")
@@ -227,7 +227,7 @@ def _cmd_transition(config: dict, seed: int, threads: int):
     base_dict = {k: v for k, v in config.items() if k != "taus"}
     base_dict.setdefault("tau", taus[0])
     base = _experiment_config(base_dict, seed)
-    study = transition_study(base, taus, threads=threads)
+    study = transition_study(base, taus)
 
     header = ["tau", "n", "m", "ell", "rep", "metric", "value"]
     rows = _rate_rows(study.reports[0], include_tau=True, with_tau=None)
@@ -264,7 +264,7 @@ def _cmd_transition(config: dict, seed: int, threads: int):
     return header, rows, summary, verdicts, _snapshot(study.reports[0])
 
 
-def _cmd_bounds(config: dict, seed: int, threads: int):
+def _cmd_bounds(config: dict, seed: int):
     _require_keys(config, allowed={"perturbation_cases", "operator_trials", "seed"},
                   required=set(), command="bounds")
     count = int(config.get("perturbation_cases", 1000))
@@ -316,7 +316,7 @@ def _cmd_bounds(config: dict, seed: int, threads: int):
     return header, rows, summary, verdicts, None
 
 
-def _cmd_concentration(config: dict, seed: int, threads: int):
+def _cmd_concentration(config: dict, seed: int):
     _require_keys(config, allowed={"tau", "count", "replications", "seed", "atoms",
                   "rank", "experiments"}, required={"tau", "count", "replications"},
                   command="concentration")
@@ -404,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's seed")
         p.add_argument("--threads", default="1",
-                       help="worker threads for grid cells, or 'auto' for the "
-                            "number of CPUs this process may run on")
+                       help="accepted for compatibility and echoed in summary.json; "
+                            "no effect (an integer >= 1, or 'auto')")
     return parser
 
 
@@ -426,7 +426,7 @@ def _run(args) -> int:
     digest = hashlib.sha256(raw).hexdigest()
 
     start = time.perf_counter()
-    header, rows, body, verdicts, snapshot = _HANDLERS[args.command](config, seed, threads)
+    header, rows, body, verdicts, snapshot = _HANDLERS[args.command](config, seed)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)

@@ -8,9 +8,10 @@ eigenfunction
 
     f_i(z) = (n lambda_i)^-1/2 sum_j gamma_ij k(z, x_j)
 
-exactly unit norm in the RKHS.  The random-feature route substitutes a
-finite feature map and eigendecomposes the biased (V-statistic) sample
-covariance of the features.
+exactly unit norm in the RKHS.  Finite-rank kernels compute the same fit
+from the samples' count vector over the atoms, never forming H K H.  The
+random-feature route substitutes a finite feature map and eigendecomposes
+the biased (V-statistic) sample covariance of the features.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateModel, InvalidInput, RankError
 from .features import FeatureSample, feature_matrix
-from .kernels import Kernel, center_gram, cross_gram, gram
+from .kernels import Kernel, _as_index_points, center_gram, cross_gram, gram
 from .linalg import RANK_RTOL, fix_signs, sym_eig
 from .measures import DiscreteMeasure
 
@@ -112,30 +113,39 @@ def _retained_rank(vals: np.ndarray, kappa: float, n: int, op: str) -> int:
 def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
     """Fit exact KPCA to a sample list.
 
-    Finite-rank kernels take a factor route: with B the (T, n) matrix of
-    sqrt(lambda)-scaled basis values at the samples and M its row-centered
-    version, H K H = M'M, so the T x T matrix M M' carries the same
-    nonzero spectrum and the n-dim eigenvectors are recovered as
-    M' w / sqrt(sigma).  The result is identical to eigendecomposing
-    H K H directly, within solver tolerance, at a fraction of the cost.
+    Finite-rank kernels take a count route: a sample enters only through its
+    atom, so with c = bincount(samples) and W the centred, sqrt(lambda)-scaled
+    basis values of the N atoms times sqrt(c), the T x T matrix W W' has the
+    nonzero spectrum of H K H.  Coefficients, centring, unit norm and the
+    K-quadratic rescale are count-weighted sums over the atoms, gathered to
+    the n samples once: O(N T^2 + n r), equal to the H K H route within
+    solver tolerance.  Points off the atom positions raise DomainError.
     """
-    samples = np.asarray(samples)
+    finite = kernel.kind == "finite_rank"
+    samples = _as_index_points(kernel, samples) if finite else np.asarray(samples)
     n = samples.shape[0]
     if n < 2:
         raise InvalidInput(f"fit_exact: need at least two samples, got {n}")
     gram_cache = None
-    if kernel.kind == "finite_rank":
-        b = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values[:, samples]
-        m_mat = b - b.mean(axis=1, keepdims=True)
-        small = sym_eig(m_mat @ m_mat.T)
+    if finite:
+        counts = np.bincount(samples, minlength=kernel.table.values.shape[1])
+        root = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
+        centred = root - (root @ counts / n)[:, None]
+        # W W' through one X X' product, which is exactly symmetric.
+        w = centred * np.sqrt(counts)[None, :]
+        small = sym_eig(w @ w.T)
         sigma = small.eigenvalues
         lam_hat = sigma / n
         r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
-        alphas = (m_mat.T @ small.eigenvectors[:, :r]) / np.sqrt(sigma[:r])[None, :]
-
-        def k_quad(vecs: np.ndarray) -> np.ndarray:
-            return np.sum((b @ vecs) ** 2, axis=0)
-
+        alphas = (centred.T @ small.eigenvectors[:, :r]) / np.sqrt(sigma[:r])[None, :]
+        alphas = alphas - (counts @ alphas / n)[None, :]
+        alphas = alphas / np.sqrt(counts @ alphas**2)[None, :]
+        k_quad = np.sum((root @ (counts[:, None] * alphas)) ** 2, axis=0)
+        # Signing the sampled atoms in order of first appearance picks the
+        # same entries as signing the n gathered rows, ties included.
+        seen = samples[np.sort(np.unique(samples, return_index=True)[1])]
+        alphas[seen] = fix_signs(alphas[seen])
+        rows = samples
     else:
         gram_cache = gram(kernel, samples)
         centered = center_gram(gram_cache, np.full(n, 1.0 / n))
@@ -143,17 +153,16 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
         lam_hat = spec.eigenvalues / n
         r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
         alphas = spec.eigenvectors[:, :r]
+        alphas = alphas - alphas.mean(axis=0, keepdims=True)
+        alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
+        alphas = fix_signs(alphas)
+        k_quad = np.sum(alphas * (gram_cache @ alphas), axis=0)
+        rows = slice(None)
 
-        def k_quad(vecs: np.ndarray) -> np.ndarray:
-            return np.sum(vecs * (gram_cache @ vecs), axis=0)
-
-    # Exact centering and unit scale before the K-quadratic rescale; both
-    # are no-ops up to rounding but pin the documented normalization.
-    alphas = alphas - alphas.mean(axis=0, keepdims=True)
-    alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
-    alphas = fix_signs(alphas)
+    # The centring and unit scale are no-ops up to rounding but pin the
+    # documented normalization.
     lam_kept = lam_hat[:r].copy()
-    gammas = (alphas * np.sqrt(n * lam_kept / k_quad(alphas))).T
+    gammas = (alphas * np.sqrt(n * lam_kept / k_quad))[rows].T
     return KpcaModel(
         train_points=samples, kernel=kernel, eigvals=lam_kept,
         dual_coeffs=gammas, _gram=gram_cache,

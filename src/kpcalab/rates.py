@@ -29,7 +29,6 @@ gap exponent beta = alpha + 1, the decay the synthetic half-gaps
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -465,22 +464,21 @@ def _rf_hat_coords(factor: np.ndarray, kappa_m: float, psi: np.ndarray,
     return factor @ spec.eigenvectors[:, :ell], mu[:ell]
 
 
-def run_grid(config: ExperimentConfig, threads: int = 1,
-             full_support: bool = False) -> RateReport:
+def run_grid(config: ExperimentConfig, full_support: bool = False) -> RateReport:
     """Measure the configured metric over the grid and fit its rate.
 
     Fully deterministic for a given config: every cell derives its own
-    random streams from (seed, n, rep), so neither thread count nor
-    execution order changes any number.  ``full_support`` is a test hook
-    replacing every sample draw with the complete atom set, which removes
-    all sampling error and must reproduce the pure bias values.
+    random streams from (seed, n, rep), so execution order changes no
+    number.  ``full_support`` is a test hook replacing every sample draw
+    with the complete atom set, which removes all sampling error and must
+    reproduce the pure bias values.
 
     Alongside the metric, every valid cell checks the projector-swap
     inequality |sqrt(R_emp) - sqrt(R_pop)| <= ||S||_HS * dist with 1e-8
     slack; the report carries the minimum margin and violation count.
     """
     oracle = _oracle(config.atoms, lambda_schedule(config), config.seed)
-    return _measure_grid(config, *oracle, threads, full_support)
+    return _measure_grid(config, *oracle, full_support)
 
 
 def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOperator]:
@@ -491,20 +489,10 @@ def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOper
 
 
 def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
-                  threads: int, full_support: bool) -> RateReport:
+                  full_support: bool) -> RateReport:
     plan = _grid_plan(config, kernel, pop)
-    coords = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
-
-    def task(coord):
-        n, rep = coord
-        return _run_cell(config, kernel, pop, plan, n, rep, full_support)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(task, coords))
-    else:
-        outcomes = [task(c) for c in coords]
-
+    outcomes = [_run_cell(config, kernel, pop, plan, n, rep, full_support)
+                for n in config.n_grid for rep in range(config.replications)]
     rows = tuple(row for row, _ in outcomes)
     margins = [mar for _, mar in outcomes if mar is not None]
     medians = {}
@@ -558,7 +546,7 @@ class TransitionReport:
     reports: tuple[RateReport, ...]
 
 
-def transition_study(base: ExperimentConfig, taus, threads: int = 1) -> TransitionReport:
+def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     """Sweep tau through the m(n) = n^tau coupling and locate the regime
     boundary.
 
@@ -576,8 +564,7 @@ def transition_study(base: ExperimentConfig, taus, threads: int = 1) -> Transiti
         raise ConfigError("transition_study needs at least one tau")
     # The oracle depends on seed, atoms and schedule only, so every run shares it.
     oracle = _oracle(base.atoms, lambda_schedule(base), base.seed)
-    reference = _measure_grid(replace(base, tau=None, metric="proj_hat"), *oracle,
-                              threads, False)
+    reference = _measure_grid(replace(base, tau=None, metric="proj_hat"), *oracle, False)
     if base.decay == "poly":
         b = _beta_for(base, None)
         threshold = 0.5 + base.theta * (2.0 * b - base.alpha) / base.alpha
@@ -586,7 +573,7 @@ def transition_study(base: ExperimentConfig, taus, threads: int = 1) -> Transiti
     rows = []
     reports = [reference]
     for tau in taus:
-        rep = _measure_grid(replace(base, tau=float(tau)), *oracle, threads, False)
+        rep = _measure_grid(replace(base, tau=float(tau)), *oracle, False)
         reports.append(rep)
         if tau >= threshold:
             expected = reference.slope

@@ -123,7 +123,7 @@ def test_verdict_failure_exits_two_but_writes_outputs(tmp_path, capsys):
 
 
 def test_numeric_failure_exits_three(tmp_path, monkeypatch, capsys):
-    def explode(config, seed, threads):
+    def explode(config, seed):
         raise NumericFailure("eigensolver went sideways")
 
     monkeypatch.setitem(cli._HANDLERS, "bounds", explode)

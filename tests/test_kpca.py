@@ -5,6 +5,7 @@ import pytest
 
 from kpcalab import (
     DegenerateModel,
+    DomainError,
     RankError,
     center_gram,
     embed_exact,
@@ -57,9 +58,22 @@ def test_dual_orthonormality_and_centering():
     assert np.max(np.abs(g.sum(axis=1))) < 1e-10
 
 
+# default; heavy duplication (1000 samples on 40 atoms); n <= T, where the
+# rank is capped at n - 1
+_COUNT_ROUTE_SETUPS = ({}, {"t_count": 12, "n": 1000}, {"t_count": 12, "n": 9})
+
+
 def test_factor_route_matches_dense_gram_route():
-    measure, ker, samples = _rank_setup()
+    for setup in _COUNT_ROUTE_SETUPS:
+        _check_against_dense_gram_route(*_rank_setup(**setup)[1:])
+
+
+def _check_against_dense_gram_route(ker, samples):
     model = fit_exact(ker, samples)
+    assert model.rank <= samples.shape[0] - 1
+    # sign rule over the n samples: each largest-magnitude entry is positive
+    lead = np.abs(model.dual_coeffs).argmax(axis=1)
+    assert np.all(model.dual_coeffs[np.arange(model.rank), lead] > 0.0)
     # dense reference, assembled from scratch
     k = gram(ker, samples)
     n = samples.shape[0]
@@ -136,6 +150,31 @@ def test_identical_points_are_degenerate():
     ker = gaussian_kernel(1.0)
     with pytest.raises(DegenerateModel):
         fit_exact(ker, np.zeros((5, 2)))
+    _, rank_ker, _ = _rank_setup()
+    with pytest.raises(DegenerateModel):
+        fit_exact(rank_ker, np.full(50, 7))
+
+
+@pytest.mark.parametrize("points", [[0, 1, 2, -1, 3], [0, 1, 40, 3], [0.0, 1.0, 2.0]],
+                         ids=["negative", "past_last_atom", "float"])
+def test_fit_exact_rejects_points_off_the_atoms(points):
+    _, ker, _ = _rank_setup()
+    with pytest.raises(DomainError):
+        fit_exact(ker, np.array(points))
+
+
+def test_large_sample_fit_keeps_the_gram_exactly_symmetric():
+    # at this n a count-weighted product that is not X X' leaves the T x T
+    # matrix asymmetric by about 1e-11, beyond sym_eig's absolute tolerance
+    measure, ker, samples = _rank_setup(n=2**20)
+    model = fit_exact(ker, samples)
+    nu = np.sqrt(ker.lambdas)[:, None] * ker.table.values[:, samples]
+    nu_c = nu - nu.mean(axis=1, keepdims=True)
+    ref = np.sort(np.linalg.eigvalsh(nu_c @ nu_c.T / samples.shape[0]))[::-1]
+    assert np.max(np.abs(model.eigvals - ref[:model.rank])) < 1e-10 * ref[0]
+    g = model.dual_coeffs
+    prod = (nu @ g.T).T @ (nu @ g.T) / (model.n * model.eigvals)[:, None]
+    assert np.max(np.abs(prod - np.eye(model.rank))) < 1e-8
 
 
 def test_rf_fit_matches_population_cov_on_full_support():

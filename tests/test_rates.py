@@ -211,14 +211,14 @@ def test_full_support_reproduces_population_bias():
         assert report.medians[n] == pytest.approx(tail, rel=1e-10)
 
 
-def test_run_grid_deterministic_across_threads():
+def test_run_grid_deterministic_across_reruns():
     cfg = _ecfg(theta=0.2, gamma=0.5, metric="recon_rf_hat", tau=0.8,
                 n_grid=(32, 48, 64, 96), atoms=24, rank=8)
     first = run_grid(cfg)
-    threaded = run_grid(cfg, threads=3)
+    second = run_grid(cfg)
     again = run_grid(cfg)
-    assert first.rows == threaded.rows == again.rows
-    assert first.slope == threaded.slope == again.slope
+    assert first.rows == second.rows == again.rows
+    assert first.slope == second.slope == again.slope
     assert sum(first.invalid.values()) == 0
     assert first.swap_violations == 0
     assert first.swap_min_margin > 0.0
@@ -318,4 +318,4 @@ def test_grid_rejects_an_operator_off_the_kernel_schedule():
     kernel, _ = _oracle(config.atoms, lambda_schedule(config), config.seed)
     _, other = _oracle(config.atoms, 1.01 * lambda_schedule(config), config.seed)
     with pytest.raises(ConfigError, match="self-check"):
-        _measure_grid(config, kernel, other, 1, False)
+        _measure_grid(config, kernel, other, False)

@@ -58,13 +58,10 @@ def test_dual_orthonormality_and_centering():
     assert np.max(np.abs(g.sum(axis=1))) < 1e-10
 
 
-# default; heavy duplication (1000 samples on 40 atoms); n <= T, where the
-# rank is capped at n - 1
-_COUNT_ROUTE_SETUPS = ({}, {"t_count": 12, "n": 1000}, {"t_count": 12, "n": 9})
-
-
 def test_factor_route_matches_dense_gram_route():
-    for setup in _COUNT_ROUTE_SETUPS:
+    # default; heavy duplication (1000 samples on 40 atoms); n <= T, where
+    # the rank is capped at n - 1
+    for setup in ({}, {"t_count": 12, "n": 1000}, {"t_count": 12, "n": 9}):
         _check_against_dense_gram_route(*_rank_setup(**setup)[1:])
 
 

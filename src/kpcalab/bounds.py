@@ -3,13 +3,16 @@
 Each checker computes the left and right sides of one proved inequality
 on concrete matrices or vectors, so violations (beyond a fixed
 floating-point slack) are hard evidence against an implementation or a
-stated constant, never a matter of tuning.
+stated constant, never a matter of tuning.  Random cases and trials are
+drawn from their own streams and checked one stack per dimension; the
+one-case API (PerturbationCase, perturb_check) runs a stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .kernels import make_finite_rank_kernel
 from .linalg import (
     RANK_RTOL,
     Spectrum,
+    _frobenius,
     eigengaps,
     fractional_power,
     matrix_norm,
@@ -69,9 +73,29 @@ def _by_dimension(dims: list[int]) -> dict[int, list[int]]:
     return groups
 
 
+def _check_cases(b: np.ndarray, d: np.ndarray, spec_a: Spectrum, spec_ab: Spectrum) -> None:
+    """Raise InvalidInput unless every member of a case stack meets PerturbationCase's checks."""
+    vals, sum_vals, rows = spec_a.eigenvalues, spec_ab.eigenvalues, np.arange(len(d))
+    dim = vals.shape[-1]
+    outside = d[(d < 1) | (d >= dim)]
+    if outside.size:
+        raise InvalidInput(f"PerturbationCase: d={outside[0]} outside 1..{dim - 1}")
+    if np.any(vals[rows, d - 1] <= 0.0):
+        raise InvalidInput("PerturbationCase: lambda_d must be positive")
+    if np.any(vals.min(axis=-1) < -RANK_RTOL * np.maximum(vals.max(axis=-1), 1.0)):
+        raise InvalidInput("PerturbationCase: a is not PSD")
+    delta, b_hs = eigengaps(spec_a)[rows, d - 1], _frobenius(b)
+    for k in np.flatnonzero(b_hs > delta / 2.0 * (1.0 + 1e-12))[:1]:
+        raise InvalidInput(
+            f"PerturbationCase: ||b||_HS = {b_hs[k]:.6e} exceeds delta_d/2 = {delta[k] / 2:.6e}"
+        )
+    if np.any(sum_vals.min(axis=-1) < -RANK_RTOL * np.maximum(sum_vals.max(axis=-1), 1.0)):
+        raise InvalidInput("PerturbationCase: a + b is not PSD within tolerance")
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of one inequality check."""
+    """Outcome of one inequality check, or of one per member of a stack (array sides)."""
 
     name: str
     lhs: float
@@ -104,43 +128,12 @@ class PerturbationCase:
     spec_ab: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        a, b = np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float)
         if a.shape != b.shape:
             raise InvalidInput(f"PerturbationCase: shapes {a.shape} != {b.shape}")
-        self._adopt(sym_eig(a), sym_eig(a + b))
-
-    @classmethod
-    def _from_spectra(cls, a: np.ndarray, b: np.ndarray, d: int,
-                      spec_a: Spectrum, spec_ab: Spectrum) -> "PerturbationCase":
-        """A case whose a and a + b were decomposed elsewhere, checked like the constructor's."""
-        case = object.__new__(cls)
-        for name, value in (("a", a), ("b", b), ("d", d)):
-            object.__setattr__(case, name, value)
-        case._adopt(spec_a, spec_ab)
-        return case
-
-    def _adopt(self, spec_a: Spectrum, spec_ab: Spectrum) -> None:
-        """Keep the spectra of a and a + b and check the hypotheses on them."""
-        object.__setattr__(self, "spec_a", spec_a)
-        object.__setattr__(self, "spec_ab", spec_ab)
-        vals = spec_a.eigenvalues
-        if self.d < 1 or self.d >= vals.size:
-            raise InvalidInput(f"PerturbationCase: d={self.d} outside 1..{vals.size - 1}")
-        if vals[self.d - 1] <= 0.0:
-            raise InvalidInput("PerturbationCase: lambda_d must be positive")
-        if vals.min() < -RANK_RTOL * max(vals.max(), 1.0):
-            raise InvalidInput("PerturbationCase: a is not PSD")
-        delta, b_hs = self.delta_d, self.b_hs
-        if b_hs > delta / 2.0 * (1.0 + 1e-12):
-            raise InvalidInput(
-                f"PerturbationCase: ||b||_HS = {b_hs:.6e} exceeds delta_d/2 = {delta / 2:.6e}"
-            )
-        sum_vals = spec_ab.eigenvalues
-        if sum_vals.min() < -RANK_RTOL * max(sum_vals.max(), 1.0):
-            raise InvalidInput("PerturbationCase: a + b is not PSD within tolerance")
+        spec_a, spec_ab = sym_eig(a[None]), sym_eig((a + b)[None])  # a stack of one
+        _check_cases(b[None], np.array([self.d]), spec_a, spec_ab)
+        vars(self).update(a=a, b=b, spec_a=spec_a[0], spec_ab=spec_ab[0])  # frozen: no setattr
 
     @property
     def delta_d(self) -> float:
@@ -153,7 +146,7 @@ class PerturbationCase:
 
 @dataclass(frozen=True)
 class PerturbReport:
-    """Both projector perturbation bounds on one case."""
+    """Both projector perturbation bounds on one case, or on each member of a stack."""
 
     plain: BoundReport
     weighted: BoundReport
@@ -165,33 +158,41 @@ class PerturbReport:
         return self.weighted.rhs < self.trivial_rhs
 
 
-def perturb_check(case: PerturbationCase) -> PerturbReport:
-    """Evaluate the two projector perturbation bounds on a case.
+def _score_cases(a: np.ndarray, b: np.ndarray, d: np.ndarray, spec_a: Spectrum,
+                 spec_ab: Spectrum) -> tuple[np.ndarray, np.ndarray, PerturbReport]:
+    """The two projector perturbation bounds on each member of a ``_case_stacks`` stack.
 
     plain:    ||P_d(a) - P_d(a+b)||_HS <= ||b||_HS / delta_d
     weighted: ||a^1/2 (P_d(a) - P_d(a+b)) a^1/2||_HS
                   <= ||b||_HS * d * lambda_d / delta_d
     with the operator-norm fallback ||a||_op ||b||_HS / delta_d reported
-    alongside for comparison.
+    alongside for comparison.  Returns delta_d, ||b||_HS and a report with
+    arrays over the members, member k bit-for-bit what its case scores alone.
     """
-    spec_a = case.spec_a
-    diff = spectral_projector(spec_a, case.d) - spectral_projector(case.spec_ab, case.d)
-    delta = case.delta_d
-    b_hs = case.b_hs
-    lam_d = float(spec_a.eigenvalues[case.d - 1])
+    vals, rows = spec_a.eigenvalues, np.arange(len(d))
+    delta, b_hs = eigengaps(spec_a)[rows, d - 1], _frobenius(b)
+    diff = np.empty_like(a)
+    for ell in np.unique(d).tolist():  # one projector stack per cut index
+        group = np.flatnonzero(d == ell)
+        diff[group] = (spectral_projector(spec_a[group], ell)
+                       - spectral_projector(spec_ab[group], ell))
     root_a = fractional_power(spec_a, 0.5)
-    plain = BoundReport(
-        name="projector_perturbation",
-        lhs=float(np.linalg.norm(diff)),
-        rhs=b_hs / delta,
+    return delta, b_hs, PerturbReport(
+        plain=BoundReport("projector_perturbation", _frobenius(diff), b_hs / delta),
+        weighted=BoundReport("weighted_projector_perturbation",
+                             _frobenius(root_a @ diff @ root_a),
+                             b_hs * d * vals[rows, d - 1] / delta),
+        trivial_rhs=np.abs(vals).max(axis=-1) * b_hs / delta,
     )
-    weighted = BoundReport(
-        name="weighted_projector_perturbation",
-        lhs=float(np.linalg.norm(root_a @ diff @ root_a)),
-        rhs=b_hs * case.d * lam_d / delta,
-    )
-    trivial = float(np.max(np.abs(spec_a.eigenvalues))) * b_hs / delta
-    return PerturbReport(plain=plain, weighted=weighted, trivial_rhs=trivial)
+
+
+def perturb_check(case: PerturbationCase) -> PerturbReport:
+    """``_score_cases`` on one case, as a stack of one."""
+    rep = _score_cases(case.a[None], case.b[None], np.array([case.d]),
+                       case.spec_a[None], case.spec_ab[None])[2]
+    plain, weighted = (BoundReport(r.name, float(r.lhs[0]), float(r.rhs[0]))
+                       for r in (rep.plain, rep.weighted))
+    return PerturbReport(plain, weighted, float(rep.trivial_rhs[0]))
 
 
 def _draw_case(rng: np.random.Generator, dim: int) -> tuple:
@@ -208,22 +209,16 @@ def _draw_case(rng: np.random.Generator, dim: int) -> tuple:
     return vals, q_raw, d, (vals[d - 1] - vals[d]) / 2.0
 
 
-def make_perturbation_cases(count: int, seed: int,
-                            dims: tuple[int, int] = (4, 20)) -> list[PerturbationCase]:
-    """Seeded random cases with well-gapped spectra and admissible b.
+def _case_stacks(count: int, seed: int, dims: tuple[int, int] = (4, 20)) -> Iterator[tuple]:
+    """The cases of ``make_perturbation_cases``, checked one stack per dimension.
 
-    Half the spectra are built from additive gaps drawn in [0.05, 1] on a
-    0.3 base, half decay geometrically above a floor (the regime where the
-    weighted bound beats the operator-norm fallback, since d * lambda_d
-    can drop below lambda_1 only under fast decay).  The cut index d runs
-    over 1..dim/2 and ||b||_HS is a uniform fraction of delta_d / 2; b is
-    resampled until a + b is PSD.
+    Yields ``(members, a, b, d, spec_a, spec_ab)`` per dimension: the case
+    numbers, a, b, cut indices and spectra of a and a + b of its stack.
     """
     # Each case draws from its own stream in a fixed order: dim, then
     # _draw_case's values, then (rho, g) per attempt.  Only dim is drawn up
     # front, so the other draws of a dimension exist only while its stack is built.
     rngs = [generator(seed, "perturb-case", i) for i in range(count)]
-    cases: list[PerturbationCase] = [None] * count
     for dim, members in _by_dimension([int(rng.integers(dims[0], dims[1] + 1))
                                        for rng in rngs]).items():
         group_rngs = [rngs[i] for i in members]
@@ -247,14 +242,30 @@ def make_perturbation_cases(count: int, seed: int,
             if not pending.size:
                 break
         else:
-            raise NumericFailure("make_perturbation_cases: could not keep a + b PSD")
+            raise NumericFailure("perturbation cases: could not keep a + b PSD")
+        d = np.array(ds)
         spec_a, spec_ab = sym_eig(a), sym_eig(a + b)
-        for k, i in enumerate(members):
-            cases[i] = PerturbationCase._from_spectra(
-                a[k], b[k], ds[k],
-                Spectrum(spec_a.eigenvalues[k], spec_a.eigenvectors[k]),
-                Spectrum(spec_ab.eigenvalues[k], spec_ab.eigenvectors[k]),
-            )
+        _check_cases(b, d, spec_a, spec_ab)
+        yield members, a, b, d, spec_a, spec_ab
+
+
+def make_perturbation_cases(count: int, seed: int,
+                            dims: tuple[int, int] = (4, 20)) -> list[PerturbationCase]:
+    """Seeded random cases with well-gapped spectra and admissible b.
+
+    Half the spectra are built from additive gaps drawn in [0.05, 1] on a
+    0.3 base, half decay geometrically above a floor (the regime where the
+    weighted bound beats the operator-norm fallback, since d * lambda_d
+    can drop below lambda_1 only under fast decay).  The cut index d runs
+    over 1..dim/2 and ||b||_HS is a uniform fraction of delta_d / 2; b is
+    resampled until a + b is PSD.  The cases are built and checked one
+    stack per dimension.
+    """
+    cases: list[PerturbationCase] = [None] * count
+    for members, a, b, d, spec_a, spec_ab in _case_stacks(count, seed, dims):
+        for k, i in enumerate(members):  # already checked as a stack: skip __post_init__
+            case = cases[i] = object.__new__(PerturbationCase)
+            vars(case).update(a=a[k], b=b[k], d=int(d[k]), spec_a=spec_a[k], spec_ab=spec_ab[k])
     return cases
 
 
@@ -267,18 +278,25 @@ class PerturbationSuiteReport:
     min_margin_weighted: float
     sharper_fraction: float
 
+    @classmethod
+    def tally(cls, reports: list[PerturbReport]) -> "PerturbationSuiteReport":
+        """Tally the stacked reports of ``_score_cases`` over a suite's stacks."""
+        plain, weighted = [r.plain for r in reports], [r.weighted for r in reports]
+        sharper = np.concatenate([r.sharper_than_trivial for r in reports])
+        return cls(
+            cases=len(sharper),
+            violations_plain=sum(int(np.sum(~r.holds)) for r in plain),
+            violations_weighted=sum(int(np.sum(~r.holds)) for r in weighted),
+            min_margin_plain=min(float(r.margin.min()) for r in plain),
+            min_margin_weighted=min(float(r.margin.min()) for r in weighted),
+            sharper_fraction=int(np.sum(sharper)) / len(sharper),
+        )
+
 
 def perturbation_suite(count: int, seed: int) -> PerturbationSuiteReport:
-    """Run perturb_check over seeded random cases and tally the outcomes."""
-    reports = [perturb_check(c) for c in make_perturbation_cases(count, seed)]
-    return PerturbationSuiteReport(
-        cases=count,
-        violations_plain=sum(not r.plain.holds for r in reports),
-        violations_weighted=sum(not r.weighted.holds for r in reports),
-        min_margin_plain=min(r.plain.margin for r in reports),
-        min_margin_weighted=min(r.weighted.margin for r in reports),
-        sharper_fraction=sum(r.sharper_than_trivial for r in reports) / count,
-    )
+    """Score seeded random cases one dimension stack at a time and tally the outcomes."""
+    return PerturbationSuiteReport.tally(
+        [_score_cases(*stack[1:])[2] for stack in _case_stacks(count, seed)])
 
 
 def _tensor_lemma(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,7 +332,8 @@ def _rank_one_norms(f: np.ndarray) -> tuple[dict, np.ndarray, dict]:
     """
     target = (f[..., None, :] @ f[..., :, None])[..., 0, 0]
     mat = f[..., :, None] * f[..., None, :]
-    norms = {kind: matrix_norm(mat, kind) for kind in ("operator", "hilbert_schmidt", "trace")}
+    kinds = ("operator", "hilbert_schmidt", "trace")
+    norms = dict(zip(kinds, matrix_norm(mat, kinds)))
     tol = _RANK_ONE_RTOL * (1.0 + target)
     return norms, target, {kind: np.abs(val - target) > tol for kind, val in norms.items()}
 
@@ -368,8 +387,7 @@ def operator_inequality_suite(trials: int, seed: int) -> OperatorInequalitySuite
                   rng.standard_normal(dim)) for rng in (rngs[i] for i in members)]
         a, b, f, g = (np.stack(part) for part in zip(*draws))
         spec_a, spec_b = sym_eig(a), sym_eig(b)
-        dist_hs = matrix_norm(a - b, "hilbert_schmidt")
-        dist_op = matrix_norm(a - b, "operator")
+        dist_hs, dist_op = matrix_norm(a - b, ("hilbert_schmidt", "operator"))
         va, vb = spec_a.eigenvalues, spec_b.eigenvalues
         cap = np.maximum(np.abs(va).max(axis=-1), np.abs(vb).max(axis=-1))
         sides = [(np.linalg.norm(va - vb, axis=-1), dist_hs)]

@@ -28,10 +28,11 @@ import numpy as np
 
 from .bounds import (
     McTailConfig,
-    make_perturbation_cases,
+    PerturbationSuiteReport,
+    _case_stacks,
+    _score_cases,
     mc_tail,
     operator_inequality_suite,
-    perturb_check,
 )
 from .errors import CheckFailed, ConfigError, InvalidInput, NumericFailure
 from .oracle import oracle_snapshot, proj_pop, recon_error, tail_energy
@@ -40,7 +41,8 @@ from .rng import derive_seed
 
 __all__ = ["main"]
 
-_COMMANDS = ("spectrum", "rates", "transition", "bounds", "concentration")
+# The experiments bounds.mc_tail runs.
+_MC_EXPERIMENTS = ("cov_deviation", "feature_op_deviation")
 
 
 def _fnum(x: float) -> str:
@@ -48,6 +50,13 @@ def _fnum(x: float) -> str:
 
 
 def _csv_cell(v) -> str:
+    kind = type(v)  # exact types first: nearly every cell is a plain float, bool or int
+    if kind is float:
+        return format(v, ".17g")
+    if kind is bool:
+        return "true" if v else "false"
+    if kind is int:
+        return str(v)
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -73,8 +82,15 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = [f"{pad}  {render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        # Lists of plain floats or ints (oracle snapshots hold thousands)
+        # render without a call per value.
+        if all(type(v) is float for v in obj):
+            items = [format(v, ".17g") if math.isfinite(v) else "null" for v in obj]
+        elif all(type(v) is int for v in obj):
+            items = [str(v) for v in obj]
+        else:
+            items = [render_json(v, indent + 1) for v in obj]
+        return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -100,12 +116,27 @@ def _require_keys(config: dict, allowed: set, required: set, command: str) -> No
         raise ConfigError(f"{command} config is missing keys: {sorted(missing)}")
 
 
+def _integer(config: dict, key: str, default: int | None = None) -> int:
+    """``config[key]`` (or ``default``) as an int: integral numbers only, never a bool."""
+    value = config.get(key, default)
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _finite_real(config: dict, key: str) -> float:
+    value = config[key]
+    if type(value) in (int, float) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
 def _effective_seed(config: dict, override: int | None) -> int:
     if override is not None:
         return int(override)
     if "seed" not in config:
         raise ConfigError("config has no seed; set one or pass --seed")
-    return int(config["seed"])
+    return _integer(config, "seed")
 
 
 _EXPERIMENT_KEYS = {
@@ -267,48 +298,43 @@ def _cmd_transition(config: dict, seed: int):
 def _cmd_bounds(config: dict, seed: int):
     _require_keys(config, allowed={"perturbation_cases", "operator_trials", "seed"},
                   required=set(), command="bounds")
-    count = int(config.get("perturbation_cases", 1000))
-    trials = int(config.get("operator_trials", 1000))
+    count = _integer(config, "perturbation_cases", 1000)
+    trials = _integer(config, "operator_trials", 1000)
     if count < 1 or trials < 1:
         raise ConfigError("bounds config needs positive case and trial counts")
 
     header = ["case", "dim", "d", "delta_d", "b_hs", "plain_lhs", "plain_rhs",
               "plain_holds", "weighted_lhs", "weighted_rhs", "weighted_holds",
               "trivial_rhs", "sharper"]
-    rows = []
-    plain_bad = weighted_bad = sharper = 0
-    min_plain = min_weighted = math.inf
-    for i, case in enumerate(make_perturbation_cases(count, seed)):
-        rep = perturb_check(case)
-        plain_bad += not rep.plain.holds
-        weighted_bad += not rep.weighted.holds
-        sharper += rep.sharper_than_trivial
-        min_plain = min(min_plain, rep.plain.margin)
-        min_weighted = min(min_weighted, rep.weighted.margin)
-        rows.append([
-            i, case.a.shape[0], case.d, case.delta_d, case.b_hs,
-            rep.plain.lhs, rep.plain.rhs, rep.plain.holds,
-            rep.weighted.lhs, rep.weighted.rhs, rep.weighted.holds,
-            rep.trivial_rhs, rep.sharper_than_trivial,
-        ])
+    rows = [None] * count
+    reports = []
+    for members, a, b, d, spec_a, spec_ab in _case_stacks(count, seed):
+        delta, b_hs, rep = _score_cases(a, b, d, spec_a, spec_ab)
+        reports.append(rep)
+        columns = (d, delta, b_hs, rep.plain.lhs, rep.plain.rhs, rep.plain.holds,
+                   rep.weighted.lhs, rep.weighted.rhs, rep.weighted.holds,
+                   rep.trivial_rhs, rep.sharper_than_trivial)
+        for i, row in zip(members, zip(*(column.tolist() for column in columns))):
+            rows[i] = [i, a.shape[-1], *row]
+    suite = PerturbationSuiteReport.tally(reports)
     op_report = operator_inequality_suite(trials, derive_seed(seed, "op-suite"))
 
     verdicts = [
-        ("projector_perturbation_bound", plain_bad == 0,
-         f"{count} cases, min margin {min_plain:.3e}"),
-        ("weighted_projector_perturbation_bound", weighted_bad == 0,
-         f"{count} cases, min margin {min_weighted:.3e}, "
-         f"sharper than the operator-norm fallback in {sharper / count:.1%}"),
+        ("projector_perturbation_bound", suite.violations_plain == 0,
+         f"{count} cases, min margin {suite.min_margin_plain:.3e}"),
+        ("weighted_projector_perturbation_bound", suite.violations_weighted == 0,
+         f"{count} cases, min margin {suite.min_margin_weighted:.3e}, "
+         f"sharper than the operator-norm fallback in {suite.sharper_fraction:.1%}"),
         ("operator_inequalities", op_report.violations == 0,
          f"{op_report.checks} checks over {trials} trials"),
     ]
     summary = {
         "perturbation_cases": count,
-        "violations_plain": plain_bad,
-        "violations_weighted": weighted_bad,
-        "min_margin_plain": min_plain,
-        "min_margin_weighted": min_weighted,
-        "sharper_fraction": sharper / count,
+        "violations_plain": suite.violations_plain,
+        "violations_weighted": suite.violations_weighted,
+        "min_margin_plain": suite.min_margin_plain,
+        "min_margin_weighted": suite.min_margin_weighted,
+        "sharper_fraction": suite.sharper_fraction,
         "operator_trials": trials,
         "operator_checks": op_report.checks,
         "operator_violations": op_report.violations,
@@ -320,14 +346,17 @@ def _cmd_concentration(config: dict, seed: int):
     _require_keys(config, allowed={"tau", "count", "replications", "seed", "atoms",
                   "rank", "experiments"}, required={"tau", "count", "replications"},
                   command="concentration")
-    experiments = config.get("experiments", ["cov_deviation", "feature_op_deviation"])
+    experiments = config.get("experiments", list(_MC_EXPERIMENTS))
+    if not isinstance(experiments, list) or any(e not in _MC_EXPERIMENTS for e in experiments):
+        raise ConfigError(f"experiments must be a list drawn from {list(_MC_EXPERIMENTS)}, "
+                          f"got {experiments!r}")
     mc_cfg = McTailConfig(
-        tau=float(config["tau"]),
-        count=int(config["count"]),
-        replications=int(config["replications"]),
+        tau=_finite_real(config, "tau"),
+        count=_integer(config, "count"),
+        replications=_integer(config, "replications"),
         seed=seed,
-        atoms=int(config.get("atoms", 128)),
-        rank=int(config.get("rank", 20)),
+        atoms=_integer(config, "atoms", 128),
+        rank=_integer(config, "rank", 20),
     )
     header = ["experiment", "tau", "count", "replications", "bound", "tail_cap",
               "exceed_count", "exceed_fraction", "max_deviation",

@@ -52,6 +52,10 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
         object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=float))
 
+    def __getitem__(self, k) -> "Spectrum":
+        """Index the stack axes: member k, a sub-stack, or (with None) a stack of one."""
+        return Spectrum(self.eigenvalues[k], self.eigenvectors[k])
+
 
 def _require_symmetric(a: np.ndarray, op: str) -> np.ndarray:
     """``a`` as floats: one square matrix, or a stack of them on the last two axes."""
@@ -115,24 +119,33 @@ def sym_eig(a: np.ndarray) -> Spectrum:
     return Spectrum(flat[member, order].reshape(vals.shape), fix_signs(cols).reshape(vecs.shape))
 
 
-def matrix_norm(a: np.ndarray, kind: str) -> float | np.ndarray:
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, each bit-for-bit np.linalg.norm of its matrix."""
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+
+
+def matrix_norm(a: np.ndarray, kind: str | tuple[str, ...]) -> float | np.ndarray | tuple:
     """Spectral norms of a symmetric matrix, computed without eigenvectors.
 
     kind: "operator" (max |eigenvalue|), "hilbert_schmidt" (l2 of the
     eigenvalues, computed as the Frobenius norm), or "trace" (l1).
     A float for one matrix, an array over the leading axes for a stack.
+    A tuple of kinds gives a tuple of norms in that order, and the
+    operator and trace norms then share one eigenvalue solve.
     Raises NumericFailure if the eigenvalue solver does not converge.
     """
     a = _require_symmetric(a, "matrix_norm")
-    if kind == "hilbert_schmidt":
-        flat = a.reshape(*a.shape[:-2], 1, -1)
-        norms = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
-    elif kind in ("operator", "trace"):
-        vals = np.abs(_eig_solve(np.linalg.eigvalsh, a, "matrix_norm"))
-        norms = vals.sum(axis=-1) if kind == "trace" else vals.max(axis=-1, initial=0.0)
-    else:
+    kinds = (kind,) if isinstance(kind, str) else kind
+    if not set(kinds) <= {"operator", "hilbert_schmidt", "trace"}:
         raise InvalidInput(f"matrix_norm: unknown kind {kind!r}")
-    return float(norms) if a.ndim == 2 else norms
+    if set(kinds) - {"hilbert_schmidt"}:
+        vals = np.abs(_eig_solve(np.linalg.eigvalsh, a, "matrix_norm"))
+    norms = [_frobenius(a) if k == "hilbert_schmidt"
+             else vals.sum(axis=-1) if k == "trace" else vals.max(axis=-1, initial=0.0)
+             for k in kinds]
+    norms = [float(n) for n in norms] if a.ndim == 2 else norms
+    return norms[0] if isinstance(kind, str) else tuple(norms)
 
 
 def fractional_power(a: np.ndarray | Spectrum, t: float) -> np.ndarray:
@@ -167,30 +180,34 @@ def spectral_projector(spectrum: Spectrum, ell: int) -> np.ndarray:
 
     Requires ell to stay within the numerically retained rank and the gap
     eigenvalue[ell-1] - eigenvalue[ell] to exceed GAP_TOL, so a projector
-    never splits a degenerate cluster.
+    never splits a degenerate cluster.  A stacked Spectrum gives one
+    projector per member, each checked and bit-for-bit the member's alone.
     """
     vals = spectrum.eigenvalues
     if not isinstance(ell, (int, np.integer)) or ell < 1:
         raise InvalidInput(f"spectral_projector: ell must be a positive integer, got {ell!r}")
-    top = vals[0] if vals.size else 0.0
-    retained = int(np.sum(vals > RANK_RTOL * top)) if top > 0 else 0
-    if ell > retained:
+    top = vals[..., :1]
+    retained = np.sum((vals > RANK_RTOL * top) & (top > 0), axis=-1)
+    if np.any(ell > retained):
         raise RankError(
-            f"spectral_projector: ell={ell} exceeds numerically retained rank {retained}"
+            f"spectral_projector: ell={ell} exceeds numerically retained rank "
+            f"{retained.flat[np.argmax(ell > retained)]}"
         )
-    if ell < vals.size and vals[ell - 1] - vals[ell] <= GAP_TOL:
-        raise EigengapError(
-            f"spectral_projector: gap at ell={ell} is "
-            f"{vals[ell - 1] - vals[ell]:.3e} <= {GAP_TOL:g}"
-        )
-    v = spectrum.eigenvectors[:, :ell]
-    p = v @ v.T
-    return (p + p.T) / 2.0
+    if ell < vals.shape[-1]:
+        gap = vals[..., ell - 1] - vals[..., ell]
+        if np.any(gap <= GAP_TOL):
+            raise EigengapError(
+                f"spectral_projector: gap at ell={ell} is "
+                f"{gap.flat[np.argmax(gap <= GAP_TOL)]:.3e} <= {GAP_TOL:g}"
+            )
+    v = spectrum.eigenvectors[..., :ell]
+    p = v @ v.swapaxes(-1, -2)
+    return (p + p.swapaxes(-1, -2)) / 2.0
 
 
 def eigengaps(spectrum: Spectrum) -> np.ndarray:
-    """Half-gaps (lambda_i - lambda_{i+1}) / 2 for i = 1..n-1."""
+    """Half-gaps (lambda_i - lambda_{i+1}) / 2 for i = 1..n-1, per member of a stack."""
     vals = spectrum.eigenvalues
-    if vals.size < 2:
+    if vals.shape[-1] < 2:
         raise InvalidInput("eigengaps: need at least two eigenvalues")
-    return (vals[:-1] - vals[1:]) / 2.0
+    return (vals[..., :-1] - vals[..., 1:]) / 2.0

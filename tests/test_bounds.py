@@ -15,6 +15,7 @@ from kpcalab import (
     PerturbationCase,
     bernstein_bound,
     derive_seed,
+    eigengaps,
     fractional_power,
     generator,
     make_finite_rank_kernel,
@@ -28,6 +29,7 @@ from kpcalab import (
     perturbation_suite,
     rank_one_norms_check,
     sample_finite_rank,
+    spectral_projector,
     sym_eig,
     tensor_lemma_check,
     uniform_measure,
@@ -188,6 +190,62 @@ def test_case_generator_decomposes_one_stack_per_dimension(monkeypatch):
         assert perturb_check(rebuilt) == perturb_check(case)
 
 
+def _bounds_alone(a, b, d):
+    """Both bounds on one case through the 2-D API: delta_d, ||b||_HS, the four sides, trivial."""
+    spec_a, spec_ab = sym_eig(a), sym_eig(a + b)
+    diff = spectral_projector(spec_a, d) - spectral_projector(spec_ab, d)
+    delta, b_hs = float(eigengaps(spec_a)[d - 1]), float(np.linalg.norm(b))
+    root_a = fractional_power(spec_a, 0.5)
+    return (delta, b_hs, float(np.linalg.norm(diff)), b_hs / delta,
+            float(np.linalg.norm(root_a @ diff @ root_a)),
+            b_hs * d * float(spec_a.eigenvalues[d - 1]) / delta,
+            float(np.max(np.abs(spec_a.eigenvalues))) * b_hs / delta)
+
+
+@pytest.mark.parametrize("seed", [34, 20260819])
+def test_stacked_scores_equal_the_one_case_reference(seed):
+    count = 60
+    reference = _cases_one_by_one(count, seed)
+    seen, cuts = [], []
+    for members, a, b, d, spec_a, spec_ab in kpcalab.bounds._case_stacks(count, seed):
+        delta, b_hs, rep = kpcalab.bounds._score_cases(a, b, d, spec_a, spec_ab)
+        cuts.append(len(np.unique(d)))
+        for k, i in enumerate(members):
+            ref_a, ref_b, ref_d, _ = reference[i]
+            assert np.array_equal(a[k], ref_a) and np.array_equal(b[k], ref_b) and d[k] == ref_d
+            got = (delta[k], b_hs[k], rep.plain.lhs[k], rep.plain.rhs[k], rep.weighted.lhs[k],
+                   rep.weighted.rhs[k], rep.trivial_rhs[k])
+            want = _bounds_alone(ref_a, ref_b, ref_d)
+            assert got == want  # bit for bit
+            plain, weighted = BoundReport("p", *want[2:4]), BoundReport("w", *want[4:6])
+            assert rep.plain.holds[k] == plain.holds and rep.plain.margin[k] == plain.margin
+            assert rep.weighted.margin[k] == weighted.margin
+            assert rep.sharper_than_trivial[k] == (want[5] < want[6])
+        seen.extend(members)
+    assert sorted(seen) == list(range(count))
+    assert max(cuts) > 2  # stacks whose members cut at several d
+
+
+_GOOD_A, _GOOD_B = np.diag([2.0, 1.0, 0.5]), _offdiag(3, 0, 1, 0.05)
+
+
+@pytest.mark.parametrize("bad_a, bad_b, bad_d, message", [
+    (_GOOD_A, np.zeros((3, 3)), 3, "d=3 outside 1..2"),
+    (np.diag([2.0, 0.0, 0.0]), np.zeros((3, 3)), 2, "lambda_d must be positive"),
+    (np.diag([1.0, 0.5, -1.0]), np.zeros((3, 3)), 1, "a is not PSD"),
+    (_GOOD_A, _offdiag(3, 0, 1, 0.2), 1, r"\|\|b\|\|_HS = 2.828427e-01 exceeds delta_d/2 = 2.5"),
+    (np.diag([2.0, 1.0, 0.05]), np.diag([0.0, 0.0, -0.2]), 1, r"a \+ b is not PSD"),
+], ids=["d_outside", "lambda_d_zero", "a_not_psd", "b_too_large", "sum_not_psd"])
+def test_stack_check_rejects_one_bad_member_like_the_constructor(bad_a, bad_b, bad_d, message):
+    check = kpcalab.bounds._check_cases
+    a, b = np.stack([_GOOD_A, bad_a, _GOOD_A]), np.stack([_GOOD_B, bad_b, _GOOD_B])
+    check(b[::2], np.array([1, 2]), sym_eig(a[::2]), sym_eig(a[::2] + b[::2]))  # good ones pass
+    with pytest.raises(InvalidInput, match=message):
+        check(b, np.array([1, bad_d, 2]), sym_eig(a), sym_eig(a + b))
+    with pytest.raises(InvalidInput, match=message):
+        PerturbationCase(a=bad_a, b=bad_b, d=bad_d)
+
+
 def _psd_draw(rng, dim):
     g = rng.standard_normal((dim, dim))
     m = g @ g.T / dim
@@ -251,6 +309,24 @@ def test_tensor_lemma_equality_and_hand_case():
     lhs, rhs = tensor_lemma_check(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert lhs == pytest.approx(math.sqrt(2.0), rel=1e-14)
     assert rhs == pytest.approx(math.sqrt(12.0), rel=1e-14)
+
+
+def test_rank_one_norms_take_one_eigensolve_per_stack(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    f = np.random.default_rng(2).standard_normal((5, 4))
+    norms, target, strays = kpcalab.bounds._rank_one_norms(f)
+    assert calls == [(5, 4, 4)]  # operator and trace norms share one solve
+    mat = f[:, :, None] * f[:, None, :]
+    for kind, values in norms.items():
+        assert np.array_equal(values, matrix_norm(mat, kind))
+        assert not strays[kind].any()
 
 
 def test_rank_one_norms():

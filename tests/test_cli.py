@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
+import kpcalab.bounds
 import kpcalab.cli as cli
 from kpcalab import NumericFailure
 
@@ -46,6 +49,55 @@ def test_bounds_run_and_byte_identical_rerun(tmp_path, capsys):
     assert len(head) == 31
     stdout = capsys.readouterr().out
     assert "overall: PASS" in stdout
+
+
+def test_bounds_rows_equal_the_per_case_views(tmp_path, monkeypatch, capsys):
+    make_cases, check = kpcalab.bounds.make_perturbation_cases, kpcalab.bounds.perturb_check
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return make_cases(*args, **kwargs)
+
+    monkeypatch.setattr(kpcalab.bounds, "make_perturbation_cases", spy)
+    # also catch the list view imported into the command module by name
+    monkeypatch.setattr(cli, "make_perturbation_cases", spy, raising=False)
+    out = tmp_path / "rows"
+    assert cli.main(["bounds", "--config", _bounds_config(tmp_path), "--out", str(out)]) == 0
+    assert calls == []  # the command scores whole dimension stacks
+    expected = []
+    for i, case in enumerate(make_cases(30, seed=5)):
+        rep = check(case)
+        row = [i, case.a.shape[0], case.d, case.delta_d, case.b_hs, rep.plain.lhs,
+               rep.plain.rhs, rep.plain.holds, rep.weighted.lhs, rep.weighted.rhs,
+               rep.weighted.holds, rep.trivial_rhs, rep.sharper_than_trivial]
+        expected.append(",".join(cli._csv_cell(v) for v in row))
+    assert (out / "results.csv").read_text().splitlines()[1:] == expected
+    capsys.readouterr()
+
+
+def test_writers_fast_paths_equal_the_generic_path():
+    floats = [0.1, -2.5e-300, 1e17, math.nan, math.inf, -math.inf, 3.0]
+    ints = [0, -7, 2**40]
+    as_numpy = [np.float64(v) for v in floats]
+    assert cli.render_json(floats) == cli.render_json(as_numpy)
+    assert cli.render_json(floats).splitlines()[4:7] == ["  null,", "  null,", "  null,"]
+    assert cli.render_json(ints) == cli.render_json([np.int64(v) for v in ints])
+    assert cli.render_json([True, False]) == cli.render_json([np.bool_(True), np.bool_(False)])
+    mixed = [1, 2.5, True, None, "x", [0.5, 1], {"k": [math.nan]}]
+    assert cli.render_json(mixed) == cli.render_json(
+        [np.int64(1), np.float64(2.5), np.bool_(True), None, "x",
+         [np.float64(0.5), np.int64(1)], {"k": [np.float64(math.nan)]}])
+    nested = {"basis": [[0.25, -1.0], [2.0, 3.5]], "n": [4, 5]}
+    assert cli.render_json(nested, indent=2) == cli.render_json(
+        {"basis": [list(map(np.float64, r)) for r in nested["basis"]],
+         "n": [np.int64(4), np.int64(5)]}, indent=2)
+    for plain, generic in [(0.1, np.float64(0.1)), (1e-310, np.float64(1e-310)),
+                           (True, np.bool_(True)), (False, np.bool_(False)),
+                           (12, np.int64(12)), (-3, np.int32(-3))]:
+        assert cli._csv_cell(plain) == cli._csv_cell(generic)
+    assert [cli._csv_cell(v) for v in (0.1, True, 7, None, "s")] == [
+        "0.10000000000000001", "true", "7", "", "s"]
 
 
 def test_rates_threads_do_not_change_bytes(tmp_path):
@@ -102,6 +154,45 @@ def test_config_schema_rejections(tmp_path, capsys):
         assert cli.main([command, "--config", cfg, "--out", out]) == 1
         assert not (tmp_path / "o").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("bounds", {"seed": 1, "perturbation_cases": "abc"}),
+    ("bounds", {"seed": 1, "perturbation_cases": None}),
+    ("bounds", {"seed": 1, "perturbation_cases": 2.7}),
+    ("bounds", {"seed": 1, "perturbation_cases": True}),
+    ("bounds", {"seed": 1, "perturbation_cases": 3, "operator_trials": 2.5}),
+    ("bounds", {"seed": "x", "perturbation_cases": 3}),
+    ("bounds", {"seed": 1.9, "perturbation_cases": 3}),
+    ("bounds", {"seed": False, "perturbation_cases": 3}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400.5, "replications": 50}),
+    ("concentration", {"seed": 1, "tau": "abc", "count": 400, "replications": 50}),
+    ("concentration", {"seed": 1, "tau": math.nan, "count": 400, "replications": 50}),
+    ("concentration", {"seed": 1, "tau": True, "count": 400, "replications": 50}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50.5}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
+                       "atoms": 32.5}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
+                       "experiments": ["cov_deviation", "nope"]}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
+                       "experiments": "cov_deviation"}),
+], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
+        "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
+        "tau_bool", "replications_fraction", "atoms_fraction", "unknown_experiment",
+        "experiments_not_a_list"])
+def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                   command, payload):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran on a bad config")
+
+    for name in ("_case_stacks", "operator_inequality_suite", "mc_tail"):
+        monkeypatch.setattr(cli, name, no_compute)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

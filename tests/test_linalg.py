@@ -150,7 +150,7 @@ def test_matrix_norms_on_diagonal(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
-    for kind in ("operator", "trace"):
+    for kind in ("operator", "trace", ("hilbert_schmidt", "trace")):
         with pytest.raises(NumericFailure):
             matrix_norm(a, kind)
 
@@ -238,11 +238,24 @@ def test_stacks_match_each_member_alone():
     spec = sym_eig(stack)
     assert spec.eigenvalues.shape == (7, 6) and spec.eigenvectors.shape == (7, 6, 6)
     powers = {t: (fractional_power(stack, t), fractional_power(spec, t)) for t in (0.25, 0.5, 2.0)}
-    norms = {kind: matrix_norm(stack, kind) for kind in ("operator", "hilbert_schmidt", "trace")}
+    kinds = ("operator", "hilbert_schmidt", "trace")
+    norms = {kind: matrix_norm(stack, kind) for kind in kinds}
+    for kind, together in zip(kinds, matrix_norm(stack, kinds)):  # one eigensolve for all
+        assert np.array_equal(together, norms[kind])
+    # projectors on every sub-stack whose members each admit ell
+    projectors = {}
+    for ell in (1, 2, 3, 4):
+        fit = [k for k, a in enumerate(stack) if _admits(sym_eig(a), ell)]
+        projectors[ell] = fit, spectral_projector(spec[fit], ell)
+        assert len(fit) >= 4
     for k, a in enumerate(stack):
         alone = sym_eig(a)
         assert np.array_equal(spec.eigenvalues[k], alone.eigenvalues)
         assert np.array_equal(spec.eigenvectors[k], alone.eigenvectors)
+        assert np.array_equal(spec[k].eigenvectors, alone.eigenvectors)
+        for ell, (fit, together) in projectors.items():
+            if k in fit:
+                assert np.array_equal(together[fit.index(k)], spectral_projector(alone, ell))
         for t, (from_matrix, from_spectrum) in powers.items():
             assert np.array_equal(from_matrix[k], fractional_power(a, t))
             assert np.array_equal(from_spectrum[k], fractional_power(alone, t))
@@ -253,6 +266,16 @@ def test_stacks_match_each_member_alone():
     nested = sym_eig(stack[:6].reshape(2, 3, 6, 6))
     assert np.array_equal(nested.eigenvectors[1, 2], spec.eigenvectors[5])
     assert matrix_norm(stack[:6].reshape(2, 3, 6, 6), "trace").shape == (2, 3)
+    nested_p = spectral_projector(sym_eig(stack[:4].reshape(2, 2, 6, 6)), 2)
+    assert np.array_equal(nested_p[1, 0], spectral_projector(sym_eig(stack[2]), 2))
+
+
+def _admits(spec, ell):
+    try:
+        spectral_projector(spec, ell)
+    except InvalidInput:
+        return False
+    return True
 
 
 def test_stack_validation_covers_every_member():
@@ -270,6 +293,13 @@ def test_stack_validation_covers_every_member():
         sym_eig(nonfinite)
     with pytest.raises(InvalidInput):
         sym_eig(np.zeros((3, 4, 5)))
+    # one rank-2 member (the last) or one tied member (index 4) fails the whole stack
+    spec = sym_eig(stack)
+    with pytest.raises(RankError, match="ell=3 exceeds numerically retained rank 2"):
+        spectral_projector(spec, 3)
+    with pytest.raises(EigengapError, match="gap at ell=1 is 0.000e"):
+        spectral_projector(spec[:5], 1)
+    spectral_projector(spec[:4], 3)  # the members without either defect pass
     with pytest.raises(InvalidInput):
         sym_eig(np.zeros(4))
 

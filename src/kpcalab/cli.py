@@ -36,7 +36,15 @@ from .bounds import (
 )
 from .errors import CheckFailed, ConfigError, InvalidInput, NumericFailure
 from .oracle import oracle_snapshot, proj_pop, recon_error, tail_energy
-from .rates import ExperimentConfig, _decay_schedule, _oracle, run_grid, transition_study
+from .rates import (
+    ExperimentConfig,
+    _count,
+    _decay_schedule,
+    _oracle,
+    _real,
+    run_grid,
+    transition_study,
+)
 from .rng import derive_seed
 
 __all__ = ["main"]
@@ -118,17 +126,19 @@ def _require_keys(config: dict, allowed: set, required: set, command: str) -> No
 
 def _integer(config: dict, key: str, default: int | None = None) -> int:
     """``config[key]`` (or ``default``) as an int: integral numbers only, never a bool."""
-    value = config.get(key, default)
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return _count(key, config.get(key, default))
 
 
 def _finite_real(config: dict, key: str) -> float:
+    """``config[key]`` as a float: finite numbers only, never a bool."""
+    return _real(key, config[key])
+
+
+def _list(config: dict, key: str) -> list:
     value = config[key]
-    if type(value) in (int, float) and math.isfinite(value):
-        return float(value)
-    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if isinstance(value, list):
+        return value
+    raise ConfigError(f"{key} must be a list, got {value!r}")
 
 
 def _effective_seed(config: dict, override: int | None) -> int:
@@ -148,8 +158,6 @@ _EXPERIMENT_KEYS = {
 def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
     kwargs = dict(config)
     kwargs["seed"] = seed
-    if "n_grid" in kwargs:
-        kwargs["n_grid"] = tuple(int(n) for n in kwargs["n_grid"])
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
@@ -168,10 +176,10 @@ def _cmd_spectrum(config: dict, seed: int):
         required={"atoms", "rank", "decay", "ells"},
         command="spectrum",
     )
-    atoms = int(config["atoms"])
-    rank = int(config["rank"])
+    atoms = _integer(config, "atoms")
+    rank = _integer(config, "rank")
     lambdas = _decay_schedule(config["decay"], rank, config.get("alpha"), config.get("gamma"))
-    ells = [int(e) for e in config["ells"]]
+    ells = [_count("ells", e) for e in _list(config, "ells")]
     if not ells or any(not 1 <= e <= rank - 1 for e in ells):
         raise ConfigError(f"ells must be nonempty and lie in 1..{rank - 1}")
     _, pop = _oracle(atoms, lambdas, seed)
@@ -252,7 +260,7 @@ def _cmd_transition(config: dict, seed: int):
     _require_keys(config, allowed=_EXPERIMENT_KEYS | {"taus"},
                   required={"decay", "theta", "n_grid", "replications", "atoms",
                             "rank", "metric", "taus"}, command="transition")
-    taus = [float(t) for t in config["taus"]]
+    taus = [_real("taus", t) for t in _list(config, "taus")]
     if not taus:
         raise ConfigError("transition config needs at least one tau")
     base_dict = {k: v for k, v in config.items() if k != "taus"}

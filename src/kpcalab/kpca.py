@@ -49,16 +49,21 @@ class KpcaModel:
     train_points: the n training points (atom positions or vectors).
     kernel: the training kernel.
     eigvals: retained empirical eigenvalues, descending, length r <= n-1.
+    counts, atom_coeffs: a finite-rank fit's samples per atom, shape (N,),
+        and the coefficients each sample at atom a carries, atom_coeffs[a],
+        shape (N, r); None on a gaussian fit.
     dual_coeffs: shape (r, n); row i is gamma_i (centered, scaled so
-        gamma_i' K gamma_i = n eigvals[i]).
-    The Gram matrix is materialized lazily; large fits that never touch
-    it stay cheap.
+        gamma_i' K gamma_i = n eigvals[i]), gathered from atom_coeffs on
+        first read.  The Gram matrix is materialized lazily too; large
+        fits that never touch either stay free of per-sample work.
     """
 
     train_points: np.ndarray
     kernel: Kernel
     eigvals: np.ndarray
-    dual_coeffs: np.ndarray
+    counts: np.ndarray | None = None
+    atom_coeffs: np.ndarray | None = None
+    _dual_coeffs: np.ndarray | None = field(default=None, repr=False)
     _gram: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -68,6 +73,12 @@ class KpcaModel:
     @property
     def rank(self) -> int:
         return int(self.eigvals.shape[0])
+
+    @property
+    def dual_coeffs(self) -> np.ndarray:
+        if self._dual_coeffs is None:
+            self._dual_coeffs = self.atom_coeffs[self.train_points].T
+        return self._dual_coeffs
 
     @property
     def gram(self) -> np.ndarray:
@@ -117,16 +128,17 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
     atom, so with c = bincount(samples) and W the centred, sqrt(lambda)-scaled
     basis values of the N atoms times sqrt(c), the T x T matrix W W' has the
     nonzero spectrum of H K H.  Coefficients, centring, unit norm and the
-    K-quadratic rescale are count-weighted sums over the atoms, gathered to
-    the n samples once: O(N T^2 + n r), equal to the H K H route within
-    solver tolerance.  Points off the atom positions raise DomainError.
+    K-quadratic rescale are count-weighted sums kept per atom: past one
+    bincount and one first-appearance pass the fit costs O(N T^2), and
+    ``dual_coeffs`` gathers them to the n samples on first read.  Equal to the
+    H K H route within solver tolerance; points off the atoms raise DomainError.
     """
     finite = kernel.kind == "finite_rank"
     samples = _as_index_points(kernel, samples) if finite else np.asarray(samples)
     n = samples.shape[0]
     if n < 2:
         raise InvalidInput(f"fit_exact: need at least two samples, got {n}")
-    gram_cache = None
+    gram_cache = counts = None
     if finite:
         counts = np.bincount(samples, minlength=kernel.table.values.shape[1])
         root = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
@@ -143,9 +155,10 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
         k_quad = np.sum((root @ (counts[:, None] * alphas)) ** 2, axis=0)
         # Signing the sampled atoms in order of first appearance picks the
         # same entries as signing the n gathered rows, ties included.
-        seen = samples[np.sort(np.unique(samples, return_index=True)[1])]
+        first = np.full(counts.shape[0], n)
+        np.minimum.at(first, samples, np.arange(n))
+        seen = samples[np.sort(first[counts > 0])]
         alphas[seen] = fix_signs(alphas[seen])
-        rows = samples
     else:
         gram_cache = gram(kernel, samples)
         centered = center_gram(gram_cache, np.full(n, 1.0 / n))
@@ -157,15 +170,15 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
         alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
         alphas = fix_signs(alphas)
         k_quad = np.sum(alphas * (gram_cache @ alphas), axis=0)
-        rows = slice(None)
 
     # The centring and unit scale are no-ops up to rounding but pin the
     # documented normalization.
     lam_kept = lam_hat[:r].copy()
-    gammas = (alphas * np.sqrt(n * lam_kept / k_quad))[rows].T
+    coeffs = alphas * np.sqrt(n * lam_kept / k_quad)
     return KpcaModel(
-        train_points=samples, kernel=kernel, eigvals=lam_kept,
-        dual_coeffs=gammas, _gram=gram_cache,
+        train_points=samples, kernel=kernel, eigvals=lam_kept, counts=counts,
+        atom_coeffs=coeffs if finite else None,
+        _dual_coeffs=None if finite else coeffs.T, _gram=gram_cache,
     )
 
 

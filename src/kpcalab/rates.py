@@ -110,7 +110,16 @@ class ExperimentConfig:
     slope_tolerance: float = 0.15
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        # Every count and real is checked and normalized before any check
+        # that compares it, so a bad value is a ConfigError, never a
+        # TypeError after the grid has run.
+        fields = {"n_grid": tuple(_count("n_grid", n) for n in self.n_grid)}
+        for key in ("replications", "atoms", "rank", "seed", "ell_fixed"):
+            fields[key] = _count(key, getattr(self, key), optional=key == "ell_fixed")
+        for key in ("theta", "alpha", "gamma", "tau", "slope_tolerance"):
+            fields[key] = _real(key, getattr(self, key), optional=key in ("alpha", "gamma", "tau"))
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
         _decay_schedule(self.decay, self.rank, self.alpha, self.gamma)
         unused = "gamma" if self.decay == "poly" else "alpha"
         if getattr(self, unused) is not None:
@@ -144,17 +153,38 @@ class ExperimentConfig:
                 raise ConfigError(f"ell_fixed={self.ell_fixed} outside 1..{self.rank - 1}")
 
 
+def _count(key: str, value, optional: bool = False) -> int | None:
+    """``value`` as an int: an integral number, never a bool (None if optional)."""
+    if value is None and optional:
+        return None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _real(key: str, value, optional: bool = False) -> float | None:
+    """``value`` as a float: a finite number, never a bool (None if optional)."""
+    if value is None and optional:
+        return None
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value)):
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
 def _decay_schedule(decay: str, rank: int, alpha: float | None, gamma: float | None) -> np.ndarray:
     """i^-alpha (poly) or e^-gamma*i (expo) for i = 1..rank; ConfigError if invalid."""
     if rank < 2:
         raise ConfigError(f"rank must be >= 2, got {rank}")
     i = 1.0 + np.arange(rank)
     if decay == "poly":
-        if alpha is None or not float(alpha) > 1.0:
+        if alpha is None or not _real("alpha", alpha) > 1.0:
             raise ConfigError(f"poly decay needs alpha > 1, got {alpha}")
         return i ** -float(alpha)
     if decay == "expo":
-        if gamma is None or not float(gamma) > 0.0:
+        if gamma is None or not _real("gamma", gamma) > 0.0:
             raise ConfigError(f"expo decay needs gamma > 0, got {gamma}")
         return np.exp(-float(gamma) * i)
     raise ConfigError(f"unknown decay {decay!r}")
@@ -408,10 +438,10 @@ def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: 
                     f"empirical eigenvalue {ell} fell below the division guard at "
                     f"n={n}, rep={rep}"
                 )
-            # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis
-            # coordinates Lambda psi(samples) gamma_i / sqrt(n lambda_i).
+            # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis coordinates
+            # Lambda psi (c A_i) / sqrt(n lambda_i), c the atom counts, A the atom coeffs.
             eigvals = model.eigvals[:ell]
-            coords = lam[:, None] * (psi[:, samples] @ model.dual_coeffs[:ell].T)
+            coords = lam[:, None] * (psi @ (model.counts[:, None] * model.atom_coeffs[:, :ell]))
             q = _plug_in(coords / np.sqrt(samples.shape[0] * eigvals), eigvals)
         else:
             fs = sample_finite_rank(

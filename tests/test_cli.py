@@ -30,6 +30,12 @@ _RATES_PAYLOAD = {
 }
 
 
+_SPECTRUM_PAYLOAD = {"atoms": 24, "rank": 6, "decay": "poly", "alpha": 2.0, "seed": 7,
+                     "ells": [1, 2]}
+_TRANSITION_PAYLOAD = {**_RATES_PAYLOAD, "theta": 0.0, "ell_fixed": 1,
+                       "metric": "proj_rf_hat", "taus": [0.3, 0.9]}
+
+
 def test_bounds_run_and_byte_identical_rerun(tmp_path, capsys):
     cfg = _bounds_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -176,16 +182,30 @@ def test_config_schema_rejections(tmp_path, capsys):
                        "experiments": ["cov_deviation", "nope"]}),
     ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
                        "experiments": "cov_deviation"}),
+    ("rates", {**_RATES_PAYLOAD, "n_grid": [32.9, 48, 64, 96]}),
+    ("rates", {**_RATES_PAYLOAD, "theta": True}),
+    ("rates", {**_RATES_PAYLOAD, "atoms": 24.5}),
+    ("rates", {**_RATES_PAYLOAD, "theta": 0.0, "ell_fixed": 2.5}),
+    ("rates", {**_RATES_PAYLOAD, "replications": 5.5}),
+    ("rates", {**_RATES_PAYLOAD, "slope_tolerance": "x"}),
+    ("spectrum", {**_SPECTRUM_PAYLOAD, "atoms": 24.7}),
+    ("spectrum", {**_SPECTRUM_PAYLOAD, "ells": [1, 2.9]}),
+    ("spectrum", {**_SPECTRUM_PAYLOAD, "ells": 2}),
+    ("transition", {**_TRANSITION_PAYLOAD, "taus": ["abc"]}),
 ], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
         "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
         "tau_bool", "replications_fraction", "atoms_fraction", "unknown_experiment",
-        "experiments_not_a_list"])
+        "experiments_not_a_list", "n_grid_fraction", "theta_bool", "rates_atoms_fraction",
+        "ell_fixed_fraction", "rates_replications_fraction", "slope_tolerance_str",
+        "spectrum_atoms_fraction", "spectrum_ells_fraction", "spectrum_ells_not_a_list",
+        "taus_str"])
 def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys,
                                                    command, payload):
     def no_compute(*args, **kwargs):
         raise AssertionError("compute ran on a bad config")
 
-    for name in ("_case_stacks", "operator_inequality_suite", "mc_tail"):
+    for name in ("_case_stacks", "operator_inequality_suite", "mc_tail", "run_grid",
+                 "transition_study", "_oracle"):
         monkeypatch.setattr(cli, name, no_compute)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(payload))

@@ -13,6 +13,7 @@ from kpcalab import (
     eigenfunction_eval,
     fit_exact,
     fit_rf,
+    fix_signs,
     gaussian_kernel,
     gram,
     make_finite_rank_kernel,
@@ -89,6 +90,20 @@ def _check_against_dense_gram_route(ker, samples):
                 model.dual_coeffs[i, np.argmax(np.abs(gamma))]):
             gamma = -gamma
         assert np.max(np.abs(model.dual_coeffs[i] - gamma)) < 1e-8
+
+
+def test_dual_coeffs_are_the_per_atom_coefficients_gathered_on_first_read():
+    for setup in ({}, {"t_count": 12, "n": 1000}, {"t_count": 12, "n": 9}):
+        measure, ker, samples = _rank_setup(**setup)
+        model = fit_exact(ker, samples)
+        assert model._dual_coeffs is None
+        assert model.atom_coeffs.shape == (measure.size, model.rank)
+        assert np.array_equal(model.counts, np.bincount(samples, minlength=measure.size))
+        g = model.dual_coeffs
+        assert g is model.dual_coeffs
+        assert np.array_equal(g, model.atom_coeffs[samples].T)
+        # the sign rule holds on the n samples: re-signing changes no bit
+        assert np.array_equal(fix_signs(g.T), g.T)
 
 
 def test_gram_route_matches_explicit_feature_covariance():

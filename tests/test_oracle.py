@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kpcalab.measures
 import kpcalab.oracle
 from kpcalab import (
     InvalidInput,
@@ -147,6 +148,45 @@ def test_draw_samples_reproducible():
                           draw_samples(measure, 25, seed=3))
     assert not np.array_equal(draw_samples(measure, 25, seed=3),
                               draw_samples(measure, 25, seed=4))
+
+
+def _choice_draw(measure, n, seed):
+    """The reference draw: Generator.choice on the Philox key draw_samples uses."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return measure.atoms[rng.choice(measure.size, size=n, p=measure.weights)]
+
+
+_DRAW_MEASURES = {
+    "uniform": uniform_measure(192),
+    # u >= 0.99 starts at atom 0 and needs up to 191 steps: the binary-search
+    # fallback finishes those samples
+    "point_heavy": discrete_measure(np.arange(192), np.r_[0.99, np.full(191, 0.01 / 191)]),
+    "random_skew": discrete_measure(
+        np.arange(192), np.random.default_rng(4).random(192) ** 6),
+    "pruned": discrete_measure(np.array([10, 20, 30, 40, 50]),
+                               np.array([0.2, 0.0, 0.5, 0.0, 0.3])),
+    "vectors": discrete_measure(np.random.default_rng(5).standard_normal((7, 3)),
+                                np.arange(1.0, 8.0)),
+    "single": discrete_measure(np.array([3]), np.array([1.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(_DRAW_MEASURES))
+@pytest.mark.parametrize("n", [1, 4096, 5793])
+def test_draw_samples_equals_generator_choice(name, n):
+    measure = _DRAW_MEASURES[name]
+    for seed in (0, 7, 2**100 + 3):
+        got = draw_samples(measure, n, seed)
+        assert np.array_equal(got, _choice_draw(measure, n, seed))
+        assert got.shape == (n,) + measure.atoms.shape[1:]
+
+
+def test_draw_samples_fallback_alone_equals_generator_choice(monkeypatch):
+    heavy = _DRAW_MEASURES["point_heavy"]
+    assert np.any(draw_samples(heavy, 4096, 7) > kpcalab.measures._GUIDE_STEPS)
+    monkeypatch.setattr(kpcalab.measures, "_GUIDE_STEPS", 0)
+    for measure in _DRAW_MEASURES.values():
+        assert np.array_equal(draw_samples(measure, 999, 11), _choice_draw(measure, 999, 11))
 
 
 def test_snapshot_structure():

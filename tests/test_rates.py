@@ -31,7 +31,7 @@ from kpcalab import (
     sample_finite_rank,
     transition_study,
 )
-from kpcalab import linalg
+from kpcalab import kpca, linalg, rates
 from kpcalab.rates import _empirical_guard_ok, _measure_grid, _oracle
 
 
@@ -192,6 +192,32 @@ def test_config_validation():
         _cfg(theta=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_grid", (64.5, 128, 256, 512)), ("replications", 5.5), ("atoms", 24.5),
+    ("rank", "8"), ("seed", 0.5), ("theta", True), ("theta", math.inf),
+    ("alpha", "2"), ("slope_tolerance", "x"), ("slope_tolerance", math.nan),
+])
+def test_config_rejects_fractional_counts_bools_and_non_finite_reals(field, value):
+    with pytest.raises(ConfigError, match=field):
+        _cfg(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("ell_fixed", 2.5), ("gamma", True),
+                                          ("tau", "0.5")])
+def test_config_rejects_bad_optional_fields(field, value):
+    kw = {"theta": 0.0, "metric": "proj_hat"} if field == "ell_fixed" else {}
+    if field == "tau":
+        kw["metric"] = "recon_rf_hat"
+    with pytest.raises(ConfigError, match=field):
+        _ecfg(**kw, **{field: value})
+
+
+def test_config_normalizes_integral_numbers():
+    config = _cfg(n_grid=(64.0, 128, np.int64(256), 512), atoms=24.0, theta=0)
+    assert config.n_grid == (64, 128, 256, 512)
+    assert type(config.atoms) is int and type(config.theta) is float
+
+
 def test_division_guard_rejects_tiny_retained_eigenvalues():
     # lambda_8 / lambda_1 = e^-21, far below the trusted-division floor
     cfg = _ecfg(theta=0.0, gamma=3.0, ell_fixed=8, rank=10, atoms=16,
@@ -311,6 +337,29 @@ def test_rf_hat_grid_solves_no_matrix_of_n_or_m_per_cell(monkeypatch):
     assert max(r.m for r in report.rows) > config.rank
     # only the N x N population spectrum is larger than the T x T cell solves
     assert [size for size in sizes if size > config.rank] == [config.atoms]
+
+
+def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
+    fits, gathers = [], []
+    fit = rates.fit_exact
+    gather = kpca.KpcaModel.dual_coeffs
+
+    def recording_fit(kernel, samples):
+        fits.append(samples.shape[0])
+        return fit(kernel, samples)
+
+    def recording_gather(model):
+        gathers.append(model.n)
+        return gather.fget(model)
+
+    monkeypatch.setattr(rates, "fit_exact", recording_fit)
+    monkeypatch.setattr(kpca.KpcaModel, "dual_coeffs", property(recording_gather))
+    for metric in ("recon_hat", "proj_hat"):
+        config = _ecfg(theta=0.2, metric=metric, n_grid=_SMALL_GRID)
+        report = run_grid(config)
+        assert fits[-len(report.rows):] == [row.n for row in report.rows]
+    assert len(fits) == 2 * len(_SMALL_GRID) * 5
+    assert gathers == []
 
 
 def test_grid_rejects_an_operator_off_the_kernel_schedule():

@@ -590,6 +590,7 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     """
     if base.metric != "proj_rf_hat":
         raise ConfigError(f"transition_study needs metric proj_rf_hat, got {base.metric}")
+    taus = [_real("taus", tau) for tau in taus]
     if not taus:
         raise ConfigError("transition_study needs at least one tau")
     # The oracle depends on seed, atoms and schedule only, so every run shares it.
@@ -603,7 +604,7 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     rows = []
     reports = [reference]
     for tau in taus:
-        rep = _measure_grid(replace(base, tau=float(tau)), *oracle, False)
+        rep = _measure_grid(replace(base, tau=tau), *oracle, False)
         reports.append(rep)
         if tau >= threshold:
             expected = reference.slope
@@ -615,7 +616,7 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
                 expected = -(tau / 2.0 - base.theta)
             regime = "feature_limited"
         rows.append(TransitionRow(
-            tau=float(tau),
+            tau=tau,
             regime=regime,
             slope=rep.slope,
             slope_stderr=rep.slope_stderr,

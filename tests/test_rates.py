@@ -269,6 +269,9 @@ def test_transition_study_smoke():
     with pytest.raises(ConfigError):
         transition_study(dataclasses.replace(base, metric="proj_hat", tau=None),
                          (0.3, 0.9))
+    for taus in (["abc"], [True], [0.3, math.nan]):
+        with pytest.raises(ConfigError, match="taus"):
+            transition_study(base, taus)
 
 
 _SMALL_GRID = (32, 48, 64, 96)

@@ -470,6 +470,11 @@ class McTailConfig:
             )
         if self.tau <= 0:
             raise InvalidInput(f"McTailConfig: tau must be positive, got {self.tau}")
+        if self.rank < 1 or self.atoms < self.rank + 1:
+            raise InvalidInput(
+                f"McTailConfig: need rank >= 1 and atoms >= rank + 1, "
+                f"got rank {self.rank} and atoms {self.atoms}"
+            )
 
 
 @dataclass(frozen=True)

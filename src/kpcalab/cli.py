@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -142,11 +144,10 @@ def _list(config: dict, key: str) -> list:
 
 
 def _effective_seed(config: dict, override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    if "seed" not in config:
+    if override is None and "seed" not in config:
         raise ConfigError("config has no seed; set one or pass --seed")
-    return _integer(config, "seed")
+    seed = _integer(config, "seed", override)  # a config seed is checked even under --seed
+    return seed if override is None else int(override)
 
 
 _EXPERIMENT_KEYS = {
@@ -406,18 +407,36 @@ _HANDLERS = {
 }
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return max(os.cpu_count() or 1, 1)
+
+
 def _parse_threads(raw: str) -> int:
     if raw == "auto":
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return max(os.cpu_count() or 1, 1)
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"--threads takes an integer or 'auto', got {raw!r}")
+        return _usable_cpus()
+    if not (raw.isascii() and raw.isdigit()):
+        raise ConfigError(f"--threads takes a decimal integer or 'auto', got {raw!r}")
+    threads = int(raw)
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     return threads
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's seed")
         p.add_argument("--threads", default="1",
-                       help="accepted for compatibility and echoed in summary.json; "
-                            "no effect (an integer >= 1, or 'auto')")
+                       help="numpy's OpenBLAS threads during the command, capped at the "
+                            "usable CPUs (an integer >= 1, or 'auto' for those CPUs)")
     return parser
 
 
@@ -462,8 +481,16 @@ def _run(args) -> int:
     threads = _parse_threads(args.threads)
     digest = hashlib.sha256(raw).hexdigest()
 
+    blas = _openblas()
+    if blas is not None:
+        previous = blas[0]()
+        blas[1](min(threads, _usable_cpus()))
     start = time.perf_counter()
-    header, rows, body, verdicts, snapshot = _HANDLERS[args.command](config, seed)
+    try:
+        header, rows, body, verdicts, snapshot = _HANDLERS[args.command](config, seed)
+    finally:
+        if blas is not None:
+            blas[1](previous)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)

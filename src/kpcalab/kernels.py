@@ -123,6 +123,9 @@ def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed:
     """
     lam = np.asarray(lambdas, dtype=float)
     n_atoms = measure.size
+    if lam.ndim != 1 or lam.shape[0] < 1:
+        raise InvalidInput(f"make_finite_rank_kernel: need a nonempty 1-D schedule, "
+                           f"got shape {lam.shape}")
     if lam.shape[0] > n_atoms - 1:
         raise CapacityError(
             f"make_finite_rank_kernel: {lam.shape[0]} components need at least "

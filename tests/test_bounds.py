@@ -408,3 +408,6 @@ def test_mc_tail_config_checks():
         McTailConfig(tau=2.0, count=100, replications=49, seed=0)
     with pytest.raises(InvalidInput):
         McTailConfig(tau=0.0, count=100, replications=60, seed=0)
+    for rank, atoms in ((0, 128), (-2, 128), (20, 20)):
+        with pytest.raises(InvalidInput):
+            McTailConfig(tau=2.0, count=100, replications=60, seed=0, atoms=atoms, rank=rank)

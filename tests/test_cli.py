@@ -113,7 +113,14 @@ def test_rates_threads_do_not_change_bytes(tmp_path):
                      "--threads", "2"]) == 0
     assert cli.main(["rates", "--config", cfg, "--out", str(out2),
                      "--threads", "1"]) == 0
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+    for name in ("results.csv", "oracle_snapshot.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    bounds = _bounds_config(tmp_path)
+    for threads in ("1", "2"):
+        assert cli.main(["bounds", "--config", bounds, "--out", str(tmp_path / f"b{threads}"),
+                         "--threads", threads]) == 0
+    assert ((tmp_path / "b1" / "results.csv").read_bytes()
+            == (tmp_path / "b2" / "results.csv").read_bytes())
     assert (out1 / "oracle_snapshot.json").exists()
     snap = json.loads((out1 / "oracle_snapshot.json").read_text())
     assert len(snap["population_spectrum"]) == 24
@@ -192,13 +199,19 @@ def test_config_schema_rejections(tmp_path, capsys):
     ("spectrum", {**_SPECTRUM_PAYLOAD, "ells": [1, 2.9]}),
     ("spectrum", {**_SPECTRUM_PAYLOAD, "ells": 2}),
     ("transition", {**_TRANSITION_PAYLOAD, "taus": ["abc"]}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50, "rank": 0}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50, "rank": -2}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
+                       "atoms": 20, "rank": 20}),
+    ("bounds --seed 3", {"seed": "abc", "perturbation_cases": 3}),
 ], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
         "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
         "tau_bool", "replications_fraction", "atoms_fraction", "unknown_experiment",
         "experiments_not_a_list", "n_grid_fraction", "theta_bool", "rates_atoms_fraction",
         "ell_fixed_fraction", "rates_replications_fraction", "slope_tolerance_str",
         "spectrum_atoms_fraction", "spectrum_ells_fraction", "spectrum_ells_not_a_list",
-        "taus_str"])
+        "taus_str", "rank_zero", "rank_negative", "atoms_not_above_rank",
+        "seed_str_under_override"])
 def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys,
                                                    command, payload):
     def no_compute(*args, **kwargs):
@@ -210,7 +223,8 @@ def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(payload))
     out = tmp_path / "o"
-    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    command, *flags = command.split()
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
 
@@ -252,10 +266,89 @@ def test_thread_argument_parsing(tmp_path, monkeypatch, capsys):
                      "--threads", "auto"]) == 0
     summary = json.loads((tmp_path / "auto" / "summary.json").read_text())
     assert summary["threads"] == 1
-    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "z"),
-                     "--threads", "0"]) == 1
-    assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "z"),
-                     "--threads", "soon"]) == 1
+    for raw in ("0", "00", "soon", "", " 2", "2 ", " 2_0 ", "2_0", "+2", "-1", "2.0",
+                "\u00b2", "\u0662", "AUTO"):
+        assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "z"),
+                         "--threads", raw]) == 1, raw
+    assert not (tmp_path / "z").exists()
+    capsys.readouterr()
+
+
+class _FakeBlas:
+    """Stands in for OpenBLAS's thread-count functions and logs every call."""
+
+    def __init__(self, count):
+        self.count, self.calls = count, []
+
+    def get(self):
+        self.calls.append("get")
+        return self.count
+
+    def set(self, count):
+        self.calls.append(count)
+        self.count = count
+
+
+def _spy_command(monkeypatch, read_count, outcome):
+    """Make 'bounds' a handler that records ``read_count()`` and ends with ``outcome``."""
+    seen = []
+
+    def handler(config, seed):
+        seen.append(read_count())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return ["x"], [[1]], {}, [("spy", outcome, "")], None
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", handler)
+    return seen
+
+
+@pytest.mark.parametrize("outcome, code", [
+    (True, 0), (cli.ConfigError("bad"), 1), (False, 2), (cli.CheckFailed("no"), 2),
+    (NumericFailure("nan"), 3),
+], ids=["exit0", "exit1", "exit2_verdict", "exit2_check", "exit3"])
+def test_threads_set_blas_for_the_command_and_restore_it(tmp_path, monkeypatch, capsys,
+                                                         outcome, code):
+    fake = _FakeBlas(count=7)
+    monkeypatch.setattr(cli, "_openblas", lambda: (fake.get, fake.set))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = _spy_command(monkeypatch, lambda: fake.count, outcome)
+    cfg = _bounds_config(tmp_path)
+    for threads, inside in (("1", 1), ("2", 2), ("64", 2), ("auto", 2)):
+        fake.calls.clear()
+        assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / threads),
+                         "--threads", threads]) == code
+        assert seen.pop() == inside
+        assert fake.calls == ["get", inside, 7]
+    capsys.readouterr()
+
+
+def test_threads_without_openblas_leave_blas_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    seen = _spy_command(monkeypatch, lambda: "ran", True)
+    assert cli.main(["bounds", "--config", _bounds_config(tmp_path),
+                     "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
+    assert seen == ["ran"]
+    capsys.readouterr()
+
+
+def test_threads_set_the_real_openblas_count(tmp_path, monkeypatch, capsys):
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy does not ship OpenBLAS here")
+    get, put = blas
+    original = get()
+    seen = _spy_command(monkeypatch, get, True)
+    cfg = _bounds_config(tmp_path)
+    try:
+        for previous, threads in ((1, "2"), (2, "1"), (1, "64")):
+            put(previous)
+            assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / threads),
+                             "--threads", threads]) == 0
+            assert seen.pop() == min(int(threads), cli._usable_cpus())
+            assert get() == previous
+    finally:
+        put(original)
     capsys.readouterr()
 
 

@@ -139,6 +139,8 @@ def test_finite_rank_needs_descending_positive_lambdas():
         make_finite_rank_kernel(measure, np.array([0.5, 1.0]), 0)
     with pytest.raises(InvalidInput):
         make_finite_rank_kernel(measure, np.array([1.0, 0.0]), 0)
+    with pytest.raises(InvalidInput):
+        make_finite_rank_kernel(measure, np.array([]), 0)
 
 
 def test_index_point_domain_errors():

@@ -59,7 +59,9 @@ class PopOperator:
 
     @cached_property
     def hs_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        # numpy's pairwise sum, not np.linalg.norm's BLAS dot, whose rounding
+        # depends on how many threads OpenBLAS splits it across.
+        return float(np.sqrt(np.sum(self.matrix * self.matrix)))
 
 
 @dataclass(frozen=True)

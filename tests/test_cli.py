@@ -307,23 +307,22 @@ def _spy_command(monkeypatch, read_count, outcome):
     (True, 0), (cli.ConfigError("bad"), 1), (False, 2), (cli.CheckFailed("no"), 2),
     (NumericFailure("nan"), 3),
 ], ids=["exit0", "exit1", "exit2_verdict", "exit2_check", "exit3"])
-def test_threads_set_blas_for_the_command_and_restore_it(tmp_path, monkeypatch, capsys,
-                                                         outcome, code):
+def test_commands_run_blas_on_one_thread_and_restore_it(tmp_path, monkeypatch, capsys,
+                                                        outcome, code):
     fake = _FakeBlas(count=7)
     monkeypatch.setattr(cli, "_openblas", lambda: (fake.get, fake.set))
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = _spy_command(monkeypatch, lambda: fake.count, outcome)
     cfg = _bounds_config(tmp_path)
-    for threads, inside in (("1", 1), ("2", 2), ("64", 2), ("auto", 2)):
+    for threads in ("1", "2", "64", "auto"):
         fake.calls.clear()
         assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / threads),
                          "--threads", threads]) == code
-        assert seen.pop() == inside
-        assert fake.calls == ["get", inside, 7]
+        assert seen.pop() == 1
+        assert fake.calls == ["get", 1, 7]
     capsys.readouterr()
 
 
-def test_threads_without_openblas_leave_blas_alone(tmp_path, monkeypatch, capsys):
+def test_commands_without_openblas_leave_blas_alone(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_openblas", lambda: None)
     seen = _spy_command(monkeypatch, lambda: "ran", True)
     assert cli.main(["bounds", "--config", _bounds_config(tmp_path),
@@ -332,7 +331,7 @@ def test_threads_without_openblas_leave_blas_alone(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
-def test_threads_set_the_real_openblas_count(tmp_path, monkeypatch, capsys):
+def test_commands_run_the_real_openblas_on_one_thread(tmp_path, monkeypatch, capsys):
     blas = cli._openblas()
     if blas is None:
         pytest.skip("numpy does not ship OpenBLAS here")
@@ -341,11 +340,12 @@ def test_threads_set_the_real_openblas_count(tmp_path, monkeypatch, capsys):
     seen = _spy_command(monkeypatch, get, True)
     cfg = _bounds_config(tmp_path)
     try:
-        for previous, threads in ((1, "2"), (2, "1"), (1, "64")):
-            put(previous)
+        for count, threads in ((2, "2"), (2, "1"), (1, "auto")):
+            put(count)
+            previous = get()
             assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / threads),
                              "--threads", threads]) == 0
-            assert seen.pop() == min(int(threads), cli._usable_cpus())
+            assert seen.pop() == 1
             assert get() == previous
     finally:
         put(original)

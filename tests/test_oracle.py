@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kpcalab.cli
 import kpcalab.measures
 import kpcalab.oracle
 from kpcalab import (
@@ -49,6 +50,30 @@ def test_operator_trace_matches_hand_computed_centering():
     s = op_jj(ker, measure)
     assert np.trace(s.matrix) == pytest.approx(trace, abs=1e-12)
     assert s.hs_norm == pytest.approx(np.linalg.norm(s.matrix), rel=1e-10)
+
+
+def test_hs_norm_does_not_depend_on_blas_threads():
+    # np.linalg.norm's BLAS dot rounds differently on one and two OpenBLAS
+    # threads for a good share of 128x128 matrices; hs_norm must not.
+    blas = kpcalab.cli._openblas()
+    if blas is None:
+        pytest.skip("numpy does not ship OpenBLAS here")
+    get, put = blas
+    original = get()
+    rng = np.random.default_rng(20260819)
+    ops = [kpcalab.oracle.PopOperator("jj", rng.standard_normal((128, 128))) for _ in range(40)]
+    try:
+        norms = {}
+        for count in (1, 2):
+            put(count)
+            norms[count] = [op.hs_norm for op in ops]
+            for op in ops:
+                del op.__dict__["hs_norm"]
+    finally:
+        put(original)
+    assert norms[1] == norms[2]
+    exact = [float(np.sqrt(np.sum(op.matrix ** 2, dtype=np.longdouble))) for op in ops]
+    assert norms[1] == pytest.approx(exact, rel=1e-15)
 
 
 def test_tail_energy_geometric_closed_form():

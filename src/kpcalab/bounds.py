@@ -229,6 +229,8 @@ def _case_stacks(count: int, seed: int, dims: tuple[int, int] = (4, 20)) -> Iter
         a = (q * vals[:, None, :]) @ q.swapaxes(1, 2)
         a = (a + a.swapaxes(1, 2)) / 2.0
         b = np.empty_like(a)
+        # a + b's spectra, member by member in sym_eig's memory layout.
+        ab_vals, ab_vecs = np.empty(a.shape[:-1]), np.empty_like(a).swapaxes(1, 2)
         # Each case redraws (rho, g) from its own generator until its a + b is PSD.
         pending = np.arange(len(members))
         for _ in range(100):
@@ -237,14 +239,16 @@ def _case_stacks(count: int, seed: int, dims: tuple[int, int] = (4, 20)) -> Iter
                 g = group_rngs[k].standard_normal((dim, dim))
                 bk = (g + g.T) / 2.0
                 b[k] = bk * (rho * deltas[k] / 2.0 / np.linalg.norm(bk))
-            low = np.linalg.eigvalsh(a[pending] + b[pending]).min(axis=-1)
+            spec = sym_eig(a[pending] + b[pending])
+            ab_vals[pending], ab_vecs[pending] = spec.eigenvalues, spec.eigenvectors
+            low = spec.eigenvalues.min(axis=-1)
             pending = pending[~(low >= -_CASE_PSD_RTOL * vals[pending].max(axis=-1))]
             if not pending.size:
                 break
         else:
             raise NumericFailure("perturbation cases: could not keep a + b PSD")
         d = np.array(ds)
-        spec_a, spec_ab = sym_eig(a), sym_eig(a + b)
+        spec_a, spec_ab = sym_eig(a), Spectrum(ab_vals, ab_vecs)
         _check_cases(b, d, spec_a, spec_ab)
         yield members, a, b, d, spec_a, spec_ab
 
@@ -374,18 +378,20 @@ def operator_inequality_suite(trials: int, seed: int) -> OperatorInequalitySuite
     by one and checked one stack per dimension.
     """
 
-    def _psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-        g = rng.standard_normal((dim, dim))
-        m = g @ g.T / dim
-        return (m + m.T) / 2.0
+    def _psd(normals: np.ndarray, dim: int) -> np.ndarray:
+        g = normals.reshape(-1, dim, dim)
+        m = g @ g.swapaxes(-1, -2) / dim
+        return (m + m.swapaxes(-1, -2)) / 2.0
 
-    # Each trial draws dim, A, B, f, g from its own stream; only dim up front.
+    # Each trial draws dim, then the normals of A, B, f and g in one call, from
+    # its own stream; only dim up front.
     rngs = [generator(seed, "op-ineq", i) for i in range(trials)]
     violations = 0
     for dim, members in _by_dimension([int(rng.integers(2, 13)) for rng in rngs]).items():
-        draws = [(_psd(rng, dim), _psd(rng, dim), rng.standard_normal(dim),
-                  rng.standard_normal(dim)) for rng in (rngs[i] for i in members)]
-        a, b, f, g = (np.stack(part) for part in zip(*draws))
+        sq = dim * dim
+        draws = np.stack([rngs[i].standard_normal(2 * sq + 2 * dim) for i in members])
+        a, b = _psd(draws[:, :sq], dim), _psd(draws[:, sq:2 * sq], dim)
+        f, g = draws[:, 2 * sq:2 * sq + dim], draws[:, 2 * sq + dim:]
         spec_a, spec_b = sym_eig(a), sym_eig(b)
         dist_hs, dist_op = matrix_norm(a - b, ("hilbert_schmidt", "operator"))
         va, vb = spec_a.eigenvalues, spec_b.eigenvalues

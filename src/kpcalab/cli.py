@@ -93,8 +93,12 @@ def render_json(obj, indent: int = 0) -> str:
         if not len(obj):
             return "[]"
         # Lists of plain floats or ints (oracle snapshots hold thousands)
-        # render without a call per value.
+        # render without a call per value; finite floats in one %-format.
         if all(type(v) is float for v in obj):
+            if all(map(math.isfinite, obj)):
+                sep = ",\n" + pad + "  "
+                body = (("%.17g" + sep) * len(obj) % tuple(obj))[:-len(sep)]
+                return "[\n" + pad + "  " + body + "\n" + pad + "]"
             items = [format(v, ".17g") if math.isfinite(v) else "null" for v in obj]
         elif all(type(v) is int for v in obj):
             items = [str(v) for v in obj]

@@ -171,14 +171,26 @@ def _cases_one_by_one(count, seed):
 
 def test_case_generator_decomposes_one_stack_per_dimension(monkeypatch):
     calls = _count_sym_eig(monkeypatch)
+
+    def no_eigvalsh(a):
+        raise AssertionError("the case generator called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     cases = make_perturbation_cases(60, seed=34)
+    monkeypatch.undo()
     dims = {case.a.shape[0] for case in cases}
     assert len(dims) > 1
-    assert len(calls) == 2 * len(dims)  # a and a + b, once per dimension
-    assert sorted(shape[0] for shape in calls) == sorted(
-        2 * [sum(case.a.shape[0] == dim for case in cases) for dim in dims])
     reference = _cases_one_by_one(60, seed=34)
     assert any(redraws for *_, redraws in reference)  # the PSD retry ran
+    # Per dimension: one decomposition of the a stack, and one of a + b per
+    # attempt, on the sub-stack of members still waiting for a PSD a + b.
+    expected = []
+    for dim in dims:
+        redraws = [r for a, _, _, r in reference if a.shape[0] == dim]
+        expected.append((len(redraws), dim, dim))
+        expected += [(sum(r >= j for r in redraws), dim, dim) for j in range(max(redraws) + 1)]
+    assert len(calls) == len(expected) > 2 * len(dims)
+    assert sorted(calls) == sorted(expected)
     for case, (a, b, d, _) in zip(cases, reference):
         assert np.array_equal(case.a, a) and np.array_equal(case.b, b) and case.d == d
         alone_a, alone_ab = sym_eig(case.a), sym_eig(case.a + case.b)
@@ -346,6 +358,43 @@ def test_operator_inequality_suite_counts(monkeypatch):
     assert report.trials == 25
     assert report.checks == 25 * 9
     assert report.violations == 0
+
+
+@pytest.mark.parametrize("seed", [4, 20260819])
+def test_operator_inequality_stacks_match_per_trial_draws(monkeypatch, seed):
+    """One draw per trial gives the A, B, f, g that separate 2-D draws give, bit for bit."""
+    stacks, pairs = [], []
+    real_eig, real_lemma = kpcalab.bounds.sym_eig, kpcalab.bounds._tensor_lemma
+
+    def eig_spy(a):
+        stacks.append(a)
+        return real_eig(a)
+
+    def lemma_spy(f, g):
+        pairs.append((f, g))
+        return real_lemma(f, g)
+
+    monkeypatch.setattr(kpcalab.bounds, "sym_eig", eig_spy)
+    monkeypatch.setattr(kpcalab.bounds, "_tensor_lemma", lemma_spy)
+    trials = 40
+    operator_inequality_suite(trials, seed)
+
+    def psd(rng, dim):
+        g = rng.standard_normal((dim, dim))
+        m = g @ g.T / dim  # a 2-D product, which numpy may route through syrk
+        return (m + m.T) / 2.0
+
+    reference = {}
+    for i in range(trials):
+        rng = generator(seed, "op-ineq", i)
+        dim = int(rng.integers(2, 13))
+        reference.setdefault(dim, []).append(
+            (psd(rng, dim), psd(rng, dim), rng.standard_normal(dim), rng.standard_normal(dim)))
+    assert len(stacks) == 2 * len(reference) and len(pairs) == 2 * len(reference)
+    for a, b, (f, g), _ in zip(stacks[::2], stacks[1::2], pairs[::2], pairs[1::2]):
+        want = reference[a.shape[-1]]
+        for got, part in zip((a, b, f, g), zip(*want)):
+            assert np.array_equal(got, np.stack(part))
 
 
 def test_bernstein_frozen_values():

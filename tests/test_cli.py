@@ -82,6 +82,32 @@ def test_bounds_rows_equal_the_per_case_views(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _render_per_value(obj, indent=0):
+    """render_json's list layout with each value rendered on its own."""
+    if not isinstance(obj, list) or not obj:
+        return cli.render_json(obj, indent)
+    pad = "  " * indent
+    items = [f"{pad}  {_render_per_value(v, indent + 1)}" for v in obj]
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
+@pytest.mark.parametrize("indent", [0, 2])
+@pytest.mark.parametrize("values", [
+    [0.1, -0.0, 0.0, 1e300, -1e300, 5e-324, 2.0**-1074 * 3, 1 / 3, -7.0, 123456789.0],
+    [math.nan, 1.5], [math.inf, 0.25], [-0.0, -math.inf], [2.5],
+    [1, 2.5, True], [True, False], [0, -3, 2**70], [],
+    [[0.5, -0.0], [], [1e300, math.nan], [[2.0], 3.5]],
+    list(np.random.default_rng(3).standard_normal(500) * 10.0 ** np.arange(-250, 250)),
+], ids=["finite", "nan", "inf", "neg_inf", "one", "mixed", "bools", "ints", "empty", "nested",
+        "wide_range"])
+def test_float_lists_render_like_one_value_at_a_time(values, indent):
+    values = [float(v) if isinstance(v, np.floating) else v for v in values]
+    assert cli.render_json(values, indent) == _render_per_value(values, indent)
+    assert cli.render_json({"v": values}, indent) == (
+        "{\n" + "  " * indent + '  "v": ' + _render_per_value(values, indent + 1)
+        + "\n" + "  " * indent + "}")
+
+
 def test_writers_fast_paths_equal_the_generic_path():
     floats = [0.1, -2.5e-300, 1e17, math.nan, math.inf, -math.inf, 3.0]
     ints = [0, -7, 2**40]

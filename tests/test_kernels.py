@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kpcalab.cli
+import kpcalab.kernels
 from kpcalab import (
     CapacityError,
     DomainError,
     FunctionTable,
     InvalidInput,
+    NumericFailure,
     center_gram,
     cross_gram,
     derive_seed,
     discrete_measure,
     finite_rank_kernel,
     gaussian_kernel,
+    generator,
     gram,
     kernel_eval,
     make_finite_rank_kernel,
@@ -170,3 +174,95 @@ def test_nonuniform_measure_spectrum():
     ker = make_finite_rank_kernel(measure, lam, 4)
     vals = op_jj(ker, measure).spectrum.eigenvalues
     assert np.max(np.abs(vals[:3] - lam)) < 1e-9
+
+
+def _row_by_row_table(measure, count, seed):
+    """The builder's basis by row-by-row modified Gram-Schmidt, the loop it replaced."""
+    w, n_atoms = measure.weights, measure.size
+    rng = generator(seed, "finite-rank-basis")
+    rows, ones = np.empty((count, n_atoms)), np.ones(n_atoms)
+    for t in range(count):
+        while True:
+            v = rng.standard_normal(n_atoms)
+            for _ in range(2):
+                v = v - (w @ v) * ones
+                for s in range(t):
+                    v = v - (w @ (v * rows[s])) * rows[s]
+            norm = float(np.sqrt(w @ (v * v)))
+            if norm >= 1e-10:
+                rows[t] = v / norm
+                break
+    return rows
+
+
+def _weighted_measure(n_atoms):
+    return discrete_measure(np.arange(n_atoms), np.random.default_rng(7).uniform(0.2, 3.0, n_atoms))
+
+
+@pytest.mark.parametrize("measure, count", [
+    (uniform_measure(192), 60), (uniform_measure(128), 24), (uniform_measure(96), 48),
+    (_weighted_measure(80), 30),
+], ids=["192x60", "128x24", "96x48", "weighted_80x30"])
+def test_block_gram_schmidt_matches_the_row_by_row_loop(measure, count):
+    seed = derive_seed(20260819, "kernel")
+    table = make_finite_rank_kernel(measure, (1.0 + np.arange(count)) ** -2.0, seed).table.values
+    assert np.max(np.abs(table - _row_by_row_table(measure, count, seed))) <= 1e-13
+
+
+class _Draws:
+    """Stands in for the builder's generator: the given draws first, then the fallback's."""
+
+    def __init__(self, draws, fallback):
+        self.draws, self.fallback, self.calls = list(draws), fallback, 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        return self.draws.pop(0) if self.draws else self.fallback.standard_normal(size)
+
+
+def _build_from(monkeypatch, stream, measure, count):
+    monkeypatch.setattr(kpcalab.kernels, "generator", lambda *_: stream)
+    return make_finite_rank_kernel(measure, (1.0 + np.arange(count)) ** -1.0, 0).table.values
+
+
+def test_builder_redraws_a_draw_in_the_span_of_earlier_rows(monkeypatch):
+    measure, count = uniform_measure(40), 6
+    first = np.random.default_rng(11).standard_normal((2, 40))
+    bad = 3.0 + 2.0 * first[0] - first[1]  # in span{1, rows 0 and 1}
+    clean = _build_from(monkeypatch, _Draws(first, np.random.default_rng(12)), measure, count)
+    stream = _Draws([*first, bad], np.random.default_rng(12))
+    redrawn = _build_from(monkeypatch, stream, measure, count)
+    assert stream.calls == count + 1
+    assert np.array_equal(redrawn, clean)
+
+
+class _Constant:
+    def standard_normal(self, size):
+        return np.full(size, 2.5)
+
+
+def test_builder_gives_up_after_100_redraws(monkeypatch):
+    stream = _Draws([], _Constant())
+    with pytest.raises(NumericFailure, match="broke down on row 0 after 100 retries"):
+        _build_from(monkeypatch, stream, uniform_measure(10), 3)
+    assert stream.calls == 101
+
+
+def test_builder_table_does_not_depend_on_blas_threads():
+    blas = kpcalab.cli._openblas()
+    if blas is None:
+        pytest.skip("numpy does not ship OpenBLAS here")
+    get, put = blas
+    original = get()
+    cases = [(192, 60, 3), (512, 200, 4), (300, 120, 5)]
+    try:
+        tables = {}
+        for threads in (1, 2):
+            put(threads)
+            tables[threads] = [make_finite_rank_kernel(
+                uniform_measure(atoms), (1.0 + np.arange(rank)) ** -2.0, seed).table.values
+                for atoms, rank, seed in cases]
+    finally:
+        put(original)
+    for one, two in zip(tables[1], tables[2]):
+        assert np.array_equal(one, two)

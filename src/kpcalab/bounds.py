@@ -58,6 +58,8 @@ _CASE_PSD_RTOL = 1e-12
 _TENSOR_ATOL = 1e-12
 # Relative slack (times 1 + ||f||^2) of the rank-one norm identity.
 _RANK_ONE_RTOL = 1e-10
+# The experiments mc_tail runs.
+_MC_EXPERIMENTS = ("cov_deviation", "feature_op_deviation")
 
 
 def _within_bound(lhs, rhs):
@@ -454,7 +456,7 @@ class McTailConfig:
 
     tau: concentration level; the claimed exceedance cap is the bound's
         tail probability at this tau.
-    count: sample size s (cov experiment) or feature count m.
+    count: sample size s (cov experiment) or feature count m, >= 8 tau.
     replications: independent repetitions; at least 50 so an empirical
         frequency is meaningful.
     seed: master seed.
@@ -474,8 +476,9 @@ class McTailConfig:
             raise InvalidInput(
                 f"McTailConfig: need >= 50 replications, got {self.replications}"
             )
-        if self.tau <= 0:
-            raise InvalidInput(f"McTailConfig: tau must be positive, got {self.tau}")
+        if self.tau <= 0 or self.count < 8.0 * self.tau:
+            raise InvalidInput(f"McTailConfig: need tau > 0 and count >= 8 tau, "
+                               f"got tau {self.tau} and count {self.count}")
         if self.rank < 1 or self.atoms < self.rank + 1:
             raise InvalidInput(
                 f"McTailConfig: need rank >= 1 and atoms >= rank + 1, "
@@ -512,6 +515,8 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
     covariance-side one over fresh feature draws, against the
     feature-operator radius.
     """
+    if experiment not in _MC_EXPERIMENTS:
+        raise InvalidInput(f"mc_tail: unknown experiment {experiment!r}")
     lambdas = (1.0 + np.arange(config.rank)) ** -2.0
     measure = uniform_measure(config.atoms)
     kernel = make_finite_rank_kernel(measure, lambdas, derive_seed(config.seed, "mc-kernel"))
@@ -527,7 +532,7 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
             vbar = v.mean(axis=1)
             c_hat = v @ v.T / config.count - np.outer(vbar, vbar)
             deviations[rep] = np.linalg.norm(c_hat - pop)
-    elif experiment == "feature_op_deviation":
+    else:
         radius = bernstein_bound("feature_op", kernel.kappa, config.tau, config.count)
         for rep in range(config.replications):
             fs = sample_finite_rank(
@@ -536,8 +541,6 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
             # ||S_A - S_J||_HS in basis coordinates: S_A is L L', S_J is diag(lambda).
             factor = basis_factor(fs)
             deviations[rep] = np.linalg.norm(factor @ factor.T - pop)
-    else:
-        raise InvalidInput(f"mc_tail: unknown experiment {experiment!r}")
     exceed = int(np.sum(deviations > radius.bound))
     return McTailReport(
         experiment=experiment,

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    _MC_EXPERIMENTS,
     McTailConfig,
     PerturbationSuiteReport,
     _case_stacks,
@@ -50,9 +51,6 @@ from .rates import (
 from .rng import derive_seed
 
 __all__ = ["main"]
-
-# The experiments bounds.mc_tail runs.
-_MC_EXPERIMENTS = ("cov_deviation", "feature_op_deviation")
 
 
 def _fnum(x: float) -> str:

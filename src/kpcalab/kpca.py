@@ -9,9 +9,10 @@ eigenfunction
     f_i(z) = (n lambda_i)^-1/2 sum_j gamma_ij k(z, x_j)
 
 exactly unit norm in the RKHS.  Finite-rank kernels compute the same fit
-from the samples' count vector over the atoms, never forming H K H.  The
-random-feature route substitutes a finite feature map and eigendecomposes
-the biased (V-statistic) sample covariance of the features.
+from the samples' count vector over the atoms, never forming H K H, and build
+per-atom coefficients only when read.  The random-feature route substitutes
+a finite feature map and eigendecomposes the biased (V-statistic) sample
+covariance of the features.
 """
 
 from __future__ import annotations
@@ -49,20 +50,24 @@ class KpcaModel:
     train_points: the n training points (atom positions or vectors).
     kernel: the training kernel.
     eigvals: retained empirical eigenvalues, descending, length r <= n-1.
-    counts, atom_coeffs: a finite-rank fit's samples per atom, shape (N,),
-        and the coefficients each sample at atom a carries, atom_coeffs[a],
-        shape (N, r); None on a gaussian fit.
+    counts, basis_vectors, atom_coeffs: a finite-rank fit's samples per atom,
+        shape (N,); the retained eigenvectors V (T, r) of its T x T matrix,
+        eigenfunction i being psi' sqrt(Lambda) v_i up to sign; and the
+        coefficients each sample at atom a carries, atom_coeffs[a], shape
+        (N, r), built from V on first read.  None on a gaussian fit.
     dual_coeffs: shape (r, n); row i is gamma_i (centered, scaled so
         gamma_i' K gamma_i = n eigvals[i]), gathered from atom_coeffs on
         first read.  The Gram matrix is materialized lazily too; large
-        fits that never touch either stay free of per-sample work.
+        fits that never touch these stay free of per-atom and per-sample work.
     """
 
     train_points: np.ndarray
     kernel: Kernel
     eigvals: np.ndarray
     counts: np.ndarray | None = None
-    atom_coeffs: np.ndarray | None = None
+    basis_vectors: np.ndarray | None = None
+    _sigma: np.ndarray | None = field(default=None, repr=False)
+    _atom_coeffs: np.ndarray | None = field(default=None, repr=False)
     _dual_coeffs: np.ndarray | None = field(default=None, repr=False)
     _gram: np.ndarray | None = field(default=None, repr=False)
 
@@ -73,6 +78,12 @@ class KpcaModel:
     @property
     def rank(self) -> int:
         return int(self.eigvals.shape[0])
+
+    @property
+    def atom_coeffs(self) -> np.ndarray | None:
+        if self._atom_coeffs is None and self.basis_vectors is not None:
+            self._atom_coeffs = _atom_coeffs(self)
+        return self._atom_coeffs
 
     @property
     def dual_coeffs(self) -> np.ndarray:
@@ -127,18 +138,17 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
     Finite-rank kernels take a count route: a sample enters only through its
     atom, so with c = bincount(samples) and W the centred, sqrt(lambda)-scaled
     basis values of the N atoms times sqrt(c), the T x T matrix W W' has the
-    nonzero spectrum of H K H.  Coefficients, centring, unit norm and the
-    K-quadratic rescale are count-weighted sums kept per atom: past one
-    bincount and one first-appearance pass the fit costs O(N T^2), and
-    ``dual_coeffs`` gathers them to the n samples on first read.  Equal to the
-    H K H route within solver tolerance; points off the atoms raise DomainError.
+    nonzero spectrum of H K H.  The fit stops at that matrix's retained
+    eigenvectors V, sqrt(lambda) V being the eigenfunctions' basis coordinates:
+    past one bincount it costs O(N T^2).  ``atom_coeffs`` maps V to the atoms
+    on first read and ``dual_coeffs`` gathers those to the n samples.  Equal
+    to the H K H route within solver tolerance; off-atom points raise DomainError.
     """
     finite = kernel.kind == "finite_rank"
     samples = _as_index_points(kernel, samples) if finite else np.asarray(samples)
     n = samples.shape[0]
     if n < 2:
         raise InvalidInput(f"fit_exact: need at least two samples, got {n}")
-    gram_cache = counts = None
     if finite:
         counts = np.bincount(samples, minlength=kernel.table.values.shape[1])
         root = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
@@ -149,37 +159,42 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
         sigma = small.eigenvalues
         lam_hat = sigma / n
         r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
-        alphas = (centred.T @ small.eigenvectors[:, :r]) / np.sqrt(sigma[:r])[None, :]
-        alphas = alphas - (counts @ alphas / n)[None, :]
-        alphas = alphas / np.sqrt(counts @ alphas**2)[None, :]
-        k_quad = np.sum((root @ (counts[:, None] * alphas)) ** 2, axis=0)
-        # Signing the sampled atoms in order of first appearance picks the
-        # same entries as signing the n gathered rows, ties included.
-        first = np.full(counts.shape[0], n)
-        np.minimum.at(first, samples, np.arange(n))
-        seen = samples[np.sort(first[counts > 0])]
-        alphas[seen] = fix_signs(alphas[seen])
-    else:
-        gram_cache = gram(kernel, samples)
-        centered = center_gram(gram_cache, np.full(n, 1.0 / n))
-        spec = sym_eig(centered)
-        lam_hat = spec.eigenvalues / n
-        r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
-        alphas = spec.eigenvectors[:, :r]
-        alphas = alphas - alphas.mean(axis=0, keepdims=True)
-        alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
-        alphas = fix_signs(alphas)
-        k_quad = np.sum(alphas * (gram_cache @ alphas), axis=0)
-
+        return KpcaModel(samples, kernel, lam_hat[:r].copy(), counts=counts,
+                         basis_vectors=small.eigenvectors[:, :r], _sigma=sigma[:r])
+    gram_cache = gram(kernel, samples)
+    centered = center_gram(gram_cache, np.full(n, 1.0 / n))
+    spec = sym_eig(centered)
+    lam_hat = spec.eigenvalues / n
+    r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
+    alphas = spec.eigenvectors[:, :r]
     # The centring and unit scale are no-ops up to rounding but pin the
     # documented normalization.
-    lam_kept = lam_hat[:r].copy()
-    coeffs = alphas * np.sqrt(n * lam_kept / k_quad)
-    return KpcaModel(
-        train_points=samples, kernel=kernel, eigvals=lam_kept, counts=counts,
-        atom_coeffs=coeffs if finite else None,
-        _dual_coeffs=None if finite else coeffs.T, _gram=gram_cache,
-    )
+    alphas = alphas - alphas.mean(axis=0, keepdims=True)
+    alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
+    alphas = fix_signs(alphas)
+    k_quad = np.sum(alphas * (gram_cache @ alphas), axis=0)
+    coeffs = alphas * np.sqrt(n * lam_hat[:r] / k_quad)
+    return KpcaModel(train_points=samples, kernel=kernel, eigvals=lam_hat[:r].copy(),
+                     _dual_coeffs=coeffs.T, _gram=gram_cache)
+
+
+def _atom_coeffs(model: KpcaModel) -> np.ndarray:
+    """A finite-rank fit's V mapped to the atoms, then count-weighted centring,
+    unit scale, the K-quadratic rescale and first-appearance signing."""
+    samples, counts, n = model.train_points, model.counts, model.n
+    root = np.sqrt(model.kernel.lambdas)[:, None] * model.kernel.table.values
+    centred = root - (root @ counts / n)[:, None]
+    alphas = (centred.T @ model.basis_vectors) / np.sqrt(model._sigma)[None, :]
+    alphas = alphas - (counts @ alphas / n)[None, :]
+    alphas = alphas / np.sqrt(counts @ alphas**2)[None, :]
+    k_quad = np.sum((root @ (counts[:, None] * alphas)) ** 2, axis=0)
+    # Signing the sampled atoms in order of first appearance picks the
+    # same entries as signing the n gathered rows, ties included.
+    first = np.full(counts.shape[0], n)
+    np.minimum.at(first, samples, np.arange(n))
+    seen = samples[np.sort(first[counts > 0])]
+    alphas[seen] = fix_signs(alphas[seen])
+    return alphas * np.sqrt(n * model.eigvals / k_quad)
 
 
 def _eigenfunction_matrix(model: KpcaModel, kernel: Kernel, points: np.ndarray,

@@ -183,7 +183,14 @@ def spectral_projector(spectrum: Spectrum, ell: int) -> np.ndarray:
     never splits a degenerate cluster.  A stacked Spectrum gives one
     projector per member, each checked and bit-for-bit the member's alone.
     """
-    vals = spectrum.eigenvalues
+    _check_split(spectrum.eigenvalues, ell)
+    v = spectrum.eigenvectors[..., :ell]
+    p = v @ v.swapaxes(-1, -2)
+    return (p + p.swapaxes(-1, -2)) / 2.0
+
+
+def _check_split(vals: np.ndarray, ell: int) -> None:
+    """spectral_projector's rank and gap checks on descending eigenvalues ``vals``."""
     if not isinstance(ell, (int, np.integer)) or ell < 1:
         raise InvalidInput(f"spectral_projector: ell must be a positive integer, got {ell!r}")
     top = vals[..., :1]
@@ -200,9 +207,6 @@ def spectral_projector(spectrum: Spectrum, ell: int) -> np.ndarray:
                 f"spectral_projector: gap at ell={ell} is "
                 f"{gap.flat[np.argmax(gap <= GAP_TOL)]:.3e} <= {GAP_TOL:g}"
             )
-    v = spectrum.eigenvectors[..., :ell]
-    p = v @ v.swapaxes(-1, -2)
-    return (p + p.swapaxes(-1, -2)) / 2.0
 
 
 def eigengaps(spectrum: Spectrum) -> np.ndarray:

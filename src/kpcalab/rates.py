@@ -37,7 +37,7 @@ from .errors import ConfigError, EigengapError, OutOfRegime, RankError
 from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
 from .kpca import _retained_rank, fit_exact
-from .linalg import GAP_TOL, RANK_RTOL, matrix_norm, spectral_projector, sym_eig
+from .linalg import GAP_TOL, RANK_RTOL, _check_split, matrix_norm, sym_eig
 from .measures import draw_samples, uniform_measure
 from .oracle import PopOperator, op_jj, tail_energy
 from .rng import derive_seed
@@ -376,7 +376,7 @@ class RateReport:
 
 
 def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> dict:
-    """Per-n precomputation: ell, m, population projector in T-coordinates, and bias."""
+    """Per-n precomputation: ell, m and the bias."""
     plan = {}
     vals = pop.spectrum.eigenvalues
     lam = kernel.lambdas
@@ -398,9 +398,8 @@ def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> di
         gap_ok = ell >= vals.size or vals[ell - 1] - vals[ell] > GAP_TOL
         if not gap_ok:
             raise ConfigError(f"population spectrum is degenerate at ell={ell} (n={n})")
-        p_pop = np.diag((np.arange(lam.size) < ell).astype(float))
         m = m_for(config, n) if config.tau is not None else None
-        plan[n] = (ell, m, p_pop, tail_energy(pop.spectrum, ell))
+        plan[n] = (ell, m, tail_energy(pop.spectrum, ell))
     return plan
 
 
@@ -416,12 +415,13 @@ def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: 
     (None when the cell is invalid).
 
     Every estimated projector lies in the span of the kernel's T basis
-    functions, so it is built and scored as a T x T matrix Q in that basis,
-    where S_J is Lambda = diag(lambda) and its top-ell projector is diag(1_ell, 0):
-    the same numbers as proj_hat / proj_hat_rf / proj_pop(op_aa) scored by
-    recon_error and proj_distance, at a cost free of N and m.
+    functions, where S_J is Lambda = diag(lambda) and its top-ell projector is
+    P = diag(1_ell, 0).  Each metric yields basis coordinates C and eigenvalues
+    mu of Q = C diag(1/mu) C', scored in that basis and, for ||P - Q||_op, in
+    the span of P and C: the same numbers as proj_hat / proj_hat_rf /
+    proj_pop(op_aa) scored by recon_error and proj_distance, free of N and m.
     """
-    ell, m, p_pop, r_pop = plan[n]
+    ell, m, r_pop = plan[n]
     measure = kernel.table.measure
     psi = kernel.table.values
     lam = kernel.lambdas
@@ -439,27 +439,29 @@ def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: 
                     f"n={n}, rep={rep}"
                 )
             # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis coordinates
-            # Lambda psi (c A_i) / sqrt(n lambda_i), c the atom counts, A the atom coeffs.
+            # sqrt(Lambda) v_i up to sign, v_i the fit's T x T eigenvector.
+            coords = np.sqrt(lam)[:, None] * model.basis_vectors[:, :ell]
             eigvals = model.eigvals[:ell]
-            coords = lam[:, None] * (psi @ (model.counts[:, None] * model.atom_coeffs[:, :ell]))
-            q = _plug_in(coords / np.sqrt(samples.shape[0] * eigvals), eigvals)
         else:
             fs = sample_finite_rank(
                 kernel, m, derive_seed(config.seed, "features", n, rep), mixed=True
             )
             factor = basis_factor(fs)
             if metric in ("recon_rf_pop", "proj_rf_pop"):
-                q = spectral_projector(sym_eig(factor @ factor.T), ell)
+                spec = sym_eig(factor @ factor.T)
+                _check_split(spec.eigenvalues, ell)
+                coords, eigvals = spec.eigenvectors[:, :ell], np.ones(ell)
             else:
-                q = _plug_in(*_rf_hat_coords(factor, fs.kappa_m, psi, samples, ell))
+                coords, eigvals = _rf_hat_coords(factor, fs.kappa_m, psi, samples, ell)
     except (RankError, EigengapError):
         # A feature draw too degenerate to carry ell components; the
         # hypotheses of the theory exclude these, so the cell is marked
         # invalid rather than silently redrawn.
         return RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=math.nan), None
 
+    q = _plug_in(coords, eigvals)
     r_emp = float(np.sum((np.diag(lam) - q * lam[None, :]) ** 2))
-    dist = matrix_norm(p_pop - q, "operator")
+    dist = _span_distance(ell, coords, eigvals)
     value = dist if metric.startswith("proj") else r_emp
     margin = pop.hs_norm * dist + _SWAP_SLACK - abs(math.sqrt(r_emp) - math.sqrt(r_pop))
     return RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=value), margin
@@ -469,6 +471,15 @@ def _plug_in(coords: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
     """sum_i c_i c_i' / lambda_i over the columns c_i of ``coords``."""
     q = (coords / eigvals) @ coords.T
     return (q + q.T) / 2.0
+
+
+def _span_distance(ell: int, coords: np.ndarray, eigvals: np.ndarray) -> float:
+    """||diag(1_ell, 0) - _plug_in(coords, eigvals)||_op: with [e_1..e_ell | C] =
+    U R (thin QR), the difference is U R diag(1_ell, -1/eigvals) R' U', whose
+    norm is that of the 2 ell x 2 ell core between U and U'."""
+    r = np.linalg.qr(np.hstack([np.eye(coords.shape[0], ell), coords]), mode="r")
+    core = (r * np.concatenate([np.ones(ell), -1.0 / eigvals])) @ r.T
+    return matrix_norm((core + core.T) / 2.0, "operator")
 
 
 def _rf_hat_coords(factor: np.ndarray, kappa_m: float, psi: np.ndarray,

@@ -10,6 +10,7 @@ of labels (strings or integers) are joined into the byte string
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -31,4 +32,20 @@ def generator(seed: int, *labels: int | str) -> np.random.Generator:
     ``generator(derive_seed(s, "x"))`` and ``generator(s, "x")`` agree.
     """
     key = derive_seed(seed, *labels) if labels else int(seed) % (1 << 128)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
+
+
+@functools.cache
+def _key_sequence() -> type:
+    """Seed sequence that hands Philox its key words: Philox(key=k)'s state, less
+    the OS entropy that call draws and discards.  Defined on first use, as
+    subclassing imports numpy.random."""
+
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: int) -> None:
+            self.words = np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # Philox asks for its key: 2 words of uint64
+
+    return KeySequence

@@ -452,6 +452,17 @@ def test_feature_op_deviation_matches_the_atom_level_operators():
     assert report.exceed_count == int(np.sum(deviations > report.bound))
 
 
+def test_mc_tail_rejects_a_bad_setup_before_building_a_kernel(monkeypatch):
+    builds = []
+    monkeypatch.setattr(kpcalab.bounds, "make_finite_rank_kernel",
+                        lambda *args: builds.append(args))
+    with pytest.raises(InvalidInput, match="count >= 8 tau"):
+        McTailConfig(tau=2.0, count=15, replications=60, seed=0)
+    with pytest.raises(InvalidInput, match="unknown experiment"):
+        mc_tail("florp", McTailConfig(tau=2.0, count=16, replications=60, seed=0))
+    assert builds == []
+
+
 def test_mc_tail_config_checks():
     with pytest.raises(InvalidInput):
         McTailConfig(tau=2.0, count=100, replications=49, seed=0)

@@ -106,6 +106,40 @@ def test_dual_coeffs_are_the_per_atom_coefficients_gathered_on_first_read():
         assert np.array_equal(fix_signs(g.T), g.T)
 
 
+def _eager_atom_coeffs(kernel, samples):
+    """The per-atom coefficients as a fit built them before they became lazy."""
+    n = samples.shape[0]
+    counts = np.bincount(samples, minlength=kernel.table.values.shape[1])
+    root = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
+    centred = root - (root @ counts / n)[:, None]
+    w = centred * np.sqrt(counts)[None, :]
+    small = sym_eig(w @ w.T)
+    sigma = small.eigenvalues
+    lam_hat = sigma / n
+    r = min(int(np.sum(lam_hat > 1e-10 * lam_hat[0])), n - 1)
+    alphas = (centred.T @ small.eigenvectors[:, :r]) / np.sqrt(sigma[:r])[None, :]
+    alphas = alphas - (counts @ alphas / n)[None, :]
+    alphas = alphas / np.sqrt(counts @ alphas**2)[None, :]
+    k_quad = np.sum((root @ (counts[:, None] * alphas)) ** 2, axis=0)
+    first = np.full(counts.shape[0], n)
+    np.minimum.at(first, samples, np.arange(n))
+    seen = samples[np.sort(first[counts > 0])]
+    alphas[seen] = fix_signs(alphas[seen])
+    return alphas * np.sqrt(n * lam_hat[:r].copy() / k_quad)
+
+
+def test_atom_coeffs_are_built_on_first_read_as_the_eager_fit_built_them():
+    for setup in ({}, {"t_count": 12, "n": 1000}, {"t_count": 12, "n": 9},
+                  {"t_count": 24, "n_atoms": 128, "n": 4096}):
+        measure, ker, samples = _rank_setup(**setup)
+        model = fit_exact(ker, samples)
+        assert model._atom_coeffs is None
+        assert model.basis_vectors.shape == (ker.lambdas.size, model.rank)
+        coeffs = model.atom_coeffs
+        assert coeffs is model.atom_coeffs
+        assert np.array_equal(coeffs, _eager_atom_coeffs(ker, samples))
+
+
 def test_gram_route_matches_explicit_feature_covariance():
     measure, ker, samples = _rank_setup(t_count=5, n=26)
     model = fit_exact(ker, samples)

@@ -343,9 +343,10 @@ def test_rf_hat_grid_solves_no_matrix_of_n_or_m_per_cell(monkeypatch):
 
 
 def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
-    fits, gathers = [], []
+    fits, gathers, atom_builds = [], [], []
     fit = rates.fit_exact
     gather = kpca.KpcaModel.dual_coeffs
+    build = kpca._atom_coeffs
 
     def recording_fit(kernel, samples):
         fits.append(samples.shape[0])
@@ -355,14 +356,70 @@ def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
         gathers.append(model.n)
         return gather.fget(model)
 
+    def recording_build(model):
+        atom_builds.append(model.n)
+        return build(model)
+
     monkeypatch.setattr(rates, "fit_exact", recording_fit)
     monkeypatch.setattr(kpca.KpcaModel, "dual_coeffs", property(recording_gather))
+    monkeypatch.setattr(kpca, "_atom_coeffs", recording_build)
     for metric in ("recon_hat", "proj_hat"):
         config = _ecfg(theta=0.2, metric=metric, n_grid=_SMALL_GRID)
         report = run_grid(config)
         assert fits[-len(report.rows):] == [row.n for row in report.rows]
     assert len(fits) == 2 * len(_SMALL_GRID) * 5
     assert gathers == []
+    assert atom_builds == []
+    # the recorder is live: a read after the grid builds the per-atom coefficients
+    fit(report.kernel, np.arange(config.atoms)).atom_coeffs
+    assert atom_builds == [config.atoms]
+
+
+# The three exact-KPCA acceptance configs.
+_ACCEPTANCE_EXACT = (
+    dict(alpha=2.0, theta=2.0 / 7.0, atoms=192, rank=60, metric="recon_hat"),
+    dict(decay="expo", gamma=0.5, alpha=None, theta=0.2, atoms=128, rank=24,
+         metric="recon_hat"),
+    dict(decay="expo", gamma=0.5, alpha=None, theta=0.0, ell_fixed=3, atoms=128, rank=24,
+         metric="proj_hat"),
+)
+
+
+@pytest.mark.parametrize("overrides", _ACCEPTANCE_EXACT)
+def test_exact_cell_coordinates_match_the_per_atom_route(overrides):
+    config = _cfg(n_grid=(256, 512, 1024, 2048, 4096), replications=10, seed=20260819,
+                  **overrides)
+    kernel, _ = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    lam, psi = kernel.lambdas, kernel.table.values
+    for n, rep in ((256, 0), (1024, 3), (4096, 9)):
+        ell = ell_for(config, n)
+        samples = draw_samples(kernel.table.measure, n,
+                               derive_seed(config.seed, "samples", n, rep))
+        model = fit_exact(kernel, samples)
+        eigvals = model.eigvals[:ell]
+        q = rates._plug_in(np.sqrt(lam)[:, None] * model.basis_vectors[:, :ell], eigvals)
+        # f_i's basis coordinates Lambda psi (c A_i) / sqrt(n lambda_i) from the atom coeffs
+        per_atom = lam[:, None] * (psi @ (model.counts[:, None] * model.atom_coeffs[:, :ell]))
+        want = rates._plug_in(per_atom / np.sqrt(n * eigvals), eigvals)
+        assert np.max(np.abs(q - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_span_distance_matches_the_dense_operator_norm():
+    rng = np.random.default_rng(11)
+    for t, ell in ((8, 1), (8, 3), (24, 3), (60, 7), (12, 11), (2, 1)):
+        p = np.diag((np.arange(t) < ell).astype(float))
+        inside = np.zeros((t, ell))  # coordinates inside span(e_1..e_ell)
+        inside[:ell] = rng.standard_normal((ell, ell))
+        near = p[:, :ell] + 0.1 * rng.standard_normal((t, ell))
+        for coords in (rng.standard_normal((t, ell)), near, inside):
+            eigvals = rng.uniform(0.1, 2.0, ell)
+            want = linalg.matrix_norm(p - rates._plug_in(coords, eigvals), "operator")
+            got = rates._span_distance(ell, coords, eigvals)
+            assert abs(got - want) <= 1e-12 * max(want, 1.0)
+        # Q = P, from the unit vectors and from a rotation inside their span
+        rotation = np.linalg.qr(rng.standard_normal((ell, ell)))[0]
+        for coords in (p[:, :ell], p[:, :ell] @ rotation):
+            assert rates._span_distance(ell, coords, np.ones(ell)) <= 1e-14
 
 
 def test_grid_rejects_an_operator_off_the_kernel_schedule():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
@@ -152,19 +153,10 @@ def _effective_seed(config: dict, override: int | None) -> int:
     return seed if override is None else int(override)
 
 
-_EXPERIMENT_KEYS = {
-    "decay", "alpha", "gamma", "theta", "tau", "n_grid", "replications",
-    "atoms", "rank", "seed", "metric", "ell_fixed", "slope_tolerance",
-}
-
-
-def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
-    kwargs = dict(config)
-    kwargs["seed"] = seed
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad experiment config: {exc}") from exc
+_EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# Fields without a default, less the seed, which --seed may supply.
+_REQUIRED_EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)
+                             if f.default is dataclasses.MISSING} - {"seed"}
 
 
 def _snapshot(report) -> dict:
@@ -217,14 +209,9 @@ def _cmd_spectrum(config: dict, seed: int):
     return header, rows, summary, verdicts, None
 
 
-def _rate_rows(report, with_tau: float | None = None, include_tau: bool = False):
-    out = []
-    for r in report.rows:
-        base = [r.n, r.m, r.ell, r.rep, r.metric, r.value]
-        if include_tau:
-            base = [with_tau] + base
-        out.append(base)
-    return out
+def _rate_rows(report, *prefix) -> list:
+    """One results row per cell, each led by ``prefix``."""
+    return [[*prefix, r.n, r.m, r.ell, r.rep, r.metric, r.value] for r in report.rows]
 
 
 def _rate_summary(report) -> dict:
@@ -243,9 +230,9 @@ def _rate_summary(report) -> dict:
 
 
 def _cmd_rates(config: dict, seed: int):
-    _require_keys(config, allowed=_EXPERIMENT_KEYS, required={"decay", "theta", "n_grid",
-                  "replications", "atoms", "rank", "metric"}, command="rates")
-    cfg = _experiment_config(config, seed)
+    _require_keys(config, allowed=_EXPERIMENT_KEYS, required=_REQUIRED_EXPERIMENT_KEYS,
+                  command="rates")
+    cfg = ExperimentConfig(**{**config, "seed": seed})
     report = run_grid(cfg)
     header = ["n", "m", "ell", "rep", "metric", "value"]
     rows = _rate_rows(report)
@@ -261,20 +248,18 @@ def _cmd_rates(config: dict, seed: int):
 
 def _cmd_transition(config: dict, seed: int):
     _require_keys(config, allowed=_EXPERIMENT_KEYS | {"taus"},
-                  required={"decay", "theta", "n_grid", "replications", "atoms",
-                            "rank", "metric", "taus"}, command="transition")
+                  required=_REQUIRED_EXPERIMENT_KEYS | {"taus"}, command="transition")
     taus = [_real("taus", t) for t in _list(config, "taus")]
     if not taus:
         raise ConfigError("transition config needs at least one tau")
     base_dict = {k: v for k, v in config.items() if k != "taus"}
-    base_dict.setdefault("tau", taus[0])
-    base = _experiment_config(base_dict, seed)
+    base = ExperimentConfig(**{"tau": taus[0], **base_dict, "seed": seed})
     study = transition_study(base, taus)
 
     header = ["tau", "n", "m", "ell", "rep", "metric", "value"]
-    rows = _rate_rows(study.reports[0], include_tau=True, with_tau=None)
+    rows = _rate_rows(study.reports[0], None)
     for tau, rep in zip(taus, study.reports[1:]):
-        rows.extend(_rate_rows(rep, include_tau=True, with_tau=tau))
+        rows.extend(_rate_rows(rep, tau))
 
     verdicts = []
     all_swap_ok = all(r.swap_violations == 0 for r in study.reports)

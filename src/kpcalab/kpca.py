@@ -132,17 +132,34 @@ def _retained_rank(vals: np.ndarray, kappa: float, n: int, op: str) -> int:
     return min(int(np.sum(vals > RANK_RTOL * vals[0])), n - 1)
 
 
+def _count_fit(root: np.ndarray, counts: np.ndarray, kappa: float,
+               op: str) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs (sigma, V) of W W' that _retained_rank keeps for sigma / n.
+
+    W is the per-atom ``root`` (d, N) centred with the count weights and scaled
+    by sqrt(counts), so W W' / n is the covariance of the n samples' root columns
+    and W W' has the nonzero spectrum of their centred n x n Gram matrix."""
+    n = int(counts.sum())
+    centred = root - (root @ counts / n)[:, None]
+    # W W' through one X X' product, which is exactly symmetric.
+    w = centred * np.sqrt(counts)[None, :]
+    spec = sym_eig(w @ w.T)
+    sigma = spec.eigenvalues
+    r = _retained_rank(sigma / n, kappa, n, op)
+    return sigma[:r], spec.eigenvectors[:, :r]
+
+
 def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
     """Fit exact KPCA to a sample list.
 
     Finite-rank kernels take a count route: a sample enters only through its
-    atom, so with c = bincount(samples) and W the centred, sqrt(lambda)-scaled
-    basis values of the N atoms times sqrt(c), the T x T matrix W W' has the
-    nonzero spectrum of H K H.  The fit stops at that matrix's retained
-    eigenvectors V, sqrt(lambda) V being the eigenfunctions' basis coordinates:
-    past one bincount it costs O(N T^2).  ``atom_coeffs`` maps V to the atoms
-    on first read and ``dual_coeffs`` gathers those to the n samples.  Equal
-    to the H K H route within solver tolerance; off-atom points raise DomainError.
+    atom, so the count fit of the root sqrt(Lambda) psi, whose columns' inner
+    products are the kernel, solves a T x T matrix with the nonzero spectrum of
+    H K H.  The fit stops at its retained eigenvectors V, sqrt(Lambda) V being
+    the eigenfunctions' basis coordinates: past one bincount it costs O(N T^2).
+    ``atom_coeffs`` maps V to the atoms on first read and ``dual_coeffs``
+    gathers those to the n samples.  Equal to the H K H route within solver
+    tolerance; off-atom points raise DomainError.
     """
     finite = kernel.kind == "finite_rank"
     samples = _as_index_points(kernel, samples) if finite else np.asarray(samples)
@@ -152,15 +169,9 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
     if finite:
         counts = np.bincount(samples, minlength=kernel.table.values.shape[1])
         root = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
-        centred = root - (root @ counts / n)[:, None]
-        # W W' through one X X' product, which is exactly symmetric.
-        w = centred * np.sqrt(counts)[None, :]
-        small = sym_eig(w @ w.T)
-        sigma = small.eigenvalues
-        lam_hat = sigma / n
-        r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
-        return KpcaModel(samples, kernel, lam_hat[:r].copy(), counts=counts,
-                         basis_vectors=small.eigenvectors[:, :r], _sigma=sigma[:r])
+        sigma, v = _count_fit(root, counts, kernel.kappa, "fit_exact")
+        return KpcaModel(samples, kernel, sigma / n, counts=counts, basis_vectors=v,
+                         _sigma=sigma)
     gram_cache = gram(kernel, samples)
     centered = center_gram(gram_cache, np.full(n, 1.0 / n))
     spec = sym_eig(centered)

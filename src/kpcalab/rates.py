@@ -36,8 +36,8 @@ import numpy as np
 from .errors import ConfigError, EigengapError, OutOfRegime, RankError
 from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
-from .kpca import _retained_rank, fit_exact
-from .linalg import GAP_TOL, RANK_RTOL, _check_split, matrix_norm, sym_eig
+from .kpca import _count_fit, fit_exact
+from .linalg import RANK_RTOL, _check_split, matrix_norm, sym_eig
 from .measures import draw_samples, uniform_measure
 from .oracle import PopOperator, op_jj, tail_energy
 from .rng import derive_seed
@@ -113,6 +113,8 @@ class ExperimentConfig:
         # Every count and real is checked and normalized before any check
         # that compares it, so a bad value is a ConfigError, never a
         # TypeError after the grid has run.
+        if not isinstance(self.n_grid, (list, tuple, np.ndarray)):
+            raise ConfigError(f"n_grid must be a list of sample sizes, got {self.n_grid!r}")
         fields = {"n_grid": tuple(_count("n_grid", n) for n in self.n_grid)}
         for key in ("replications", "atoms", "rank", "seed", "ell_fixed"):
             fields[key] = _count(key, getattr(self, key), optional=key == "ell_fixed")
@@ -228,6 +230,15 @@ def _beta_for(config: ExperimentConfig, beta: float | None) -> float:
     return config.alpha + 1.0
 
 
+def _tau_threshold(config: ExperimentConfig, beta: float | None = None) -> float:
+    """The tau where proj_rf_hat's feature-count error stops dominating:
+    1/2 + theta (2 beta - alpha)/alpha for poly decay, 1/2 + theta for expo."""
+    if config.decay == "poly":
+        b = _beta_for(config, beta)
+        return 0.5 + config.theta * (2.0 * b - config.alpha) / config.alpha
+    return 0.5 + config.theta
+
+
 def predicted_exponent(config: ExperimentConfig, beta: float | None = None,
                        improved: bool = False) -> float:
     """The theoretical log-log slope for the configured coupling.
@@ -286,7 +297,7 @@ def predicted_exponent(config: ExperimentConfig, beta: float | None = None,
             raise OutOfRegime(
                 f"proj_rf_hat needs tau > 2 theta beta / alpha ({tau} too small)"
             )
-        if theta < knee and tau > 0.5 + theta * (2.0 * b - alpha) / alpha:
+        if theta < knee and tau > _tau_threshold(config, beta):
             return -(0.25 - theta / 2.0)
         return -(tau / 2.0 - theta * b / alpha)
 
@@ -316,7 +327,7 @@ def predicted_exponent(config: ExperimentConfig, beta: float | None = None,
     if metric == "proj_rf_pop":
         return -(tau / 2.0 - theta)
     # proj_rf_hat
-    if tau >= 0.5 + theta:
+    if tau >= _tau_threshold(config):
         return -(0.25 - theta / 2.0)
     return -(tau / 2.0 - theta)
 
@@ -343,7 +354,7 @@ def fit_slope(ns, values) -> tuple[float, float]:
 @dataclass(frozen=True)
 class RateRow:
     """One measured cell of the grid; value is NaN when the replication's
-    random-feature model could not support ell components."""
+    samples or features could not support ell components."""
 
     n: int
     m: int | None
@@ -387,17 +398,14 @@ def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> di
         raise ConfigError(
             f"oracle self-check failed: S_J spectrum is off the schedule by {spec_err:.3e}"
         )
-    floor = _GUARD_FACTOR * RANK_RTOL * vals[0]
     for n in config.n_grid:
         ell = ell_for(config, n)
-        if vals[ell - 1] < floor:
-            raise ConfigError(
-                f"population eigenvalue {ell} at n={n} sits below the division guard; "
-                f"shrink theta or the grid"
-            )
-        gap_ok = ell >= vals.size or vals[ell - 1] - vals[ell] > GAP_TOL
-        if not gap_ok:
-            raise ConfigError(f"population spectrum is degenerate at ell={ell} (n={n})")
+        try:  # the cells' own rules, so a split they reject fails before any draw
+            if not _empirical_guard_ok(vals, ell):
+                raise RankError(f"eigenvalue {ell} sits below the division guard")
+            _check_split(vals, ell)
+        except (RankError, EigengapError) as err:
+            raise ConfigError(f"population spectrum at n={n}: {err}") from None
         m = m_for(config, n) if config.tau is not None else None
         plan[n] = (ell, m, tail_energy(pop.spectrum, ell))
     return plan
@@ -420,6 +428,8 @@ def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: 
     mu of Q = C diag(1/mu) C', scored in that basis and, for ||P - Q||_op, in
     the span of P and C: the same numbers as proj_hat / proj_hat_rf /
     proj_pop(op_aa) scored by recon_error and proj_distance, free of N and m.
+    A spectrum that cannot carry ell components past the division guard, or
+    a feature operator with no gap at ell, makes the cell invalid (NaN).
     """
     ell, m, r_pop = plan[n]
     measure = kernel.table.measure
@@ -433,15 +443,9 @@ def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: 
     try:
         if metric in ("recon_hat", "proj_hat"):
             model = fit_exact(kernel, samples)
-            if not _empirical_guard_ok(model.eigvals, ell):
-                raise ConfigError(
-                    f"empirical eigenvalue {ell} fell below the division guard at "
-                    f"n={n}, rep={rep}"
-                )
             # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis coordinates
             # sqrt(Lambda) v_i up to sign, v_i the fit's T x T eigenvector.
-            coords = np.sqrt(lam)[:, None] * model.basis_vectors[:, :ell]
-            eigvals = model.eigvals[:ell]
+            coords, eigvals = np.sqrt(lam)[:, None] * model.basis_vectors, model.eigvals
         else:
             fs = sample_finite_rank(
                 kernel, m, derive_seed(config.seed, "features", n, rep), mixed=True
@@ -450,15 +454,23 @@ def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: 
             if metric in ("recon_rf_pop", "proj_rf_pop"):
                 spec = sym_eig(factor @ factor.T)
                 _check_split(spec.eigenvalues, ell)
-                coords, eigvals = spec.eigenvectors[:, :ell], np.ones(ell)
+                coords, eigvals = spec.eigenvectors, np.ones(factor.shape[0])
             else:
-                coords, eigvals = _rf_hat_coords(factor, fs.kappa_m, psi, samples, ell)
+                # fit_rf's m x m covariance G' Sigma G (G G' = L L') shares its nonzero
+                # spectrum with L' Sigma L, the count fit of the root L' psi, whose
+                # eigenvector y is the component with basis coordinates L y.
+                counts = np.bincount(samples, minlength=psi.shape[1])
+                sigma, v = _count_fit(factor.T @ psi, counts, fs.kappa_m, "fit_rf")
+                coords, eigvals = factor @ v, sigma / samples.shape[0]
+        if not _empirical_guard_ok(eigvals, ell):
+            raise RankError(f"eigenvalue {ell} sits below the division guard")
     except (RankError, EigengapError):
-        # A feature draw too degenerate to carry ell components; the
+        # A sample or feature draw too degenerate to carry ell components; the
         # hypotheses of the theory exclude these, so the cell is marked
         # invalid rather than silently redrawn.
         return RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=math.nan), None
 
+    coords, eigvals = coords[:, :ell], eigvals[:ell]
     q = _plug_in(coords, eigvals)
     r_emp = float(np.sum((np.diag(lam) - q * lam[None, :]) ** 2))
     dist = _span_distance(ell, coords, eigvals)
@@ -480,29 +492,6 @@ def _span_distance(ell: int, coords: np.ndarray, eigvals: np.ndarray) -> float:
     r = np.linalg.qr(np.hstack([np.eye(coords.shape[0], ell), coords]), mode="r")
     core = (r * np.concatenate([np.ones(ell), -1.0 / eigvals])) @ r.T
     return matrix_norm((core + core.T) / 2.0, "operator")
-
-
-def _rf_hat_coords(factor: np.ndarray, kappa_m: float, psi: np.ndarray,
-                   samples: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis coordinates and eigenvalues of fit_rf's top ell components.
-
-    With Sigma the sample covariance of psi and G the feature coefficients
-    (G G' = L L' for L = basis_factor), fit_rf's m x m covariance G' Sigma G
-    shares its nonzero spectrum with the T x T matrix L' Sigma L, and an
-    eigenpair (y, mu) of the latter is the component whose centred embedding
-    has basis coordinates L y.  fit_rf's retained-rank rule and the
-    division guard apply unchanged.
-    """
-    n = samples.shape[0]
-    p_hat = np.bincount(samples, minlength=psi.shape[1]) / n
-    centred = (psi - (psi @ p_hat)[:, None]) * np.sqrt(p_hat)[None, :]
-    root = factor.T @ centred
-    spec = sym_eig(root @ root.T)
-    mu = spec.eigenvalues
-    r = _retained_rank(mu, kappa_m, n, "fit_rf")
-    if not _empirical_guard_ok(mu[:r], ell):
-        raise RankError("rf model rank below ell")
-    return factor @ spec.eigenvectors[:, :ell], mu[:ell]
 
 
 def run_grid(config: ExperimentConfig, full_support: bool = False) -> RateReport:
@@ -545,7 +534,7 @@ def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
         if bad * 2 >= config.replications:
             raise ConfigError(
                 f"{bad}/{config.replications} replications invalid at n={n} "
-                f"(ell={plan[n][0]}); the feature schedule is too aggressive"
+                f"(ell={plan[n][0]}); too few of its draws carry ell components"
             )
         medians[n] = float(np.median(vals))
     slope, stderr = fit_slope(list(config.n_grid), [medians[n] for n in config.n_grid])
@@ -607,11 +596,7 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     # The oracle depends on seed, atoms and schedule only, so every run shares it.
     oracle = _oracle(base.atoms, lambda_schedule(base), base.seed)
     reference = _measure_grid(replace(base, tau=None, metric="proj_hat"), *oracle, False)
-    if base.decay == "poly":
-        b = _beta_for(base, None)
-        threshold = 0.5 + base.theta * (2.0 * b - base.alpha) / base.alpha
-    else:
-        threshold = 0.5 + base.theta
+    threshold = _tau_threshold(base)
     rows = []
     reports = [reference]
     for tau in taus:
@@ -621,10 +606,8 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
             expected = reference.slope
             regime = "sample_limited"
         else:
-            if base.decay == "poly":
-                expected = -(tau / 2.0 - base.theta * _beta_for(base, None) / base.alpha)
-            else:
-                expected = -(tau / 2.0 - base.theta)
+            # predicted_exponent's feature-driven branch below the threshold
+            expected = rep.predicted
             regime = "feature_limited"
         rows.append(TransitionRow(
             tau=tau,

@@ -230,6 +230,7 @@ def test_config_schema_rejections(tmp_path, capsys):
     ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
                        "atoms": 20, "rank": 20}),
     ("bounds --seed 3", {"seed": "abc", "perturbation_cases": 3}),
+    ("rates", {**_RATES_PAYLOAD, "n_grid": 5}),
 ], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
         "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
         "tau_bool", "replications_fraction", "atoms_fraction", "unknown_experiment",
@@ -237,7 +238,7 @@ def test_config_schema_rejections(tmp_path, capsys):
         "ell_fixed_fraction", "rates_replications_fraction", "slope_tolerance_str",
         "spectrum_atoms_fraction", "spectrum_ells_fraction", "spectrum_ells_not_a_list",
         "taus_str", "rank_zero", "rank_negative", "atoms_not_above_rank",
-        "seed_str_under_override"])
+        "seed_str_under_override", "n_grid_scalar"])
 def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys,
                                                    command, payload):
     def no_compute(*args, **kwargs):

@@ -78,6 +78,9 @@ def test_predicted_poly_projection_branches():
     # explicit beta override
     assert predicted_exponent(
         _cfg(metric="proj_hat", theta=0.3), beta=2.0) == pytest.approx(-0.1)
+    # beta = 2 moves the proj_rf_hat threshold from 0.7 to 0.6
+    assert predicted_exponent(
+        _cfg(metric="proj_rf_hat", theta=0.1, tau=0.65), beta=2.0) == pytest.approx(-0.2)
     with pytest.raises(OutOfRegime):
         predicted_exponent(_cfg(metric="proj_hat", theta=0.1), beta=1.5)
 
@@ -196,6 +199,7 @@ def test_config_validation():
     ("n_grid", (64.5, 128, 256, 512)), ("replications", 5.5), ("atoms", 24.5),
     ("rank", "8"), ("seed", 0.5), ("theta", True), ("theta", math.inf),
     ("alpha", "2"), ("slope_tolerance", "x"), ("slope_tolerance", math.nan),
+    ("n_grid", 5), ("n_grid", None), ("n_grid", 2.5),
 ])
 def test_config_rejects_fractional_counts_bools_and_non_finite_reals(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -222,7 +226,7 @@ def test_division_guard_rejects_tiny_retained_eigenvalues():
     # lambda_8 / lambda_1 = e^-21, far below the trusted-division floor
     cfg = _ecfg(theta=0.0, gamma=3.0, ell_fixed=8, rank=10, atoms=16,
                 n_grid=(8, 16, 24, 32), metric="proj_hat")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="division guard"):
         run_grid(cfg)
 
 
@@ -272,6 +276,13 @@ def test_transition_study_smoke():
     for taus in (["abc"], [True], [0.3, math.nan]):
         with pytest.raises(ConfigError, match="taus"):
             transition_study(base, taus)
+    # poly with beta = 3: threshold 1/2 + theta (2 beta - alpha)/alpha = 0.7
+    poly = _cfg(theta=0.1, metric="proj_rf_hat", tau=0.5, n_grid=(64, 96, 128, 192),
+                atoms=40, rank=12, seed=3, slope_tolerance=5.0)
+    report = transition_study(poly, (0.45, 0.9))
+    assert report.threshold == pytest.approx(0.7)
+    assert [row.regime for row in report.rows] == ["feature_limited", "sample_limited"]
+    assert report.rows[0].expected == pytest.approx(-(0.45 / 2.0 - 0.1 * 3.0 / 2.0))
 
 
 _SMALL_GRID = (32, 48, 64, 96)
@@ -285,7 +296,10 @@ def _sample_level_cell(config, report, n, rep):
     samples = draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
     try:
         if config.tau is None:
-            q = proj_hat(fit_exact(kernel, samples), kernel, measure, ell)
+            model = fit_exact(kernel, samples)
+            if not _empirical_guard_ok(model.eigvals, ell):
+                return math.nan
+            q = proj_hat(model, kernel, measure, ell)
         else:
             fs = sample_finite_rank(kernel, m_for(config, n),
                                     derive_seed(config.seed, "features", n, rep), mixed=True)
@@ -312,6 +326,8 @@ def _grid_cases():
     for metric in ("proj_rf_pop", "proj_rf_hat"):
         yield _ecfg(theta=0.0, ell_fixed=2, metric=metric, tau=0.2, n_grid=_SMALL_GRID,
                     seed=0), 2
+    # n = 4 samples: a draw that hits at most ell = 3 atoms cannot carry ell = 3
+    yield _ecfg(theta=0.0, ell_fixed=3, metric="proj_hat", n_grid=(4, 6, 8, 12), seed=0), 2
 
 
 @pytest.mark.parametrize("config, invalid", list(_grid_cases()))
@@ -324,6 +340,29 @@ def test_cells_match_the_sample_level_route(config, invalid):
     assert int(np.sum(np.isnan(got))) == invalid
     ok = ~np.isnan(want)
     assert np.max(np.abs(got[ok] - want[ok]) / want[ok]) <= 1e-10
+
+
+def test_exact_cells_on_too_few_atoms_are_invalid_not_fatal():
+    config = _ecfg(theta=0.0, ell_fixed=3, metric="proj_hat", n_grid=(4, 6, 8, 12))
+    report = run_grid(config)
+    measure = report.kernel.table.measure
+    # fewer than ell + 1 distinct atoms leave a centred rank below ell
+    few = [np.unique(draw_samples(measure, row.n, derive_seed(config.seed, "samples",
+                                                              row.n, row.rep))).size <= row.ell
+           for row in report.rows]
+    assert [math.isnan(row.value) for row in report.rows] == few
+    assert report.invalid == {4: 2, 6: 0, 8: 0, 12: 0}
+    # n = 3 samples never carry ell = 3 components: 5 of 5 invalid cells stop the grid
+    with pytest.raises(ConfigError, match="5/5 replications invalid at n=3"):
+        run_grid(dataclasses.replace(config, n_grid=(3, 6, 8, 12)))
+
+
+def test_grid_plan_rejects_a_degenerate_population_gap():
+    # lambda_2 - lambda_3 is about 1e-13, below GAP_TOL
+    config = _ecfg(gamma=1e-13, theta=0.0, ell_fixed=2, metric="proj_hat", n_grid=_SMALL_GRID)
+    kernel, pop = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    with pytest.raises(ConfigError, match="gap at ell=2"):
+        rates._grid_plan(config, kernel, pop)
 
 
 def test_rf_hat_grid_solves_no_matrix_of_n_or_m_per_cell(monkeypatch):

@@ -30,6 +30,7 @@ from .linalg import (
     sym_eig,
 )
 from .measures import draw_samples, uniform_measure
+from .rates import _count, _real
 from .rng import derive_seed, generator
 
 __all__ = [
@@ -454,14 +455,16 @@ def bernstein_bound(kind: str, scale: float, tau: float, count: int) -> Bernstei
 class McTailConfig:
     """Monte Carlo setup for empirical tail checks.
 
-    tau: concentration level; the claimed exceedance cap is the bound's
-        tail probability at this tau.
+    tau: concentration level, a finite real; the claimed exceedance cap
+        is the bound's tail probability at this tau.
     count: sample size s (cov experiment) or feature count m, >= 8 tau.
     replications: independent repetitions; at least 50 so an empirical
         frequency is meaningful.
     seed: master seed.
     atoms, rank: size of the synthetic ground-truth oracle; its spectrum
         is the polynomial decay i^-2.
+    Counts (count, replications, seed, atoms, rank) take integral numbers,
+    an integral float included, never a bool.
     """
 
     tau: float
@@ -472,6 +475,11 @@ class McTailConfig:
     rank: int = 20
 
     def __post_init__(self) -> None:
+        # Counts and tau are normalized before any check compares them, as in
+        # ExperimentConfig, so a bad value is a ConfigError, never a TypeError.
+        for key in ("count", "replications", "seed", "atoms", "rank"):
+            object.__setattr__(self, key, _count(key, getattr(self, key)))
+        object.__setattr__(self, "tau", _real("tau", self.tau))
         if self.replications < 50:
             raise InvalidInput(
                 f"McTailConfig: need >= 50 replications, got {self.replications}"

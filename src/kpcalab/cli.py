@@ -39,6 +39,7 @@ from .bounds import (
     operator_inequality_suite,
 )
 from .errors import CheckFailed, ConfigError, InvalidInput, NumericFailure
+from .linalg import RANK_RTOL
 from .oracle import oracle_snapshot, proj_pop, recon_error, tail_energy
 from .rates import (
     ExperimentConfig,
@@ -46,6 +47,7 @@ from .rates import (
     _decay_schedule,
     _oracle,
     _real,
+    _schedule_error,
     run_grid,
     transition_study,
 )
@@ -129,16 +131,6 @@ def _require_keys(config: dict, allowed: set, required: set, command: str) -> No
         raise ConfigError(f"{command} config is missing keys: {sorted(missing)}")
 
 
-def _integer(config: dict, key: str, default: int | None = None) -> int:
-    """``config[key]`` (or ``default``) as an int: integral numbers only, never a bool."""
-    return _count(key, config.get(key, default))
-
-
-def _finite_real(config: dict, key: str) -> float:
-    """``config[key]`` as a float: finite numbers only, never a bool."""
-    return _real(key, config[key])
-
-
 def _list(config: dict, key: str) -> list:
     value = config[key]
     if isinstance(value, list):
@@ -149,14 +141,16 @@ def _list(config: dict, key: str) -> list:
 def _effective_seed(config: dict, override: int | None) -> int:
     if override is None and "seed" not in config:
         raise ConfigError("config has no seed; set one or pass --seed")
-    seed = _integer(config, "seed", override)  # a config seed is checked even under --seed
+    seed = _count("seed", config.get("seed", override))  # checked even under --seed
     return seed if override is None else int(override)
 
 
-_EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-# Fields without a default, less the seed, which --seed may supply.
-_REQUIRED_EXPERIMENT_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)
-                             if f.default is dataclasses.MISSING} - {"seed"}
+def _keys(cls) -> tuple[set, set]:
+    """A config dataclass's field names, and those without a default less the
+    seed, which --seed may supply: the keys a command allows and requires."""
+    fields = dataclasses.fields(cls)
+    return ({f.name for f in fields},
+            {f.name for f in fields if f.default is dataclasses.MISSING} - {"seed"})
 
 
 def _snapshot(report) -> dict:
@@ -171,17 +165,15 @@ def _cmd_spectrum(config: dict, seed: int):
         required={"atoms", "rank", "decay", "ells"},
         command="spectrum",
     )
-    atoms = _integer(config, "atoms")
-    rank = _integer(config, "rank")
+    atoms = _count("atoms", config["atoms"])
+    rank = _count("rank", config["rank"])
     lambdas = _decay_schedule(config["decay"], rank, config.get("alpha"), config.get("gamma"))
     ells = [_count("ells", e) for e in _list(config, "ells")]
     if not ells or any(not 1 <= e <= rank - 1 for e in ells):
         raise ConfigError(f"ells must be nonempty and lie in 1..{rank - 1}")
     _, pop = _oracle(atoms, lambdas, seed)
     vals = pop.spectrum.eigenvalues
-    padded = np.zeros(atoms)
-    padded[:rank] = lambdas
-    spec_err = float(np.max(np.abs(vals - padded)) / lambdas[0])
+    spec_err = _schedule_error(pop, lambdas)
 
     header = ["ell", "eigenvalue", "tail_energy", "projector_residual", "rel_err", "agrees"]
     rows = []
@@ -195,7 +187,7 @@ def _cmd_spectrum(config: dict, seed: int):
         rows.append([ell, float(vals[ell - 1]), tail, resid, rel, agrees])
 
     verdicts = [
-        ("population_spectrum_matches_schedule", spec_err <= 1e-9,
+        ("population_spectrum_matches_schedule", spec_err <= RANK_RTOL,
          f"max |eig - schedule| / lambda_1 = {spec_err:.3e}"),
         ("reconstruction_matches_tail_energy", all_agree,
          f"{len(ells)} values of ell checked at 1e-10 relative"),
@@ -230,8 +222,7 @@ def _rate_summary(report) -> dict:
 
 
 def _cmd_rates(config: dict, seed: int):
-    _require_keys(config, allowed=_EXPERIMENT_KEYS, required=_REQUIRED_EXPERIMENT_KEYS,
-                  command="rates")
+    _require_keys(config, *_keys(ExperimentConfig), command="rates")
     cfg = ExperimentConfig(**{**config, "seed": seed})
     report = run_grid(cfg)
     header = ["n", "m", "ell", "rep", "metric", "value"]
@@ -247,8 +238,8 @@ def _cmd_rates(config: dict, seed: int):
 
 
 def _cmd_transition(config: dict, seed: int):
-    _require_keys(config, allowed=_EXPERIMENT_KEYS | {"taus"},
-                  required=_REQUIRED_EXPERIMENT_KEYS | {"taus"}, command="transition")
+    allowed, required = _keys(ExperimentConfig)
+    _require_keys(config, allowed | {"taus"}, required | {"taus"}, command="transition")
     taus = [_real("taus", t) for t in _list(config, "taus")]
     if not taus:
         raise ConfigError("transition config needs at least one tau")
@@ -276,17 +267,7 @@ def _cmd_transition(config: dict, seed: int):
         "reference_slope": study.reference_slope,
         "reference_stderr": study.reference_stderr,
         "reference": _rate_summary(study.reports[0]),
-        "taus": [
-            {
-                "tau": row.tau,
-                "regime": row.regime,
-                "slope": row.slope,
-                "slope_stderr": row.slope_stderr,
-                "expected": row.expected,
-                "matches": row.matches,
-            }
-            for row in study.rows
-        ],
+        "taus": [dataclasses.asdict(row) for row in study.rows],
     }
     return header, rows, summary, verdicts, _snapshot(study.reports[0])
 
@@ -294,8 +275,8 @@ def _cmd_transition(config: dict, seed: int):
 def _cmd_bounds(config: dict, seed: int):
     _require_keys(config, allowed={"perturbation_cases", "operator_trials", "seed"},
                   required=set(), command="bounds")
-    count = _integer(config, "perturbation_cases", 1000)
-    trials = _integer(config, "operator_trials", 1000)
+    count = _count("perturbation_cases", config.get("perturbation_cases", 1000))
+    trials = _count("operator_trials", config.get("operator_trials", 1000))
     if count < 1 or trials < 1:
         raise ConfigError("bounds config needs positive case and trial counts")
 
@@ -339,21 +320,14 @@ def _cmd_bounds(config: dict, seed: int):
 
 
 def _cmd_concentration(config: dict, seed: int):
-    _require_keys(config, allowed={"tau", "count", "replications", "seed", "atoms",
-                  "rank", "experiments"}, required={"tau", "count", "replications"},
-                  command="concentration")
+    allowed, required = _keys(McTailConfig)
+    _require_keys(config, allowed | {"experiments"}, required, command="concentration")
     experiments = config.get("experiments", list(_MC_EXPERIMENTS))
     if not isinstance(experiments, list) or any(e not in _MC_EXPERIMENTS for e in experiments):
         raise ConfigError(f"experiments must be a list drawn from {list(_MC_EXPERIMENTS)}, "
                           f"got {experiments!r}")
-    mc_cfg = McTailConfig(
-        tau=_finite_real(config, "tau"),
-        count=_integer(config, "count"),
-        replications=_integer(config, "replications"),
-        seed=seed,
-        atoms=_integer(config, "atoms", 128),
-        rank=_integer(config, "rank", 20),
-    )
+    mc_cfg = McTailConfig(**{k: v for k, v in config.items() if k not in ("experiments", "seed")},
+                          seed=seed)
     header = ["experiment", "tau", "count", "replications", "bound", "tail_cap",
               "exceed_count", "exceed_fraction", "max_deviation",
               "median_deviation", "holds"]

@@ -92,7 +92,7 @@ class ExperimentConfig:
         are meaningful.
     atoms, rank: oracle size N and spectrum length T.
     metric: one of METRICS.
-    slope_tolerance: |fitted - predicted| acceptance width.
+    slope_tolerance: |fitted - predicted| acceptance width, >= 0.
     """
 
     decay: str
@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if self.tau is not None and not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
+        if self.slope_tolerance < 0.0:
+            raise ConfigError(f"slope_tolerance must be >= 0, got {self.slope_tolerance}")
         if (self.tau is None) == (self.metric in _RF_METRICS):
             need = "needs" if self.tau is None else "takes no"
             raise ConfigError(f"metric {self.metric} {need} tau")
@@ -244,92 +246,65 @@ def predicted_exponent(config: ExperimentConfig, beta: float | None = None,
     """The theoretical log-log slope for the configured coupling.
 
     Returns the negated exponent (a slope, so typically negative).
-    ``beta`` overrides the gap-decay exponent used by polynomial
-    projection predictions (default alpha + 1, see module docstring).
-    ``improved`` selects the sharper eigengap-based reconstruction rates
-    available for exponential decay.  Raises OutOfRegime when the
-    parameters fall outside every branch the theory covers.
+    ``beta`` overrides the gap-decay exponent of polynomial projection
+    rates (default alpha + 1, see module docstring); ``improved`` selects
+    the sharper eigengap-based expo reconstruction rates.  Raises
+    OutOfRegime outside the theory's regimes: reconstruction needs
+    0 < theta < 1/2 and ``recon_rf_hat`` tau > 2 theta; projection needs
+    theta below alpha/(2 beta) (poly) or 1/2 (expo), and ``proj_rf_hat``
+    tau > 2 g with g = theta beta/alpha (poly) or theta (expo), where the
+    gap closes.  ``proj_rf_hat`` is sample-limited iff tau >= the
+    transition_study threshold, feature-limited (-(tau/2 - g)) below it.
 
     Projection exponents are the paper's upper bounds: at a constant ell
     the measured ``proj_hat`` slope is about -1/2, faster than the -1/4
     returned here (see module docstring).
     """
-    theta = config.theta
-    tau = config.tau
-    metric = config.metric
-    recon = metric.startswith("recon")
-    if improved and (config.decay != "expo" or not recon):
+    theta, tau, metric = config.theta, config.tau, config.metric
+    if improved and (config.decay != "expo" or not metric.startswith("recon")):
         raise OutOfRegime("improved rates exist only for exponential-decay reconstruction")
-    if metric in _RF_METRICS and tau is None:
-        raise ConfigError(f"metric {metric} needs tau")
+
+    if metric.startswith("recon"):
+        if not 0.0 < theta < 0.5:
+            raise OutOfRegime(f"{config.decay} reconstruction rates need 0 < theta < 1/2, "
+                              f"got {theta}")
+        if improved:
+            bias, rate = None, (-2.0 * theta if theta <= 1.0 / 3.0 else -(1.0 - theta))
+        elif config.decay == "poly":
+            alpha = config.alpha
+            bias = 2.0 * theta * (1.0 - 1.0 / (2.0 * alpha))
+            knee = alpha / (4.0 * alpha - 1.0)
+            rate = -bias if theta <= knee else -(0.5 - theta / (2.0 * alpha))
+        else:
+            bias = 2.0 * theta
+            rate = -bias if theta < 0.25 else -0.5
+        if metric == "recon_rf_pop":
+            if bias is None:
+                raise OutOfRegime("improved rates cover the sampled-feature estimators")
+            return -min(tau, bias)
+        if metric == "recon_rf_hat" and tau <= 2.0 * theta:
+            raise OutOfRegime(f"recon_rf_hat needs tau > 2 theta ({tau} <= {2.0 * theta})")
+        return rate
 
     if config.decay == "poly":
-        alpha = config.alpha
-        if recon:
-            if not 0.0 < theta < 0.5:
-                raise OutOfRegime(f"poly reconstruction rates need 0 < theta < 1/2, got {theta}")
-            bias_exp = 2.0 * theta * (1.0 - 1.0 / (2.0 * alpha))
-            knee = alpha / (4.0 * alpha - 1.0)
-            if metric == "recon_hat":
-                return -bias_exp if theta <= knee else -(0.5 - theta / (2.0 * alpha))
-            if metric == "recon_rf_pop":
-                return -min(tau, bias_exp)
-            # recon_rf_hat
-            if tau <= 2.0 * theta:
-                raise OutOfRegime(
-                    f"recon_rf_hat needs tau > 2 theta ({tau} <= {2.0 * theta})"
-                )
-            return -bias_exp if theta <= knee else -(0.5 - theta / (2.0 * alpha))
-        b = _beta_for(config, beta)
+        alpha, b = config.alpha, _beta_for(config, beta)
         if b < alpha:
             raise OutOfRegime(f"projection rates need beta >= alpha, got beta={b}")
-        if not 0.0 <= theta < alpha / (2.0 * b):
-            raise OutOfRegime(
-                f"poly projection rates need 0 <= theta < alpha/(2 beta), got {theta}"
-            )
-        knee = alpha / (2.0 * (2.0 * b - alpha))
-        if metric == "proj_hat":
-            return -(0.25 - theta / 2.0) if theta < knee else -(0.5 - theta * b / alpha)
-        if metric == "proj_rf_pop":
-            return -(tau / 2.0 - theta * b / alpha)
-        # proj_rf_hat
-        if tau <= 2.0 * theta * b / alpha:
-            raise OutOfRegime(
-                f"proj_rf_hat needs tau > 2 theta beta / alpha ({tau} too small)"
-            )
-        if theta < knee and tau > _tau_threshold(config, beta):
-            return -(0.25 - theta / 2.0)
-        return -(tau / 2.0 - theta * b / alpha)
-
-    # exponential decay
-    if recon:
-        if improved:
-            if not 0.0 < theta < 0.5:
-                raise OutOfRegime(f"improved expo rates need 0 < theta < 1/2, got {theta}")
-            if metric == "recon_rf_pop":
-                raise OutOfRegime("improved rates cover the sampled-feature estimators")
-            if metric == "recon_rf_hat" and tau <= 2.0 * theta:
-                raise OutOfRegime(f"recon_rf_hat needs tau > 2 theta ({tau} <= {2 * theta})")
-            return -2.0 * theta if theta <= 1.0 / 3.0 else -(1.0 - theta)
-        if not 0.0 < theta < 0.5:
-            raise OutOfRegime(f"expo reconstruction rates need 0 < theta < 1/2, got {theta}")
-        if metric == "recon_hat":
-            return -2.0 * theta if theta < 0.25 else -0.5
-        if metric == "recon_rf_pop":
-            return -min(tau, 2.0 * theta)
-        if tau <= 2.0 * theta:
-            raise OutOfRegime(f"recon_rf_hat needs tau > 2 theta ({tau} <= {2 * theta})")
-        return -2.0 * theta if theta < 0.25 else -0.5
-    if not 0.0 <= theta < 0.5:
-        raise OutOfRegime(f"expo projection rates need 0 <= theta < 1/2, got {theta}")
+        g, limit, knee = theta * b / alpha, alpha / (2.0 * b), alpha / (2.0 * (2.0 * b - alpha))
+    else:
+        g, limit, knee = theta, 0.5, 0.5
+    if not 0.0 <= theta < limit:
+        raise OutOfRegime(f"{config.decay} projection rates need 0 <= theta < {limit:g}, "
+                          f"got {theta}")
+    sample_rate = -(0.25 - theta / 2.0) if theta < knee else -(0.5 - g)
     if metric == "proj_hat":
-        return -(0.25 - theta / 2.0)
-    if metric == "proj_rf_pop":
-        return -(tau / 2.0 - theta)
-    # proj_rf_hat
-    if tau >= _tau_threshold(config):
-        return -(0.25 - theta / 2.0)
-    return -(tau / 2.0 - theta)
+        return sample_rate
+    if metric == "proj_rf_hat":
+        if tau <= 2.0 * g:
+            raise OutOfRegime(f"proj_rf_hat needs tau > {2.0 * g:g}, got {tau}")
+        if tau >= _tau_threshold(config, beta):
+            return sample_rate
+    return -(tau / 2.0 - g)
 
 
 def fit_slope(ns, values) -> tuple[float, float]:
@@ -390,14 +365,12 @@ def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> di
     """Per-n precomputation: ell, m and the bias."""
     plan = {}
     vals = pop.spectrum.eigenvalues
-    lam = kernel.lambdas
     # The cells score in the kernel's basis, where S_J is diag(lambda); that
     # needs S_J's spectrum to be the schedule padded with zeros.
-    spec_err = np.max(np.abs(vals - np.pad(lam, (0, vals.size - lam.size))))
-    if spec_err > RANK_RTOL * lam[0]:
-        raise ConfigError(
-            f"oracle self-check failed: S_J spectrum is off the schedule by {spec_err:.3e}"
-        )
+    spec_err = _schedule_error(pop, kernel.lambdas)
+    if spec_err > RANK_RTOL:
+        raise ConfigError(f"oracle self-check failed: S_J spectrum is off the schedule "
+                          f"by {spec_err:.3e} of lambda_1")
     for n in config.n_grid:
         ell = ell_for(config, n)
         try:  # the cells' own rules, so a split they reject fails before any draw
@@ -409,6 +382,12 @@ def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> di
         m = m_for(config, n) if config.tau is not None else None
         plan[n] = (ell, m, tail_energy(pop.spectrum, ell))
     return plan
+
+
+def _schedule_error(pop: PopOperator, lam: np.ndarray) -> float:
+    """max |eig(S_J) - lambda padded with zeros| / lambda_1."""
+    vals = pop.spectrum.eigenvalues
+    return float(np.max(np.abs(vals - np.pad(lam, (0, vals.size - lam.size)))) / lam[0])
 
 
 def _empirical_guard_ok(eigvals: np.ndarray, ell: int) -> bool:
@@ -520,6 +499,7 @@ def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOper
 
 def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
                   full_support: bool) -> RateReport:
+    predicted = predicted_exponent(config)  # an out-of-regime config fails before any cell
     plan = _grid_plan(config, kernel, pop)
     outcomes = [_run_cell(config, kernel, pop, plan, n, rep, full_support)
                 for n in config.n_grid for rep in range(config.replications)]
@@ -540,7 +520,6 @@ def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
     slope, stderr = fit_slope(list(config.n_grid), [medians[n] for n in config.n_grid])
     beta = _beta_for(config, None) if (
         config.decay == "poly" and config.metric.startswith("proj")) else None
-    predicted = predicted_exponent(config)
     return RateReport(
         config=config,
         beta=beta,
@@ -590,19 +569,21 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     """
     if base.metric != "proj_rf_hat":
         raise ConfigError(f"transition_study needs metric proj_rf_hat, got {base.metric}")
-    taus = [_real("taus", tau) for tau in taus]
-    if not taus:
+    configs = [replace(base, tau=_real("taus", tau)) for tau in taus]
+    if not configs:
         raise ConfigError("transition_study needs at least one tau")
+    for config in configs:  # an out-of-regime tau fails before the reference grid runs
+        predicted_exponent(config)
     # The oracle depends on seed, atoms and schedule only, so every run shares it.
     oracle = _oracle(base.atoms, lambda_schedule(base), base.seed)
     reference = _measure_grid(replace(base, tau=None, metric="proj_hat"), *oracle, False)
     threshold = _tau_threshold(base)
     rows = []
     reports = [reference]
-    for tau in taus:
-        rep = _measure_grid(replace(base, tau=tau), *oracle, False)
+    for config in configs:
+        rep = _measure_grid(config, *oracle, False)
         reports.append(rep)
-        if tau >= threshold:
+        if config.tau >= threshold:
             expected = reference.slope
             regime = "sample_limited"
         else:
@@ -610,7 +591,7 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
             expected = rep.predicted
             regime = "feature_limited"
         rows.append(TransitionRow(
-            tau=tau,
+            tau=config.tau,
             regime=regime,
             slope=rep.slope,
             slope_stderr=rep.slope_stderr,

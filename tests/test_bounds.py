@@ -471,3 +471,17 @@ def test_mc_tail_config_checks():
     for rank, atoms in ((0, 128), (-2, 128), (20, 20)):
         with pytest.raises(InvalidInput):
             McTailConfig(tau=2.0, count=100, replications=60, seed=0, atoms=atoms, rank=rank)
+    # NaN and bool taus are config errors, not a NaN bound or a tau of 1
+    for tau in (math.nan, True):
+        with pytest.raises(kpcalab.ConfigError, match="tau"):
+            McTailConfig(tau=tau, count=100, replications=60, seed=0)
+
+
+def test_mc_tail_config_normalizes_integral_numbers():
+    config = McTailConfig(tau=2, count=200.0, replications=50.0, seed=np.int64(3),
+                          atoms=32.0, rank=8)
+    assert [type(v) for v in (config.tau, config.count, config.replications, config.seed,
+                              config.atoms)] == [float, int, int, int, int]
+    # an integral float count runs the same draws as the int
+    same = McTailConfig(tau=2.0, count=200, replications=50, seed=3, atoms=32, rank=8)
+    assert mc_tail("cov_deviation", config) == mc_tail("cov_deviation", same)

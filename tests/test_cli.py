@@ -9,7 +9,7 @@ import pytest
 
 import kpcalab.bounds
 import kpcalab.cli as cli
-from kpcalab import NumericFailure
+from kpcalab import NumericFailure, rates
 
 
 def _write_config(tmp_path, name, payload):
@@ -231,6 +231,7 @@ def test_config_schema_rejections(tmp_path, capsys):
                        "atoms": 20, "rank": 20}),
     ("bounds --seed 3", {"seed": "abc", "perturbation_cases": 3}),
     ("rates", {**_RATES_PAYLOAD, "n_grid": 5}),
+    ("rates", {**_RATES_PAYLOAD, "slope_tolerance": -0.1}),
 ], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
         "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
         "tau_bool", "replications_fraction", "atoms_fraction", "unknown_experiment",
@@ -238,7 +239,7 @@ def test_config_schema_rejections(tmp_path, capsys):
         "ell_fixed_fraction", "rates_replications_fraction", "slope_tolerance_str",
         "spectrum_atoms_fraction", "spectrum_ells_fraction", "spectrum_ells_not_a_list",
         "taus_str", "rank_zero", "rank_negative", "atoms_not_above_rank",
-        "seed_str_under_override", "n_grid_scalar"])
+        "seed_str_under_override", "n_grid_scalar", "slope_tolerance_negative"])
 def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys,
                                                    command, payload):
     def no_compute(*args, **kwargs):
@@ -252,6 +253,34 @@ def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys
     out = tmp_path / "o"
     command, *flags = command.split()
     assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+_POLY_PAYLOAD = {**{k: v for k, v in _RATES_PAYLOAD.items() if k != "gamma"},
+                 "decay": "poly", "alpha": 2.0}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("rates", {**_POLY_PAYLOAD, "theta": 0.0}),
+    # beta = 3: 2 theta beta / alpha = 0.3, so tau = 0.2 is out of regime
+    ("transition", {**_POLY_PAYLOAD, "theta": 0.1, "metric": "proj_rf_hat",
+                    "taus": [0.5, 0.2]}),
+], ids=["poly_recon_theta_zero", "transition_second_tau"])
+def test_out_of_regime_configs_exit_one_before_any_cell(tmp_path, monkeypatch, capsys,
+                                                       command, payload):
+    cells = []
+    run_cell = rates._run_cell
+
+    def counting(*args):
+        cells.append(args)
+        return run_cell(*args)
+
+    monkeypatch.setattr(rates, "_run_cell", counting)
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, "regime.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert cells == []
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
 

@@ -111,6 +111,146 @@ def test_predicted_expo_branches():
         _ecfg(metric="proj_rf_hat", theta=0.1, tau=0.3)) == pytest.approx(-0.05)
     with pytest.raises(OutOfRegime):
         predicted_exponent(_ecfg(metric="proj_hat", theta=0.5))
+    # tau <= 2 theta: the feature rate -(tau/2 - theta) would not decay
+    for tau in (0.3, 0.4):
+        with pytest.raises(OutOfRegime, match="proj_rf_hat needs tau > 0.4"):
+            predicted_exponent(_ecfg(metric="proj_rf_hat", theta=0.2, tau=tau))
+
+
+def _branchwise_predicted_exponent(config, beta=None, improved=False):
+    """The rate rules spelled out branch by branch for each decay: the reference
+    predicted_exponent must match bit for bit, but for the two cases
+    test_predicted_exponent_matches_the_branchwise_reference names."""
+    theta = config.theta
+    tau = config.tau
+    metric = config.metric
+    recon = metric.startswith("recon")
+    if improved and (config.decay != "expo" or not recon):
+        raise OutOfRegime("improved rates exist only for exponential-decay reconstruction")
+    if metric in rates._RF_METRICS and tau is None:
+        raise ConfigError(f"metric {metric} needs tau")
+
+    if config.decay == "poly":
+        alpha = config.alpha
+        if recon:
+            if not 0.0 < theta < 0.5:
+                raise OutOfRegime(f"poly reconstruction rates need 0 < theta < 1/2, got {theta}")
+            bias_exp = 2.0 * theta * (1.0 - 1.0 / (2.0 * alpha))
+            knee = alpha / (4.0 * alpha - 1.0)
+            if metric == "recon_hat":
+                return -bias_exp if theta <= knee else -(0.5 - theta / (2.0 * alpha))
+            if metric == "recon_rf_pop":
+                return -min(tau, bias_exp)
+            # recon_rf_hat
+            if tau <= 2.0 * theta:
+                raise OutOfRegime(
+                    f"recon_rf_hat needs tau > 2 theta ({tau} <= {2.0 * theta})"
+                )
+            return -bias_exp if theta <= knee else -(0.5 - theta / (2.0 * alpha))
+        b = rates._beta_for(config, beta)
+        if b < alpha:
+            raise OutOfRegime(f"projection rates need beta >= alpha, got beta={b}")
+        if not 0.0 <= theta < alpha / (2.0 * b):
+            raise OutOfRegime(
+                f"poly projection rates need 0 <= theta < alpha/(2 beta), got {theta}"
+            )
+        knee = alpha / (2.0 * (2.0 * b - alpha))
+        if metric == "proj_hat":
+            return -(0.25 - theta / 2.0) if theta < knee else -(0.5 - theta * b / alpha)
+        if metric == "proj_rf_pop":
+            return -(tau / 2.0 - theta * b / alpha)
+        # proj_rf_hat
+        if tau <= 2.0 * theta * b / alpha:
+            raise OutOfRegime(
+                f"proj_rf_hat needs tau > 2 theta beta / alpha ({tau} too small)"
+            )
+        if theta < knee and tau > rates._tau_threshold(config, beta):
+            return -(0.25 - theta / 2.0)
+        return -(tau / 2.0 - theta * b / alpha)
+
+    # exponential decay
+    if recon:
+        if improved:
+            if not 0.0 < theta < 0.5:
+                raise OutOfRegime(f"improved expo rates need 0 < theta < 1/2, got {theta}")
+            if metric == "recon_rf_pop":
+                raise OutOfRegime("improved rates cover the sampled-feature estimators")
+            if metric == "recon_rf_hat" and tau <= 2.0 * theta:
+                raise OutOfRegime(f"recon_rf_hat needs tau > 2 theta ({tau} <= {2 * theta})")
+            return -2.0 * theta if theta <= 1.0 / 3.0 else -(1.0 - theta)
+        if not 0.0 < theta < 0.5:
+            raise OutOfRegime(f"expo reconstruction rates need 0 < theta < 1/2, got {theta}")
+        if metric == "recon_hat":
+            return -2.0 * theta if theta < 0.25 else -0.5
+        if metric == "recon_rf_pop":
+            return -min(tau, 2.0 * theta)
+        if tau <= 2.0 * theta:
+            raise OutOfRegime(f"recon_rf_hat needs tau > 2 theta ({tau} <= {2 * theta})")
+        return -2.0 * theta if theta < 0.25 else -0.5
+    if not 0.0 <= theta < 0.5:
+        raise OutOfRegime(f"expo projection rates need 0 <= theta < 1/2, got {theta}")
+    if metric == "proj_hat":
+        return -(0.25 - theta / 2.0)
+    if metric == "proj_rf_pop":
+        return -(tau / 2.0 - theta)
+    # proj_rf_hat
+    if tau >= rates._tau_threshold(config):
+        return -(0.25 - theta / 2.0)
+    return -(tau / 2.0 - theta)
+
+
+def _outcome(predict, config, beta, improved):
+    """The prediction's exact bits, or the type of exception it raised."""
+    try:
+        return predict(config, beta, improved).hex()
+    except Exception as exc:  # noqa: BLE001 -- the type is the outcome compared
+        return type(exc)
+
+
+def _prediction_cases():
+    """(config, beta, improved) for both decays and every metric: theta over 0..0.6
+    plus every knee and limit, tau over (0, 1] plus every 2 theta, 2 g and
+    threshold, beta below, at and above alpha, improved off and on."""
+    for alpha in (1.5, 2.0, 3.0, None):
+        betas = [None] if alpha is None else [None, 0.9 * alpha, alpha, 2.0 * alpha]
+        bs = [] if alpha is None else [alpha, alpha + 1.0, 2.0 * alpha]
+        thetas = {k / 40.0 for k in range(25)} | {0.25, 1.0 / 3.0}
+        if alpha is not None:
+            thetas.add(alpha / (4.0 * alpha - 1.0))
+            thetas |= {alpha / (2.0 * b) for b in bs}
+            thetas |= {alpha / (2.0 * (2.0 * b - alpha)) for b in bs}
+        for theta in sorted(thetas):
+            taus = {k / 20.0 for k in range(1, 21)} | {2.0 * theta, 0.5 + theta}
+            for b in bs:
+                taus |= {2.0 * (theta * b / alpha), 0.5 + theta * (2.0 * b - alpha) / alpha}
+            for metric in rates.METRICS:
+                rf = metric in rates._RF_METRICS
+                for tau in sorted(t for t in taus if 0.0 < t <= 1.0) if rf else [None]:
+                    config = _cfg(decay="expo" if alpha is None else "poly", alpha=alpha,
+                                  gamma=0.5 if alpha is None else None, theta=theta,
+                                  metric=metric, tau=tau)
+                    for beta in betas:
+                        yield config, beta, False
+                        yield config, beta, True
+
+
+def test_predicted_exponent_matches_the_branchwise_reference():
+    ties = gaps = 0
+    for config, beta, improved in _prediction_cases():
+        want = _outcome(_branchwise_predicted_exponent, config, beta, improved)
+        got = _outcome(predicted_exponent, config, beta, improved)
+        if got == want:
+            continue
+        assert config.metric == "proj_rf_hat", (config, beta, improved)
+        if config.decay == "expo":  # tau <= 2 theta is now out of regime
+            assert config.tau <= 2.0 * config.theta and got is OutOfRegime
+            assert isinstance(want, str)
+            gaps += 1
+        else:  # tau at the threshold: both rates agree but for rounding
+            assert config.tau == rates._tau_threshold(config, beta)
+            assert abs(float.fromhex(got) - float.fromhex(want)) <= 1e-16
+            ties += 1
+    assert ties > 0 and gaps > 0
 
 
 def test_predicted_improved_rates():
@@ -320,7 +460,7 @@ def _sample_level_cell(config, report, n, rep):
 def _grid_cases():
     for seed in range(3):
         for metric, tau in (("recon_hat", None), ("proj_hat", None), ("recon_rf_pop", 0.5),
-                            ("proj_rf_pop", 0.5), ("recon_rf_hat", 0.5), ("proj_rf_hat", 0.3)):
+                            ("proj_rf_pop", 0.5), ("recon_rf_hat", 0.5), ("proj_rf_hat", 0.5)):
             yield _ecfg(theta=0.2, metric=metric, tau=tau, n_grid=_SMALL_GRID, seed=seed), 0
     # m(n) = 2 features: a draw that repeats its index cannot carry ell = 2
     for metric in ("proj_rf_pop", "proj_rf_hat"):

@@ -132,24 +132,35 @@ def _retained_rank(vals: np.ndarray, kappa: float, n: int, op: str) -> int:
     return min(int(np.sum(vals > RANK_RTOL * vals[0])), n - 1)
 
 
-def _count_fit(root: np.ndarray, counts: np.ndarray, kappa: float,
-               op: str) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs (sigma, V) of W W' that _retained_rank keeps for sigma / n.
+def _count_fit(root: np.ndarray, counts: np.ndarray, kappa: float | np.ndarray,
+               op: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per member i of counts (k, N), the eigenpairs (sigma, V) of W W' that
+    _retained_rank keeps for sigma / n, from one eigensolve of the k matrices.
 
-    W is the per-atom ``root`` (d, N) centred with the count weights and scaled
-    by sqrt(counts), so W W' / n is the covariance of the n samples' root columns
-    and W W' has the nonzero spectrum of their centred n x n Gram matrix."""
-    n = int(counts.sum())
-    centred = root - (root @ counts / n)[:, None]
-    # W W' through one X X' product, which is exactly symmetric.
-    w = centred * np.sqrt(counts)[None, :]
-    spec = sym_eig(w @ w.T)
-    sigma = spec.eigenvalues
-    r = _retained_rank(sigma / n, kappa, n, op)
-    return sigma[:r], spec.eigenvectors[:, :r]
+    W is the per-atom root (d, N), shared or one per member (k, d, N), centred
+    with counts[i] as weights and scaled by sqrt(counts[i]), so W W' / n is the
+    covariance of the n samples' root columns and W W' has the nonzero spectrum
+    of their centred n x n Gram matrix; kappa is a scalar or (k,)."""
+    n = counts.sum(axis=-1)
+    centred = root - np.matmul(root, counts[..., None]) / n[:, None, None]
+    # W W' through one X X' product per member, which is exactly symmetric.
+    centred *= np.sqrt(counts)[:, None, :]
+    spec = sym_eig(centred @ centred.swapaxes(-1, -2))
+    fits = []
+    for sigma, vecs, size, floor in zip(spec.eigenvalues, spec.eigenvectors, n,
+                                        np.broadcast_to(kappa, n.shape)):
+        r = _retained_rank(sigma / size, floor, int(size), op)
+        fits.append((sigma[:r], vecs[:, :r]))
+    return fits
 
 
-def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
+def _stack_counts(samples: np.ndarray, size: int) -> np.ndarray:
+    """bincount(row, minlength=size) of every row of a (k, n) sample stack."""
+    flat = (samples + size * np.arange(len(samples))[:, None]).ravel()
+    return np.bincount(flat, minlength=size * len(samples)).reshape(-1, size)
+
+
+def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel]:
     """Fit exact KPCA to a sample list.
 
     Finite-rank kernels take a count route: a sample enters only through its
@@ -160,18 +171,27 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel:
     ``atom_coeffs`` maps V to the atoms on first read and ``dual_coeffs``
     gathers those to the n samples.  Equal to the H K H route within solver
     tolerance; off-atom points raise DomainError.
+
+    A finite-rank (k, n) array is a stack of k sample lists, fitted with one
+    eigensolve, giving k models bit-for-bit ``fit_exact(kernel, samples[i])``.
     """
     finite = kernel.kind == "finite_rank"
-    samples = _as_index_points(kernel, samples) if finite else np.asarray(samples)
-    n = samples.shape[0]
+    samples = np.asarray(samples)
+    stacked = finite and samples.ndim == 2
+    if stacked:
+        rows = _as_index_points(kernel, samples.reshape(-1)).reshape(samples.shape)
+    elif finite:
+        rows = _as_index_points(kernel, samples)[None]
+    n = rows.shape[1] if finite else samples.shape[0]
     if n < 2:
         raise InvalidInput(f"fit_exact: need at least two samples, got {n}")
     if finite:
-        counts = np.bincount(samples, minlength=kernel.table.values.shape[1])
+        counts = _stack_counts(rows, kernel.table.values.shape[1])
         root = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
-        sigma, v = _count_fit(root, counts, kernel.kappa, "fit_exact")
-        return KpcaModel(samples, kernel, sigma / n, counts=counts, basis_vectors=v,
-                         _sigma=sigma)
+        models = [KpcaModel(pts, kernel, sigma / n, counts=c, basis_vectors=v, _sigma=sigma)
+                  for pts, c, (sigma, v) in zip(
+                      rows, counts, _count_fit(root, counts, kernel.kappa, "fit_exact"))]
+        return models if stacked else models[0]
     gram_cache = gram(kernel, samples)
     centered = center_gram(gram_cache, np.full(n, 1.0 / n))
     spec = sym_eig(centered)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConfigError, EigengapError, OutOfRegime, RankError
 from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
-from .kpca import _count_fit, fit_exact
+from .kpca import _count_fit, _stack_counts, fit_exact
 from .linalg import RANK_RTOL, _check_split, matrix_norm, sym_eig
 from .measures import draw_samples, uniform_measure
 from .oracle import PopOperator, op_jj, tail_energy
@@ -396,10 +396,11 @@ def _empirical_guard_ok(eigvals: np.ndarray, ell: int) -> bool:
     return eigvals[ell - 1] >= _GUARD_FACTOR * RANK_RTOL * eigvals[0]
 
 
-def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: dict,
-              n: int, rep: int, full_support: bool) -> tuple[RateRow, float | None]:
-    """One (n, rep) measurement.  Returns the row and the swap-inequality margin
-    (None when the cell is invalid).
+def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: dict,
+                   n: int, full_support: bool) -> list[tuple[RateRow, float | None]]:
+    """Each replication at grid point n as a row and its swap-inequality margin
+    (None when invalid), drawn from its own (seed, n, rep) streams and fitted
+    and scored with the others as one stack.
 
     Every estimated projector lies in the span of the kernel's T basis
     functions, where S_J is Lambda = diag(lambda) and its top-ell projector is
@@ -408,84 +409,97 @@ def _run_cell(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: 
     the span of P and C: the same numbers as proj_hat / proj_hat_rf /
     proj_pop(op_aa) scored by recon_error and proj_distance, free of N and m.
     A spectrum that cannot carry ell components past the division guard, or
-    a feature operator with no gap at ell, makes the cell invalid (NaN).
+    a feature operator with no gap at ell, makes the replication invalid (NaN)
+    before any scoring.
     """
     ell, m, r_pop = plan[n]
-    measure = kernel.table.measure
-    psi = kernel.table.values
-    lam = kernel.lambdas
+    measure, psi, lam = kernel.table.measure, kernel.table.values, kernel.lambdas
+    reps = range(config.replications)
     if full_support:
-        samples = np.asarray(measure.atoms)
+        samples = np.tile(measure.atoms, (config.replications, 1))
     else:
-        samples = draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
+        samples = np.stack([draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
+                            for rep in reps])
     metric = config.metric
-    try:
-        if metric in ("recon_hat", "proj_hat"):
-            model = fit_exact(kernel, samples)
-            # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis coordinates
-            # sqrt(Lambda) v_i up to sign, v_i the fit's T x T eigenvector.
-            coords, eigvals = np.sqrt(lam)[:, None] * model.basis_vectors, model.eigvals
+    fits = []  # per replication, the basis coordinates and eigenvalues, or None
+    if metric in ("recon_hat", "proj_hat"):
+        # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis coordinates
+        # sqrt(Lambda) v_i up to sign, v_i the fit's T x T eigenvector.
+        fits = [(np.sqrt(lam)[:, None] * model.basis_vectors, model.eigvals)
+                for model in fit_exact(kernel, samples)]
+    else:
+        draws = [sample_finite_rank(kernel, m, derive_seed(config.seed, "features", n, rep),
+                                    mixed=True) for rep in reps]
+        factors = np.stack([basis_factor(fs) for fs in draws])
+        if metric in ("recon_rf_pop", "proj_rf_pop"):
+            spec = sym_eig(factors @ factors.swapaxes(-1, -2))
+            for vals, vecs in zip(spec.eigenvalues, spec.eigenvectors):
+                try:
+                    _check_split(vals, ell)
+                    fits.append((vecs, np.ones(vals.shape[0])))
+                except (RankError, EigengapError):
+                    fits.append(None)
         else:
-            fs = sample_finite_rank(
-                kernel, m, derive_seed(config.seed, "features", n, rep), mixed=True
-            )
-            factor = basis_factor(fs)
-            if metric in ("recon_rf_pop", "proj_rf_pop"):
-                spec = sym_eig(factor @ factor.T)
-                _check_split(spec.eigenvalues, ell)
-                coords, eigvals = spec.eigenvectors, np.ones(factor.shape[0])
-            else:
-                # fit_rf's m x m covariance G' Sigma G (G G' = L L') shares its nonzero
-                # spectrum with L' Sigma L, the count fit of the root L' psi, whose
-                # eigenvector y is the component with basis coordinates L y.
-                counts = np.bincount(samples, minlength=psi.shape[1])
-                sigma, v = _count_fit(factor.T @ psi, counts, fs.kappa_m, "fit_rf")
-                coords, eigvals = factor @ v, sigma / samples.shape[0]
-        if not _empirical_guard_ok(eigvals, ell):
-            raise RankError(f"eigenvalue {ell} sits below the division guard")
-    except (RankError, EigengapError):
-        # A sample or feature draw too degenerate to carry ell components; the
-        # hypotheses of the theory exclude these, so the cell is marked
-        # invalid rather than silently redrawn.
-        return RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=math.nan), None
-
-    coords, eigvals = coords[:, :ell], eigvals[:ell]
-    q = _plug_in(coords, eigvals)
-    r_emp = float(np.sum((np.diag(lam) - q * lam[None, :]) ** 2))
-    dist = _span_distance(ell, coords, eigvals)
-    value = dist if metric.startswith("proj") else r_emp
-    margin = pop.hs_norm * dist + _SWAP_SLACK - abs(math.sqrt(r_emp) - math.sqrt(r_pop))
-    return RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=value), margin
+            # fit_rf's m x m covariance G' Sigma G (G G' = L L') shares its nonzero
+            # spectrum with L' Sigma L, the count fit of the root L' psi, whose
+            # eigenvector y is the component with basis coordinates L y.
+            counts = _stack_counts(samples, psi.shape[1])
+            fitted = _count_fit(factors.swapaxes(-1, -2) @ psi, counts,
+                                np.array([fs.kappa_m for fs in draws]), "fit_rf")
+            fits = [(factor @ v, sigma / samples.shape[1])
+                    for factor, (sigma, v) in zip(factors, fitted)]
+    # A draw too degenerate to carry ell components is excluded by the theory's
+    # hypotheses, so its replication is marked invalid rather than redrawn.
+    valid = [i for i, fit in enumerate(fits) if fit is not None
+             and _empirical_guard_ok(fit[1], ell)]
+    values, margins = np.full((2, config.replications), math.nan)
+    if valid:
+        coords = np.stack([fits[i][0][:, :ell] for i in valid])
+        eigvals = np.stack([fits[i][1][:ell] for i in valid])
+        q = _plug_in(coords, eigvals)
+        r_emp = np.sum(((np.diag(lam) - q * lam) ** 2).reshape(len(valid), -1), axis=-1)
+        dist = _span_distance(ell, coords, eigvals)
+        values[valid] = dist if metric.startswith("proj") else r_emp
+        margins[valid] = pop.hs_norm * dist + _SWAP_SLACK - np.abs(np.sqrt(r_emp)
+                                                                   - math.sqrt(r_pop))
+    return [(RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=float(values[rep])),
+             float(margins[rep]) if rep in valid else None) for rep in reps]
 
 
 def _plug_in(coords: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
-    """sum_i c_i c_i' / lambda_i over the columns c_i of ``coords``."""
-    q = (coords / eigvals) @ coords.T
-    return (q + q.T) / 2.0
+    """sum_i c_i c_i' / lambda_i over the columns c_i of ``coords``, per member
+    of a stack."""
+    q = (coords / eigvals[..., None, :]) @ coords.swapaxes(-1, -2)
+    return (q + q.swapaxes(-1, -2)) / 2.0
 
 
-def _span_distance(ell: int, coords: np.ndarray, eigvals: np.ndarray) -> float:
-    """||diag(1_ell, 0) - _plug_in(coords, eigvals)||_op: with [e_1..e_ell | C] =
-    U R (thin QR), the difference is U R diag(1_ell, -1/eigvals) R' U', whose
-    norm is that of the 2 ell x 2 ell core between U and U'."""
-    r = np.linalg.qr(np.hstack([np.eye(coords.shape[0], ell), coords]), mode="r")
-    core = (r * np.concatenate([np.ones(ell), -1.0 / eigvals])) @ r.T
-    return matrix_norm((core + core.T) / 2.0, "operator")
+def _span_distance(ell: int, coords: np.ndarray, eigvals: np.ndarray) -> float | np.ndarray:
+    """||diag(1_ell, 0) - _plug_in(coords, eigvals)||_op per member: with
+    [e_1..e_ell | C] = U R (thin QR), the difference is U R diag(1_ell,
+    -1/eigvals) R' U', whose norm is that of the 2 ell x 2 ell core."""
+    units = np.broadcast_to(np.eye(coords.shape[-2], ell), coords.shape)
+    r = np.linalg.qr(np.concatenate([units, coords], axis=-1), mode="r")
+    weights = np.concatenate([np.ones(eigvals.shape), -1.0 / eigvals], axis=-1)
+    core = (r * weights[..., None, :]) @ r.swapaxes(-1, -2)
+    return matrix_norm((core + core.swapaxes(-1, -2)) / 2.0, "operator")
 
 
 def run_grid(config: ExperimentConfig, full_support: bool = False) -> RateReport:
     """Measure the configured metric over the grid and fit its rate.
 
     Fully deterministic for a given config: every cell derives its own
-    random streams from (seed, n, rep), so execution order changes no
-    number.  ``full_support`` is a test hook replacing every sample draw
-    with the complete atom set, which removes all sampling error and must
-    reproduce the pure bias values.
+    random streams from (seed, n, rep), so neither the order of the grid
+    points nor the replication count, each point's replications being fitted
+    and scored as one stack, changes a number.  ``full_support`` is a test
+    hook replacing every sample draw with the complete atom set, which
+    removes all sampling error and must reproduce the pure bias values.  An
+    out-of-regime config fails before the oracle is built.
 
     Alongside the metric, every valid cell checks the projector-swap
     inequality |sqrt(R_emp) - sqrt(R_pop)| <= ||S||_HS * dist with 1e-8
     slack; the report carries the minimum margin and violation count.
     """
+    predicted_exponent(config)
     oracle = _oracle(config.atoms, lambda_schedule(config), config.seed)
     return _measure_grid(config, *oracle, full_support)
 
@@ -501,8 +515,8 @@ def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
                   full_support: bool) -> RateReport:
     predicted = predicted_exponent(config)  # an out-of-regime config fails before any cell
     plan = _grid_plan(config, kernel, pop)
-    outcomes = [_run_cell(config, kernel, pop, plan, n, rep, full_support)
-                for n in config.n_grid for rep in range(config.replications)]
+    outcomes = [out for n in config.n_grid
+                for out in _measure_point(config, kernel, pop, plan, n, full_support)]
     rows = tuple(row for row, _ in outcomes)
     margins = [mar for _, mar in outcomes if mar is not None]
     medians = {}

@@ -269,18 +269,22 @@ _POLY_PAYLOAD = {**{k: v for k, v in _RATES_PAYLOAD.items() if k != "gamma"},
 ], ids=["poly_recon_theta_zero", "transition_second_tau"])
 def test_out_of_regime_configs_exit_one_before_any_cell(tmp_path, monkeypatch, capsys,
                                                        command, payload):
-    cells = []
-    run_cell = rates._run_cell
+    calls = {"_measure_point": [], "_oracle": []}
 
-    def counting(*args):
-        cells.append(args)
-        return run_cell(*args)
+    def spy(name):
+        original = getattr(rates, name)
 
-    monkeypatch.setattr(rates, "_run_cell", counting)
+        def counting(*args):
+            calls[name].append(args)
+            return original(*args)
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(rates, name, spy(name))
     out = tmp_path / "o"
     cfg = _write_config(tmp_path, "regime.json", payload)
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert cells == []
+    assert calls == {"_measure_point": [], "_oracle": []}
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
 

@@ -209,6 +209,34 @@ def test_fit_exact_rejects_points_off_the_atoms(points):
         fit_exact(ker, np.array(points))
 
 
+def test_fit_exact_on_a_stack_equals_fitting_each_row_alone():
+    measure, ker, _ = _rank_setup(n_atoms=40)
+    rng = np.random.default_rng(21)
+    stack = rng.integers(0, 40, size=(7, 30))
+    stack[3, :] = stack[3, 0] % 5  # a row on 5 atoms retains a smaller rank
+    stack[3, :5] = np.arange(5)
+    models = fit_exact(ker, stack)
+    assert isinstance(models, list) and len(models) == 7
+    assert len({m.rank for m in models}) > 1
+    for row, got in zip(stack, models):
+        want = fit_exact(ker, row)
+        for name in ("train_points", "eigvals", "basis_vectors", "counts", "atom_coeffs",
+                     "dual_coeffs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # an out-of-range atom in any one row rejects the stack
+    for bad in (-1, 40):
+        off = stack.copy()
+        off[5, 11] = bad
+        with pytest.raises(DomainError):
+            fit_exact(ker, off)
+    # on a gaussian kernel a 2-d array is one (n, p) sample list
+    points = rng.standard_normal((12, 2))
+    model = fit_exact(gaussian_kernel(1.0), points)
+    assert model.n == 12
+    assert model.dual_coeffs.shape == (model.rank, 12)
+
+
 def test_large_sample_fit_keeps_the_gram_exactly_symmetric():
     # at this n a count-weighted product that is not X X' leaves the T x T
     # matrix asymmetric by about 1e-11, beyond sym_eig's absolute tolerance

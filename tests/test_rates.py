@@ -12,6 +12,7 @@ from kpcalab import (
     ExperimentConfig,
     OutOfRegime,
     RankError,
+    basis_factor,
     derive_seed,
     draw_samples,
     ell_for,
@@ -482,6 +483,113 @@ def test_cells_match_the_sample_level_route(config, invalid):
     assert np.max(np.abs(got[ok] - want[ok]) / want[ok]) <= 1e-10
 
 
+def _reference_count_fit(root, counts, kappa, op):
+    """The one-sample-list count fit the stacked kpca._count_fit replaced."""
+    n = int(counts.sum())
+    centred = root - (root @ counts / n)[:, None]
+    w = centred * np.sqrt(counts)[None, :]
+    spec = linalg.sym_eig(w @ w.T)
+    sigma = spec.eigenvalues
+    r = kpca._retained_rank(sigma / n, kappa, n, op)
+    return sigma[:r], spec.eigenvectors[:, :r]
+
+
+def _reference_plug_in(coords, eigvals):
+    q = (coords / eigvals) @ coords.T
+    return (q + q.T) / 2.0
+
+
+def _reference_span_distance(ell, coords, eigvals):
+    r = np.linalg.qr(np.hstack([np.eye(coords.shape[0], ell), coords]), mode="r")
+    core = (r * np.concatenate([np.ones(ell), -1.0 / eigvals])) @ r.T
+    return linalg.matrix_norm((core + core.T) / 2.0, "operator")
+
+
+def _reference_run_cell(config, kernel, pop, plan, n, rep, full_support):
+    """One (n, rep) cell on its own, as the grid measured it before replications
+    were stacked; fit_exact's count route is inlined."""
+    ell, m, r_pop = plan[n]
+    measure = kernel.table.measure
+    psi = kernel.table.values
+    lam = kernel.lambdas
+    if full_support:
+        samples = np.asarray(measure.atoms)
+    else:
+        samples = draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
+    metric = config.metric
+    counts = np.bincount(samples, minlength=psi.shape[1])
+    try:
+        if metric in ("recon_hat", "proj_hat"):
+            sigma, v = _reference_count_fit(np.sqrt(lam)[:, None] * psi, counts, kernel.kappa,
+                                            "fit_exact")
+            coords, eigvals = np.sqrt(lam)[:, None] * v, sigma / samples.shape[0]
+        else:
+            fs = sample_finite_rank(
+                kernel, m, derive_seed(config.seed, "features", n, rep), mixed=True
+            )
+            factor = basis_factor(fs)
+            if metric in ("recon_rf_pop", "proj_rf_pop"):
+                spec = linalg.sym_eig(factor @ factor.T)
+                linalg._check_split(spec.eigenvalues, ell)
+                coords, eigvals = spec.eigenvectors, np.ones(factor.shape[0])
+            else:
+                sigma, v = _reference_count_fit(factor.T @ psi, counts, fs.kappa_m, "fit_rf")
+                coords, eigvals = factor @ v, sigma / samples.shape[0]
+        if not _empirical_guard_ok(eigvals, ell):
+            raise RankError(f"eigenvalue {ell} sits below the division guard")
+    except (RankError, EigengapError):
+        return math.nan, None
+    coords, eigvals = coords[:, :ell], eigvals[:ell]
+    q = _reference_plug_in(coords, eigvals)
+    r_emp = float(np.sum((np.diag(lam) - q * lam[None, :]) ** 2))
+    dist = _reference_span_distance(ell, coords, eigvals)
+    value = dist if metric.startswith("proj") else r_emp
+    margin = pop.hs_norm * dist + rates._SWAP_SLACK - abs(math.sqrt(r_emp) - math.sqrt(r_pop))
+    return value, margin
+
+
+@pytest.mark.parametrize("full_support", [False, True], ids=["drawn", "full_support"])
+@pytest.mark.parametrize("config, invalid", list(_grid_cases()))
+def test_stacked_points_match_the_one_cell_reference(config, invalid, full_support):
+    kernel, pop = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    plan = rates._grid_plan(config, kernel, pop)
+    exact = config.tau is None
+    nans = 0
+    for n in config.n_grid:
+        point = rates._measure_point(config, kernel, pop, plan, n, full_support)
+        assert [row.rep for row, _ in point] == list(range(config.replications))
+        for row, margin in point:
+            value, want = _reference_run_cell(config, kernel, pop, plan, n, row.rep,
+                                              full_support)
+            assert (row.n, row.m, row.ell) == (n, plan[n][1], plan[n][0])
+            assert math.isnan(row.value) == math.isnan(value)
+            assert (margin is None) == (want is None) == math.isnan(value)
+            nans += math.isnan(value)
+            if want is None:
+                continue
+            if exact:
+                assert (row.value, margin) == (value, want)
+            else:
+                assert abs(row.value - value) <= 1e-12 * value
+                assert abs(margin - want) <= 1e-12 * max(abs(want), 1.0)
+    # sampling decides which exact cells are invalid; full support removes it
+    assert nans == (0 if full_support and exact else invalid)
+
+
+@pytest.mark.parametrize("config", [c for c, _ in _grid_cases() if c.seed == 0])
+def test_a_replication_does_not_depend_on_how_many_are_stacked(config):
+    kernel, pop = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    longer = dataclasses.replace(config, replications=10)
+    plan = rates._grid_plan(config, kernel, pop)
+    for n in config.n_grid:
+        five = rates._measure_point(config, kernel, pop, plan, n, False)
+        ten = rates._measure_point(longer, kernel, pop, plan, n, False)
+        assert len(ten) == 10
+        for (row, margin), (row10, margin10) in zip(five, ten[:5]):
+            # repr tells every float apart and reads NaN equal to NaN
+            assert (repr(row), repr(margin)) == (repr(row10), repr(margin10))
+
+
 def test_exact_cells_on_too_few_atoms_are_invalid_not_fatal():
     config = _ecfg(theta=0.0, ell_fixed=3, metric="proj_hat", n_grid=(4, 6, 8, 12))
     report = run_grid(config)
@@ -510,7 +618,7 @@ def test_rf_hat_grid_solves_no_matrix_of_n_or_m_per_cell(monkeypatch):
     solve = linalg._eig_solve
 
     def recording(solver, a, op):
-        sizes.append(a.shape[0])
+        sizes.append(a.shape[-1])
         return solve(solver, a, op)
 
     monkeypatch.setattr(linalg, "_eig_solve", recording)
@@ -528,7 +636,7 @@ def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
     build = kpca._atom_coeffs
 
     def recording_fit(kernel, samples):
-        fits.append(samples.shape[0])
+        fits.append(samples)
         return fit(kernel, samples)
 
     def recording_gather(model):
@@ -545,8 +653,11 @@ def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
     for metric in ("recon_hat", "proj_hat"):
         config = _ecfg(theta=0.2, metric=metric, n_grid=_SMALL_GRID)
         report = run_grid(config)
-        assert fits[-len(report.rows):] == [row.n for row in report.rows]
-    assert len(fits) == 2 * len(_SMALL_GRID) * 5
+        # one sample stack per grid point, one row per replication
+        stacks = fits[-len(config.n_grid):]
+        assert [stack.shape[0] for stack in stacks] == [config.replications] * len(config.n_grid)
+        assert [row.size for stack in stacks for row in stack] == [row.n for row in report.rows]
+    assert len(fits) == 2 * len(_SMALL_GRID)
     assert gathers == []
     assert atom_builds == []
     # the recorder is live: a read after the grid builds the per-atom coefficients

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CheckFailed, InvalidInput, NumericFailure
 from .features import basis_factor, sample_finite_rank
-from .kernels import make_finite_rank_kernel
+from .kernels import Kernel, make_finite_rank_kernel
 from .linalg import (
     RANK_RTOL,
     Spectrum,
@@ -464,7 +465,9 @@ class McTailConfig:
     atoms, rank: size of the synthetic ground-truth oracle; its spectrum
         is the polynomial decay i^-2.
     Counts (count, replications, seed, atoms, rank) take integral numbers,
-    an integral float included, never a bool.
+    an integral float included, never a bool.  The oracle's kernel is built
+    on first read of ``kernel`` and shared by every experiment run on this
+    config.
     """
 
     tau: float
@@ -492,6 +495,12 @@ class McTailConfig:
                 f"McTailConfig: need rank >= 1 and atoms >= rank + 1, "
                 f"got rank {self.rank} and atoms {self.atoms}"
             )
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        lambdas = (1.0 + np.arange(self.rank)) ** -2.0
+        return make_finite_rank_kernel(uniform_measure(self.atoms), lambdas,
+                                       derive_seed(self.seed, "mc-kernel"))
 
 
 @dataclass(frozen=True)
@@ -525,9 +534,8 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
     """
     if experiment not in _MC_EXPERIMENTS:
         raise InvalidInput(f"mc_tail: unknown experiment {experiment!r}")
-    lambdas = (1.0 + np.arange(config.rank)) ** -2.0
-    measure = uniform_measure(config.atoms)
-    kernel = make_finite_rank_kernel(measure, lambdas, derive_seed(config.seed, "mc-kernel"))
+    kernel = config.kernel
+    measure = kernel.table.measure
     deviations = np.empty(config.replications)
     # Both experiments' population operator in the kernel's basis coordinates.
     pop = np.diag(kernel.lambdas)

@@ -93,13 +93,8 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        # Lists of plain floats or ints (oracle snapshots hold thousands)
-        # render without a call per value; finite floats in one %-format.
+        # Lists of plain floats or ints render without a recursive call per value.
         if all(type(v) is float for v in obj):
-            if all(map(math.isfinite, obj)):
-                sep = ",\n" + pad + "  "
-                body = (("%.17g" + sep) * len(obj) % tuple(obj))[:-len(sep)]
-                return "[\n" + pad + "  " + body + "\n" + pad + "]"
             items = [format(v, ".17g") if math.isfinite(v) else "null" for v in obj]
         elif all(type(v) is int for v in obj):
             items = [str(v) for v in obj]
@@ -172,14 +167,14 @@ def _cmd_spectrum(config: dict, seed: int):
     if not ells or any(not 1 <= e <= rank - 1 for e in ells):
         raise ConfigError(f"ells must be nonempty and lie in 1..{rank - 1}")
     _, pop = _oracle(atoms, lambdas, seed)
-    vals = pop.spectrum.eigenvalues
+    vals = pop.eigenvalues
     spec_err = _schedule_error(pop, lambdas)
 
     header = ["ell", "eigenvalue", "tail_energy", "projector_residual", "rel_err", "agrees"]
     rows = []
     all_agree = True
     for ell in ells:
-        tail = tail_energy(pop.spectrum, ell)
+        tail = tail_energy(vals, ell)
         resid = recon_error(pop, proj_pop(pop, ell))
         rel = abs(resid - tail) / tail
         agrees = rel <= 1e-10
@@ -326,6 +321,11 @@ def _cmd_concentration(config: dict, seed: int):
     if not isinstance(experiments, list) or any(e not in _MC_EXPERIMENTS for e in experiments):
         raise ConfigError(f"experiments must be a list drawn from {list(_MC_EXPERIMENTS)}, "
                           f"got {experiments!r}")
+    # An empty list would pass with nothing checked; a repeat would write
+    # duplicate rows under one verdict key.
+    if not experiments or len(set(experiments)) < len(experiments):
+        raise ConfigError(f"experiments must name at least one experiment, each once, "
+                          f"got {experiments!r}")
     mc_cfg = McTailConfig(**{k: v for k, v in config.items() if k not in ("experiments", "seed")},
                           seed=seed)
     header = ["experiment", "tau", "count", "replications", "bound", "tail_cap",
@@ -440,8 +440,8 @@ def _run(args) -> int:
     digest = hashlib.sha256(raw).hexdigest()
 
     # One BLAS thread is at least as fast on every solve the commands make
-    # (T <= 60 rate cells, <= 20-dim bound stacks, the 192x192 S_J); a second
-    # one only spins.
+    # (T <= 60 rate cells and S_J factors, <= 20-dim bound stacks, the
+    # spectrum command's N x N S_J); a second one only spins.
     blas = _openblas()
     if blas is not None:
         previous = blas[0]()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,18 @@ class DiscreteMeasure:
     def size(self) -> int:
         return int(self.weights.shape[0])
 
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """draw_samples' normalised CDF and its guide table, built on the first
+        draw and kept (read-only) for every later one."""
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        # Start one bucket below u's own, so rounding in u * N never passes the answer.
+        edges = (np.arange(cdf.size + 1) - 1.0) / cdf.size
+        guide = cdf.searchsorted(edges, side="right")
+        cdf.flags.writeable = guide.flags.writeable = False
+        return cdf, guide
+
 
 def discrete_measure(atoms: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
     """Build a measure from nonnegative weights.
@@ -92,16 +105,14 @@ def draw_samples(measure: DiscreteMeasure, n: int, seed: int) -> np.ndarray:
     Equal element for element to ``generator(seed).choice(measure.size, n,
     p=measure.weights)``: the same CDF and uniforms, looked up through a guide
     table of N equal buckets (Chen & Asau, 1974), with binary search for the
-    samples a skewed measure leaves more than _GUIDE_STEPS atoms away.
+    samples a skewed measure leaves more than _GUIDE_STEPS atoms away.  The
+    measure builds its CDF and guide table on its first draw and keeps them.
     """
     if n < 1:
         raise InvalidInput(f"draw_samples: need n >= 1, got {n}")
-    cdf = np.cumsum(measure.weights)
-    cdf /= cdf[-1]
+    cdf, guide = measure._guide
     u = generator(seed).random(n)
-    # Start one bucket below u's own, so rounding in u * N never passes the answer.
-    edges = (np.arange(cdf.size + 1) - 1.0) / cdf.size
-    idx = cdf.searchsorted(edges, side="right")[(u * cdf.size).astype(np.intp)]
+    idx = guide[(u * cdf.size).astype(np.intp)]
     for _ in range(_GUIDE_STEPS):
         idx += cdf[idx] <= u
     rest = np.flatnonzero(cdf[idx] <= u)

@@ -16,7 +16,8 @@ makes convergence-rate measurements against ground truth possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import binascii
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,15 +48,31 @@ _PROJECTOR_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class PopOperator:
-    """A population operator in symmetrized coordinates; its spectrum and HS
-    norm are computed on first read and kept."""
+    """A population operator in symmetrized coordinates; its spectrum,
+    eigenvalues and HS norm are computed on first read and kept.
+
+    factor: an optional N x r matrix F with matrix = F F'.  ``eigenvalues``
+    then comes from the r x r matrix F'F, which shares the nonzero spectrum,
+    padded with N - r zeros, and the N x N ``spectrum`` is left unsolved.
+    """
 
     kind: str
     matrix: np.ndarray
+    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def spectrum(self) -> Spectrum:
         return sym_eig(self.matrix)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The N eigenvalues of ``matrix``, descending."""
+        if self.factor is None:
+            return self.spectrum.eigenvalues
+        n = self.matrix.shape[0]
+        gram_f = self.factor.T @ self.factor
+        vals = sym_eig((gram_f + gram_f.T) / 2.0).eigenvalues[:n]
+        return np.concatenate([vals, np.zeros(n - vals.size)])
 
     @cached_property
     def hs_norm(self) -> float:
@@ -89,13 +106,22 @@ class ProjectionLike:
 
 
 def op_jj(kernel: Kernel, measure: DiscreteMeasure) -> PopOperator:
-    """Covariance-side population operator S_J for a kernel and measure."""
+    """Covariance-side population operator S_J for a kernel and measure.
+
+    On a finite-rank kernel K = B'B with B = sqrt(Lambda) psi on the atoms, so
+    S_J = F F' with the N x T factor F = W^1/2 (B - (B w) 1')', which the
+    operator keeps for its eigenvalues.
+    """
     k = gram(kernel, measure.atoms)
     centered = center_gram(k, measure.weights)
     root_w = np.sqrt(measure.weights)
     s = root_w[:, None] * centered * root_w[None, :]
     s = (s + s.T) / 2.0
-    return PopOperator(kind="jj", matrix=s)
+    factor = None
+    if kernel.kind == "finite_rank":
+        b = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values[:, measure.atoms]
+        factor = root_w[:, None] * (b - (b @ measure.weights)[:, None]).T
+    return PopOperator(kind="jj", matrix=s, factor=factor)
 
 
 def op_aa(features: FeatureSample, measure: DiscreteMeasure) -> PopOperator:
@@ -108,11 +134,17 @@ def op_aa(features: FeatureSample, measure: DiscreteMeasure) -> PopOperator:
     return PopOperator(kind="aa", matrix=s)
 
 
-def tail_energy(spectrum: Spectrum, ell: int) -> float:
-    """Sum of squared eigenvalues beyond the leading ell (the exact bias)."""
+def tail_energy(eigenvalues: np.ndarray | Spectrum, ell: int) -> float:
+    """Sum of squared eigenvalues beyond the leading ell (the exact bias).
+
+    Takes descending eigenvalues, such as ``PopOperator.eigenvalues``, or a
+    Spectrum.
+    """
     if ell < 0:
         raise InvalidInput(f"tail_energy: ell must be >= 0, got {ell}")
-    vals = np.maximum(spectrum.eigenvalues, 0.0)
+    if isinstance(eigenvalues, Spectrum):
+        eigenvalues = eigenvalues.eigenvalues
+    vals = np.maximum(eigenvalues, 0.0)
     return float(np.sum(vals[ell:] ** 2))
 
 
@@ -165,21 +197,28 @@ def proj_distance(p: ProjectionLike, q: ProjectionLike) -> float:
 def oracle_snapshot(kernel: Kernel, measure: DiscreteMeasure, pop: PopOperator,
                     seed: int | None = None) -> dict:
     """JSON-ready description of an oracle: measure, kernel, and the exact
-    spectrum of ``pop = op_jj(kernel, measure)``."""
+    spectrum of ``pop = op_jj(kernel, measure)``.
+
+    A finite-rank kernel's T x N basis table is packed, lossless, as base64
+    of its row-major little-endian float64 bytes with its shape beside it.
+    """
     snap: dict = {
         "atoms": np.asarray(measure.atoms).tolist(),
         "weights": measure.weights.tolist(),
-        "population_spectrum": pop.spectrum.eigenvalues.tolist(),
+        "population_spectrum": pop.eigenvalues.tolist(),
     }
     if kernel.kind == "gaussian":
         snap["kernel"] = {"kind": "gaussian", "bandwidth": kernel.bandwidth,
                           "kappa": kernel.kappa}
     else:
+        values = kernel.table.values
         snap["kernel"] = {
             "kind": "finite_rank",
             "lambdas": kernel.lambdas.tolist(),
             "kappa": kernel.kappa,
-            "basis_values": kernel.table.values.tolist(),
+            "basis_shape": list(values.shape),
+            "basis_values_f64le_b64": binascii.b2a_base64(
+                values.astype("<f8", copy=False).tobytes(), newline=False).decode("ascii"),
         }
     if seed is not None:
         snap["seed"] = int(seed)

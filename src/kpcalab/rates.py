@@ -364,7 +364,7 @@ class RateReport:
 def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> dict:
     """Per-n precomputation: ell, m and the bias."""
     plan = {}
-    vals = pop.spectrum.eigenvalues
+    vals = pop.eigenvalues
     # The cells score in the kernel's basis, where S_J is diag(lambda); that
     # needs S_J's spectrum to be the schedule padded with zeros.
     spec_err = _schedule_error(pop, kernel.lambdas)
@@ -380,13 +380,13 @@ def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> di
         except (RankError, EigengapError) as err:
             raise ConfigError(f"population spectrum at n={n}: {err}") from None
         m = m_for(config, n) if config.tau is not None else None
-        plan[n] = (ell, m, tail_energy(pop.spectrum, ell))
+        plan[n] = (ell, m, tail_energy(vals, ell))
     return plan
 
 
 def _schedule_error(pop: PopOperator, lam: np.ndarray) -> float:
     """max |eig(S_J) - lambda padded with zeros| / lambda_1."""
-    vals = pop.spectrum.eigenvalues
+    vals = pop.eigenvalues
     return float(np.max(np.abs(vals - np.pad(lam, (0, vals.size - lam.size)))) / lam[0])
 
 

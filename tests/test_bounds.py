@@ -1,5 +1,6 @@
 """Perturbation, operator-inequality, and concentration checkers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -461,6 +462,20 @@ def test_mc_tail_rejects_a_bad_setup_before_building_a_kernel(monkeypatch):
     with pytest.raises(InvalidInput, match="unknown experiment"):
         mc_tail("florp", McTailConfig(tau=2.0, count=16, replications=60, seed=0))
     assert builds == []
+
+
+def test_mc_tail_builds_one_kernel_per_config(monkeypatch):
+    builds = []
+    build = kpcalab.bounds.make_finite_rank_kernel
+    monkeypatch.setattr(kpcalab.bounds, "make_finite_rank_kernel",
+                        lambda *args: builds.append(args) or build(*args))
+    config = McTailConfig(tau=2.0, count=100, replications=50, seed=6, atoms=24, rank=6)
+    experiments = kpcalab.bounds._MC_EXPERIMENTS
+    shared = [mc_tail(experiment, config) for experiment in experiments]
+    assert len(builds) == 1
+    fresh = [mc_tail(experiment, dataclasses.replace(config)) for experiment in experiments]
+    assert len(builds) == 3
+    assert shared == fresh
 
 
 def test_mc_tail_config_checks():

@@ -215,6 +215,11 @@ def test_config_schema_rejections(tmp_path, capsys):
                        "experiments": ["cov_deviation", "nope"]}),
     ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
                        "experiments": "cov_deviation"}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
+                       "experiments": []}),
+    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
+                       "experiments": ["cov_deviation", "feature_op_deviation",
+                                       "cov_deviation"]}),
     ("rates", {**_RATES_PAYLOAD, "n_grid": [32.9, 48, 64, 96]}),
     ("rates", {**_RATES_PAYLOAD, "theta": True}),
     ("rates", {**_RATES_PAYLOAD, "atoms": 24.5}),
@@ -235,7 +240,8 @@ def test_config_schema_rejections(tmp_path, capsys):
 ], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
         "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
         "tau_bool", "replications_fraction", "atoms_fraction", "unknown_experiment",
-        "experiments_not_a_list", "n_grid_fraction", "theta_bool", "rates_atoms_fraction",
+        "experiments_not_a_list", "experiments_empty",
+        "experiments_repeated", "n_grid_fraction", "theta_bool", "rates_atoms_fraction",
         "ell_fixed_fraction", "rates_replications_fraction", "slope_tolerance_str",
         "spectrum_atoms_fraction", "spectrum_ells_fraction", "spectrum_ells_not_a_list",
         "taus_str", "rank_zero", "rank_negative", "atoms_not_above_rank",

@@ -1,5 +1,7 @@
 """Population operators and exactly computable error metrics."""
 
+import binascii
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from kpcalab import (
     draw_samples,
     fit_exact,
     fit_rf,
+    gaussian_kernel,
     kernel_eval,
     make_finite_rank_kernel,
     op_aa,
@@ -74,6 +77,35 @@ def test_hs_norm_does_not_depend_on_blas_threads():
     assert norms[1] == norms[2]
     exact = [float(np.sqrt(np.sum(op.matrix ** 2, dtype=np.longdouble))) for op in ops]
     assert norms[1] == pytest.approx(exact, rel=1e-15)
+
+
+@pytest.mark.parametrize("n_atoms, t_count", [(192, 60), (128, 24), (96, 48)])
+def test_eigenvalues_from_the_factor_match_the_full_spectrum(n_atoms, t_count):
+    measure, ker = _setup(t_count=t_count, n_atoms=n_atoms, seed=n_atoms + t_count)
+    pop = op_jj(ker, measure)
+    assert pop.factor.shape == (n_atoms, t_count)
+    vals = pop.eigenvalues
+    assert "spectrum" not in vars(pop)
+    assert vals.shape == (n_atoms,) and np.all(vals[t_count:] == 0.0)
+    full = pop.spectrum.eigenvalues
+    assert np.max(np.abs(vals - full)) <= 1e-13 * full[0]
+    assert tail_energy(vals, 5) == pytest.approx(tail_energy(pop.spectrum, 5), rel=1e-12)
+    # on a reweighted half of the atoms the basis is no longer centred, and
+    # at (96, 48) T reaches the atom count
+    weights = np.random.default_rng(n_atoms).uniform(0.5, 1.5, n_atoms // 2)
+    half = op_jj(ker, discrete_measure(measure.atoms[::2], weights))
+    full = half.spectrum.eigenvalues
+    assert np.max(np.abs(half.eigenvalues - full)) <= 1e-13 * full[0]
+
+
+def test_eigenvalues_without_a_factor_reuse_the_spectrum():
+    rng = np.random.default_rng(4)
+    measure = discrete_measure(rng.standard_normal((15, 2)), np.full(15, 1.0))
+    pop = op_jj(gaussian_kernel(0.8), measure)
+    assert pop.factor is None
+    assert pop.eigenvalues is pop.spectrum.eigenvalues
+    assert recon_error(pop, proj_pop(pop, 3)) == pytest.approx(
+        tail_energy(pop.eigenvalues, 3), rel=1e-10)
 
 
 def test_tail_energy_geometric_closed_form():
@@ -224,4 +256,8 @@ def test_snapshot_structure():
     assert all(a >= b - 1e-15 for a, b in zip(spec, spec[1:]))
     assert snap["kernel"]["kind"] == "finite_rank"
     assert len(snap["kernel"]["lambdas"]) == 3
-    assert len(snap["kernel"]["basis_values"]) == 3
+    packed = binascii.a2b_base64(snap["kernel"]["basis_values_f64le_b64"])
+    table = np.frombuffer(packed, "<f8").reshape(snap["kernel"]["basis_shape"])
+    assert table.shape == (3, 9)
+    assert table.tobytes() == ker.table.values.tobytes()
+    assert spec[3:] == [0.0] * 6

@@ -625,8 +625,9 @@ def test_rf_hat_grid_solves_no_matrix_of_n_or_m_per_cell(monkeypatch):
     config = _ecfg(theta=0.2, metric="proj_rf_hat", tau=0.8, n_grid=_SMALL_GRID)
     report = run_grid(config)
     assert max(r.m for r in report.rows) > config.rank
-    # only the N x N population spectrum is larger than the T x T cell solves
-    assert [size for size in sizes if size > config.rank] == [config.atoms]
+    # no solve is larger than T: the cells are T x T and S_J's eigenvalues
+    # come from its T x T factor
+    assert [size for size in sizes if size > config.rank] == []
 
 
 def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
@@ -715,6 +716,21 @@ def test_span_distance_matches_the_dense_operator_norm():
 def test_grid_rejects_an_operator_off_the_kernel_schedule():
     config = _ecfg(theta=0.2, n_grid=_SMALL_GRID)
     kernel, _ = _oracle(config.atoms, lambda_schedule(config), config.seed)
-    _, other = _oracle(config.atoms, 1.01 * lambda_schedule(config), config.seed)
-    with pytest.raises(ConfigError, match="self-check"):
-        _measure_grid(config, kernel, other, False)
+    # 1 + 1e-9 is ten times RANK_RTOL: the self-check reads S_J's eigenvalues
+    # off its T x T factor and must still see it
+    for scale in (1.01, 1.0 + 1e-9):
+        _, other = _oracle(config.atoms, scale * lambda_schedule(config), config.seed)
+        assert other.factor is not None
+        with pytest.raises(ConfigError, match="oracle self-check failed"):
+            _measure_grid(config, kernel, other, False)
+        assert "spectrum" not in vars(other)
+
+
+def test_grids_and_transitions_never_solve_the_n_by_n_spectrum():
+    report = run_grid(_ecfg(theta=0.2, metric="proj_rf_hat", tau=0.8, n_grid=_SMALL_GRID))
+    assert "spectrum" not in vars(report.pop)
+    base = _ecfg(theta=0.0, gamma=1.0, metric="proj_rf_hat", tau=0.5, ell_fixed=1,
+                 n_grid=_SMALL_GRID, rank=6, slope_tolerance=5.0)
+    study = transition_study(base, (0.3, 0.9))
+    assert all("spectrum" not in vars(rep.pop) for rep in study.reports)
+    assert all("eigenvalues" in vars(rep.pop) for rep in study.reports)

@@ -9,9 +9,15 @@ KPCA fits (kpca), the population operators and projector metrics
 computed in closed form (oracle), perturbation and concentration bound
 checkers (bounds), and the rate-fitting experiment harness (rates).
 The kpcalab console script in cli drives all of it from JSON configs.
+
+The sample-level fits and projectors and the Gaussian / random Fourier
+path are the reference route the rate cells are cross-checked against.
+PerturbationCase, perturb_check and make_perturbation_cases are one-case
+views of the stacked bound suite.
 """
 
 from .bounds import (
+    MC_EXPERIMENTS,
     BernsteinBound,
     BoundReport,
     McTailConfig,
@@ -26,12 +32,9 @@ from .bounds import (
     operator_inequality_suite,
     perturb_check,
     perturbation_suite,
-    rank_one_norms_check,
-    tensor_lemma_check,
 )
 from .errors import (
     CapacityError,
-    CheckFailed,
     ConfigError,
     DegenerateModel,
     DomainError,
@@ -44,7 +47,6 @@ from .errors import (
 )
 from .features import (
     FeatureSample,
-    approx_kernel,
     basis_factor,
     cos_form_kernel,
     feature_matrix,
@@ -56,7 +58,6 @@ from .kernels import (
     Kernel,
     center_gram,
     cross_gram,
-    finite_rank_kernel,
     gaussian_kernel,
     gram,
     kernel_eval,
@@ -65,12 +66,10 @@ from .kernels import (
 from .kpca import (
     KpcaModel,
     RfKpcaModel,
-    eigenfunction_eval,
     embed_exact,
     embed_rf,
     fit_exact,
     fit_rf,
-    pop_rf_cov,
 )
 from .linalg import (
     GAP_TOL,
@@ -121,7 +120,7 @@ __all__ = [
     # errors
     "InvalidInput", "ConfigError", "RankError", "EigengapError", "DomainError",
     "CapacityError", "DegenerateModel", "OutOfRegime", "NotPositiveSemidefinite",
-    "NumericFailure", "CheckFailed",
+    "NumericFailure",
     # rng
     "derive_seed", "generator",
     # linalg
@@ -130,23 +129,21 @@ __all__ = [
     # measures
     "DiscreteMeasure", "discrete_measure", "uniform_measure", "draw_samples",
     # kernels
-    "FunctionTable", "Kernel", "gaussian_kernel", "finite_rank_kernel",
-    "make_finite_rank_kernel", "kernel_eval", "gram", "cross_gram", "center_gram",
+    "FunctionTable", "Kernel", "gaussian_kernel", "make_finite_rank_kernel",
+    "kernel_eval", "gram", "cross_gram", "center_gram",
     # features
     "FeatureSample", "sample_rff", "sample_finite_rank", "basis_factor",
-    "feature_matrix", "approx_kernel", "cos_form_kernel",
+    "feature_matrix", "cos_form_kernel",
     # kpca
-    "KpcaModel", "RfKpcaModel", "fit_exact", "eigenfunction_eval", "embed_exact",
-    "fit_rf", "embed_rf", "pop_rf_cov",
+    "KpcaModel", "RfKpcaModel", "fit_exact", "embed_exact", "fit_rf", "embed_rf",
     # oracle
     "PopOperator", "ProjectionLike", "op_jj", "op_aa", "tail_energy", "proj_pop",
     "proj_hat", "proj_hat_rf", "recon_error", "proj_distance", "oracle_snapshot",
     # bounds
     "BoundReport", "PerturbationCase", "PerturbReport", "perturb_check",
     "make_perturbation_cases", "perturbation_suite", "PerturbationSuiteReport",
-    "tensor_lemma_check", "rank_one_norms_check", "operator_inequality_suite",
-    "OperatorInequalitySuiteReport", "BernsteinBound", "bernstein_bound",
-    "McTailConfig", "McTailReport", "mc_tail",
+    "operator_inequality_suite", "OperatorInequalitySuiteReport", "BernsteinBound",
+    "bernstein_bound", "McTailConfig", "McTailReport", "MC_EXPERIMENTS", "mc_tail",
     # rates
     "METRICS", "ExperimentConfig", "RateRow", "RateReport", "TransitionRow",
     "TransitionReport", "lambda_schedule", "ell_for", "m_for",

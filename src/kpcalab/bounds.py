@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CheckFailed, InvalidInput, NumericFailure
+from .errors import InvalidInput, NumericFailure
 from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
 from .linalg import (
@@ -41,13 +41,12 @@ __all__ = [
     "perturb_check",
     "make_perturbation_cases",
     "perturbation_suite",
-    "tensor_lemma_check",
-    "rank_one_norms_check",
     "operator_inequality_suite",
     "bernstein_bound",
     "BernsteinBound",
     "McTailConfig",
     "McTailReport",
+    "MC_EXPERIMENTS",
     "mc_tail",
 ]
 
@@ -61,7 +60,7 @@ _TENSOR_ATOL = 1e-12
 # Relative slack (times 1 + ||f||^2) of the rank-one norm identity.
 _RANK_ONE_RTOL = 1e-10
 # The experiments mc_tail runs.
-_MC_EXPERIMENTS = ("cov_deviation", "feature_op_deviation")
+MC_EXPERIMENTS = ("cov_deviation", "feature_op_deviation")
 
 
 def _within_bound(lhs, rhs):
@@ -279,38 +278,49 @@ def make_perturbation_cases(count: int, seed: int,
 
 @dataclass(frozen=True)
 class PerturbationSuiteReport:
+    """A suite's tallies and ``rows``, one tuple per case in case order:
+    (case, dim, d, delta_d, ||b||_HS, plain lhs, rhs, holds, weighted lhs, rhs,
+    holds, operator-norm fallback rhs, sharper than the fallback)."""
+
     cases: int
     violations_plain: int
     violations_weighted: int
     min_margin_plain: float
     min_margin_weighted: float
     sharper_fraction: float
-
-    @classmethod
-    def tally(cls, reports: list[PerturbReport]) -> "PerturbationSuiteReport":
-        """Tally the stacked reports of ``_score_cases`` over a suite's stacks."""
-        plain, weighted = [r.plain for r in reports], [r.weighted for r in reports]
-        sharper = np.concatenate([r.sharper_than_trivial for r in reports])
-        return cls(
-            cases=len(sharper),
-            violations_plain=sum(int(np.sum(~r.holds)) for r in plain),
-            violations_weighted=sum(int(np.sum(~r.holds)) for r in weighted),
-            min_margin_plain=min(float(r.margin.min()) for r in plain),
-            min_margin_weighted=min(float(r.margin.min()) for r in weighted),
-            sharper_fraction=int(np.sum(sharper)) / len(sharper),
-        )
+    rows: tuple = field(repr=False)
 
 
 def perturbation_suite(count: int, seed: int) -> PerturbationSuiteReport:
     """Score seeded random cases one dimension stack at a time and tally the outcomes."""
-    return PerturbationSuiteReport.tally(
-        [_score_cases(*stack[1:])[2] for stack in _case_stacks(count, seed)])
+    rows, plain, weighted, sharper = [None] * count, [], [], []
+    for members, a, b, d, spec_a, spec_ab in _case_stacks(count, seed):
+        delta, b_hs, rep = _score_cases(a, b, d, spec_a, spec_ab)
+        plain.append(rep.plain)
+        weighted.append(rep.weighted)
+        sharper.append(rep.sharper_than_trivial)
+        columns = (d, delta, b_hs, rep.plain.lhs, rep.plain.rhs, rep.plain.holds,
+                   rep.weighted.lhs, rep.weighted.rhs, rep.weighted.holds,
+                   rep.trivial_rhs, rep.sharper_than_trivial)
+        for i, row in zip(members, zip(*(column.tolist() for column in columns))):
+            rows[i] = (i, a.shape[-1], *row)
+    sharper = np.concatenate(sharper)
+    return PerturbationSuiteReport(
+        cases=count,
+        violations_plain=sum(int(np.sum(~r.holds)) for r in plain),
+        violations_weighted=sum(int(np.sum(~r.holds)) for r in weighted),
+        min_margin_plain=min(float(r.margin.min()) for r in plain),
+        min_margin_weighted=min(float(r.margin.min()) for r in weighted),
+        sharper_fraction=int(np.sum(sharper)) / count,
+        rows=tuple(rows),
+    )
 
 
 def _tensor_lemma(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both sides of the tensor difference lemma and whether it is violated.
+    """Both sides of the tensor difference lemma and whether it is violated:
 
-    f and g are vectors on the last axis, or stacks of them.
+    ||f f' - g g'||_HS <= ||f - g|| sqrt(||f||^2 + ||g||^2 + 4 ||f|| ||g||),
+    with equality at g = 0.  f and g are vectors on the last axis, or stacks of them.
     """
     lhs = np.linalg.norm(f[..., :, None] * f[..., None, :] - g[..., :, None] * g[..., None, :],
                          axis=(-2, -1))
@@ -320,21 +330,9 @@ def _tensor_lemma(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return lhs, rhs, lhs > rhs + _TENSOR_ATOL
 
 
-def tensor_lemma_check(f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """Difference of rank-one tensors against its vector bound.
-
-    ||f f' - g g'||_HS <= ||f - g|| sqrt(||f||^2 + ||g||^2 + 4 ||f|| ||g||),
-    with equality at g = 0.  Raises CheckFailed on violation.
-    """
-    lhs, rhs, violated = _tensor_lemma(np.asarray(f, dtype=float), np.asarray(g, dtype=float))
-    lhs, rhs = float(lhs), float(rhs)
-    if violated:
-        raise CheckFailed(f"tensor lemma violated: {lhs!r} > {rhs!r} + {_TENSOR_ATOL:g}")
-    return lhs, rhs
-
-
 def _rank_one_norms(f: np.ndarray) -> tuple[dict, np.ndarray, dict]:
-    """The three norms of f f', the target ||f||^2, and which norms stray from it.
+    """The operator, HS and trace norms of f f', the target ||f||^2 they all
+    equal, and which of them stray from it beyond 1e-10 relative.
 
     f is a vector on the last axis, or a stack of them.
     """
@@ -344,21 +342,6 @@ def _rank_one_norms(f: np.ndarray) -> tuple[dict, np.ndarray, dict]:
     norms = dict(zip(kinds, matrix_norm(mat, kinds)))
     tol = _RANK_ONE_RTOL * (1.0 + target)
     return norms, target, {kind: np.abs(val - target) > tol for kind, val in norms.items()}
-
-
-def rank_one_norms_check(f: np.ndarray) -> dict:
-    """Operator, HS, and trace norms of f f' all equal ||f||^2.
-
-    Raises CheckFailed if any of the three strays beyond 1e-10 relative.
-    """
-    norms, target, strays = _rank_one_norms(np.asarray(f, dtype=float))
-    target = float(target)
-    for kind, val in norms.items():
-        if strays[kind]:
-            raise CheckFailed(
-                f"rank-one {kind} norm {val!r} != {target!r} beyond {_RANK_ONE_RTOL:g}"
-            )
-    return {**norms, "target": target}
 
 
 @dataclass(frozen=True)
@@ -532,7 +515,7 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
     covariance-side one over fresh feature draws, against the
     feature-operator radius.
     """
-    if experiment not in _MC_EXPERIMENTS:
+    if experiment not in MC_EXPERIMENTS:
         raise InvalidInput(f"mc_tail: unknown experiment {experiment!r}")
     kernel = config.kernel
     measure = kernel.table.measure

@@ -29,17 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    _MC_EXPERIMENTS,
-    McTailConfig,
-    PerturbationSuiteReport,
-    _case_stacks,
-    _score_cases,
-    mc_tail,
-    operator_inequality_suite,
-)
-from .errors import CheckFailed, ConfigError, InvalidInput, NumericFailure
-from .linalg import RANK_RTOL
+from .bounds import (MC_EXPERIMENTS, McTailConfig, mc_tail, operator_inequality_suite,
+                     perturbation_suite)
+from .errors import ConfigError, EigengapError, InvalidInput, NumericFailure, RankError
+from .linalg import RANK_RTOL, _check_split
 from .oracle import oracle_snapshot, proj_pop, recon_error, tail_energy
 from .rates import (
     ExperimentConfig,
@@ -166,6 +159,12 @@ def _cmd_spectrum(config: dict, seed: int):
     ells = [_count("ells", e) for e in _list(config, "ells")]
     if not ells or any(not 1 <= e <= rank - 1 for e in ells):
         raise ConfigError(f"ells must be nonempty and lie in 1..{rank - 1}")
+    # S_J's spectrum is the schedule padded with zeros, so proj_pop's split checks run first.
+    for ell in ells:
+        try:
+            _check_split(lambdas, ell)
+        except (RankError, EigengapError) as err:
+            raise ConfigError(f"population spectrum: {err}") from None
     _, pop = _oracle(atoms, lambdas, seed)
     vals = pop.eigenvalues
     spec_err = _schedule_error(pop, lambdas)
@@ -234,12 +233,14 @@ def _cmd_rates(config: dict, seed: int):
 
 def _cmd_transition(config: dict, seed: int):
     allowed, required = _keys(ExperimentConfig)
-    _require_keys(config, allowed | {"taus"}, required | {"taus"}, command="transition")
+    # The command sweeps taus, so a tau key would be ignored: it is refused.
+    _require_keys(config, (allowed - {"tau"}) | {"taus"}, required | {"taus"},
+                  command="transition")
     taus = [_real("taus", t) for t in _list(config, "taus")]
     if not taus:
         raise ConfigError("transition config needs at least one tau")
     base_dict = {k: v for k, v in config.items() if k != "taus"}
-    base = ExperimentConfig(**{"tau": taus[0], **base_dict, "seed": seed})
+    base = ExperimentConfig(**{**base_dict, "tau": taus[0], "seed": seed})
     study = transition_study(base, taus)
 
     header = ["tau", "n", "m", "ell", "rep", "metric", "value"]
@@ -278,17 +279,7 @@ def _cmd_bounds(config: dict, seed: int):
     header = ["case", "dim", "d", "delta_d", "b_hs", "plain_lhs", "plain_rhs",
               "plain_holds", "weighted_lhs", "weighted_rhs", "weighted_holds",
               "trivial_rhs", "sharper"]
-    rows = [None] * count
-    reports = []
-    for members, a, b, d, spec_a, spec_ab in _case_stacks(count, seed):
-        delta, b_hs, rep = _score_cases(a, b, d, spec_a, spec_ab)
-        reports.append(rep)
-        columns = (d, delta, b_hs, rep.plain.lhs, rep.plain.rhs, rep.plain.holds,
-                   rep.weighted.lhs, rep.weighted.rhs, rep.weighted.holds,
-                   rep.trivial_rhs, rep.sharper_than_trivial)
-        for i, row in zip(members, zip(*(column.tolist() for column in columns))):
-            rows[i] = [i, a.shape[-1], *row]
-    suite = PerturbationSuiteReport.tally(reports)
+    suite = perturbation_suite(count, seed)
     op_report = operator_inequality_suite(trials, derive_seed(seed, "op-suite"))
 
     verdicts = [
@@ -311,15 +302,15 @@ def _cmd_bounds(config: dict, seed: int):
         "operator_checks": op_report.checks,
         "operator_violations": op_report.violations,
     }
-    return header, rows, summary, verdicts, None
+    return header, suite.rows, summary, verdicts, None
 
 
 def _cmd_concentration(config: dict, seed: int):
     allowed, required = _keys(McTailConfig)
     _require_keys(config, allowed | {"experiments"}, required, command="concentration")
-    experiments = config.get("experiments", list(_MC_EXPERIMENTS))
-    if not isinstance(experiments, list) or any(e not in _MC_EXPERIMENTS for e in experiments):
-        raise ConfigError(f"experiments must be a list drawn from {list(_MC_EXPERIMENTS)}, "
+    experiments = config.get("experiments", list(MC_EXPERIMENTS))
+    if not isinstance(experiments, list) or any(e not in MC_EXPERIMENTS for e in experiments):
+        raise ConfigError(f"experiments must be a list drawn from {list(MC_EXPERIMENTS)}, "
                           f"got {experiments!r}")
     # An empty list would pass with nothing checked; a repeat would write
     # duplicate rows under one verdict key.
@@ -501,9 +492,6 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except CheckFailed as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 2
     except (NumericFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
 The split matters to the command line driver, which maps configuration
-problems, failed verification checks, and numerical breakdowns to
-distinct exit codes.
+problems (InvalidInput and its subclasses) to exit 1 and numerical
+breakdowns (NumericFailure) to exit 3.  A failed verification is a verdict
+a command reports (exit 2), never an exception.
 """
 
 
@@ -44,7 +45,3 @@ class NotPositiveSemidefinite(InvalidInput):
 
 class NumericFailure(RuntimeError):
     """An iterative numerical routine failed to converge."""
-
-
-class CheckFailed(AssertionError):
-    """A verification run measured a violation of a claimed guarantee."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .kernels import Kernel
+from .kernels import Kernel, _as_index_points
 from .rng import generator
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "sample_finite_rank",
     "basis_factor",
     "feature_matrix",
-    "approx_kernel",
     "cos_form_kernel",
 ]
 
@@ -161,7 +160,10 @@ def basis_factor(sample: FeatureSample) -> np.ndarray:
 
 
 def feature_matrix(sample: FeatureSample, points: np.ndarray) -> np.ndarray:
-    """Rows Phi(x_i) for each point; shape (n, d)."""
+    """Rows Phi(x_i) for each point; shape (n, d).
+
+    Finite-rank points are atom positions of the kernel's measure, checked as
+    the kernel checks them (DomainError off the atoms)."""
     if sample.kind == "rff":
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -169,22 +171,9 @@ def feature_matrix(sample: FeatureSample, points: np.ndarray) -> np.ndarray:
         proj = pts @ sample.omegas.T
         scale = 1.0 / np.sqrt(sample.m)
         return scale * np.concatenate([np.cos(proj), np.sin(proj)], axis=1)
-    pts = np.asarray(points)
-    if pts.ndim == 0:
-        pts = pts.reshape(1)
-    if not np.issubdtype(pts.dtype, np.integer):
-        raise InvalidInput("feature_matrix: finite-rank features need integer atom positions")
+    pts = _as_index_points(sample.kernel, points)
     feat_tbl = sample.coeffs @ sample.kernel.table.values
     return (sample.row_scale[:, None] * feat_tbl[sample.indices][:, pts]).T
-
-
-def approx_kernel(sample: FeatureSample, x, y) -> float:
-    """<Phi(x), Phi(y)>, the feature-space estimate of k(x, y)."""
-    fx = feature_matrix(sample, np.asarray([x]).reshape(1, -1) if sample.kind == "rff"
-                        else np.asarray([x]))
-    fy = feature_matrix(sample, np.asarray([y]).reshape(1, -1) if sample.kind == "rff"
-                        else np.asarray([y]))
-    return float(fx[0] @ fy[0])
 
 
 def cos_form_kernel(sample: FeatureSample, x, y) -> float:

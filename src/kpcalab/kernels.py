@@ -23,7 +23,6 @@ __all__ = [
     "FunctionTable",
     "Kernel",
     "gaussian_kernel",
-    "finite_rank_kernel",
     "make_finite_rank_kernel",
     "kernel_eval",
     "gram",
@@ -106,13 +105,6 @@ def gaussian_kernel(bandwidth: float) -> Kernel:
     return Kernel(kind="gaussian", kappa=1.0, bandwidth=float(bandwidth))
 
 
-def finite_rank_kernel(table: FunctionTable, lambdas: np.ndarray) -> Kernel:
-    """Finite-rank kernel from an explicit basis table and eigenvalues."""
-    lam = np.asarray(lambdas, dtype=float)
-    diag = np.einsum("t,tj,tj->j", lam, table.values, table.values)
-    return Kernel(kind="finite_rank", kappa=float(np.max(diag)), table=table, lambdas=lam)
-
-
 def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed: int) -> Kernel:
     """Seeded synthetic kernel whose population spectrum is exactly ``lambdas``.
 
@@ -152,8 +144,9 @@ def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed:
                 f"make_finite_rank_kernel: Gram-Schmidt broke down on row {t} "
                 f"after {_GS_MAX_RETRIES} retries"
             )
-    table = FunctionTable(measure=measure, values=rows)
-    return finite_rank_kernel(table, lam)
+    kappa = float(np.max(np.einsum("t,tj,tj->j", lam, rows, rows)))  # max of k(x, x)
+    return Kernel(kind="finite_rank", kappa=kappa,
+                  table=FunctionTable(measure=measure, values=rows), lambdas=lam)
 
 
 def _as_index_points(kernel: Kernel, points: np.ndarray) -> np.ndarray:
@@ -194,11 +187,12 @@ def kernel_eval(kernel: Kernel, x, y) -> float:
         yv = np.atleast_1d(np.asarray(y, dtype=float))
         d2 = float(np.sum((xv - yv) ** 2))
         return float(np.exp(-d2 / (2.0 * kernel.bandwidth**2)))
-    xi = int(_as_index_points(kernel, np.asarray(x))[0])
-    yi = int(_as_index_points(kernel, np.asarray(y))[0])
-    lam = kernel.lambdas
+    xi, yi = (_as_index_points(kernel, p) for p in (x, y))
+    if xi.size != 1 or yi.size != 1:
+        raise DomainError(f"kernel_eval: a finite-rank point is one atom position, "
+                          f"got {xi.size} and {yi.size}")
     vals = kernel.table.values
-    return float(np.sum(lam * vals[:, xi] * vals[:, yi]))
+    return float(np.sum(kernel.lambdas * vals[:, xi[0]] * vals[:, yi[0]]))
 
 
 def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:

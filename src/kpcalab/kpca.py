@@ -25,17 +25,14 @@ from .errors import DegenerateModel, InvalidInput, RankError
 from .features import FeatureSample, feature_matrix
 from .kernels import Kernel, _as_index_points, center_gram, cross_gram, gram
 from .linalg import RANK_RTOL, fix_signs, sym_eig
-from .measures import DiscreteMeasure
 
 __all__ = [
     "KpcaModel",
     "RfKpcaModel",
     "fit_exact",
-    "eigenfunction_eval",
     "embed_exact",
     "fit_rf",
     "embed_rf",
-    "pop_rf_cov",
 ]
 
 # Top eigenvalue below kappa times this means the centered Gram carries
@@ -57,8 +54,8 @@ class KpcaModel:
         (N, r), built from V on first read.  None on a gaussian fit.
     dual_coeffs: shape (r, n); row i is gamma_i (centered, scaled so
         gamma_i' K gamma_i = n eigvals[i]), gathered from atom_coeffs on
-        first read.  The Gram matrix is materialized lazily too; large
-        fits that never touch these stay free of per-atom and per-sample work.
+        first read.  Large fits that never touch these stay free of per-atom
+        and per-sample work.
     """
 
     train_points: np.ndarray
@@ -69,7 +66,6 @@ class KpcaModel:
     _sigma: np.ndarray | None = field(default=None, repr=False)
     _atom_coeffs: np.ndarray | None = field(default=None, repr=False)
     _dual_coeffs: np.ndarray | None = field(default=None, repr=False)
-    _gram: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -90,12 +86,6 @@ class KpcaModel:
         if self._dual_coeffs is None:
             self._dual_coeffs = self.atom_coeffs[self.train_points].T
         return self._dual_coeffs
-
-    @property
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = gram(self.kernel, self.train_points)
-        return self._gram
 
 
 @dataclass
@@ -192,8 +182,8 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
                   for pts, c, (sigma, v) in zip(
                       rows, counts, _count_fit(root, counts, kernel.kappa, "fit_exact"))]
         return models if stacked else models[0]
-    gram_cache = gram(kernel, samples)
-    centered = center_gram(gram_cache, np.full(n, 1.0 / n))
+    k = gram(kernel, samples)
+    centered = center_gram(k, np.full(n, 1.0 / n))
     spec = sym_eig(centered)
     lam_hat = spec.eigenvalues / n
     r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
@@ -203,10 +193,10 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
     alphas = alphas - alphas.mean(axis=0, keepdims=True)
     alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
     alphas = fix_signs(alphas)
-    k_quad = np.sum(alphas * (gram_cache @ alphas), axis=0)
+    k_quad = np.sum(alphas * (k @ alphas), axis=0)
     coeffs = alphas * np.sqrt(n * lam_hat[:r] / k_quad)
     return KpcaModel(train_points=samples, kernel=kernel, eigvals=lam_hat[:r].copy(),
-                     _dual_coeffs=coeffs.T, _gram=gram_cache)
+                     _dual_coeffs=coeffs.T)
 
 
 def _atom_coeffs(model: KpcaModel) -> np.ndarray:
@@ -236,23 +226,13 @@ def _eigenfunction_matrix(model: KpcaModel, kernel: Kernel, points: np.ndarray,
     return (kc @ model.dual_coeffs[:count].T) * scale[None, :]
 
 
-def eigenfunction_eval(model: KpcaModel, kernel: Kernel, i: int,
-                       points: np.ndarray) -> np.ndarray:
-    """Evaluate the i-th empirical eigenfunction at a list of points.
+def embed_exact(model: KpcaModel, kernel: Kernel, points: np.ndarray,
+                ell: int) -> np.ndarray:
+    """Score matrix (n_points, ell) of the first ell eigenfunctions.
 
     Points follow the kernel's convention: a 1-d integer array of atom
     positions for finite-rank kernels, an (n, p) array for gaussian ones.
-    Returns a vector of length n.
     """
-    if not 0 <= i < model.rank:
-        raise RankError(f"eigenfunction_eval: index {i} outside retained rank {model.rank}")
-    pts = np.atleast_1d(np.asarray(points))
-    return _eigenfunction_matrix(model, kernel, pts, i + 1)[:, i]
-
-
-def embed_exact(model: KpcaModel, kernel: Kernel, points: np.ndarray,
-                ell: int) -> np.ndarray:
-    """Score matrix (n_points, ell) of the first ell eigenfunctions."""
     if ell < 0 or ell > model.rank:
         raise RankError(f"embed_exact: ell={ell} outside [0, {model.rank}]")
     points = np.atleast_1d(np.asarray(points))
@@ -302,11 +282,3 @@ def embed_rf(model: RfKpcaModel, points: np.ndarray, ell: int,
         f = f - model.mean[None, :]
     return f @ model.components[:, :ell]
 
-
-def pop_rf_cov(features: FeatureSample, measure: DiscreteMeasure) -> np.ndarray:
-    """Population feature covariance under a finitely supported measure."""
-    f = feature_matrix(features, measure.atoms)
-    w = measure.weights
-    mean = w @ f
-    cov = (f * w[:, None]).T @ f - np.outer(mean, mean)
-    return (cov + cov.T) / 2.0

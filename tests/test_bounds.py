@@ -10,7 +10,6 @@ import kpcalab.bounds
 import kpcalab.linalg
 from kpcalab import (
     BoundReport,
-    CheckFailed,
     InvalidInput,
     McTailConfig,
     PerturbationCase,
@@ -28,11 +27,9 @@ from kpcalab import (
     operator_inequality_suite,
     perturb_check,
     perturbation_suite,
-    rank_one_norms_check,
     sample_finite_rank,
     spectral_projector,
     sym_eig,
-    tensor_lemma_check,
     uniform_measure,
 )
 
@@ -289,13 +286,9 @@ def _operator_violations_trial_by_trial(trials, seed):
         violations += sum(not r.holds for r in reports)
         f = rng.standard_normal(dim)
         g = rng.standard_normal(dim)
-        for check, args in ((tensor_lemma_check, (f, g)),
-                            (tensor_lemma_check, (f, np.zeros(dim))),
-                            (rank_one_norms_check, (f,))):
-            try:
-                check(*args)
-            except CheckFailed:
-                violations += 1
+        for other in (g, np.zeros(dim)):  # one vector pair at a time
+            violations += int(kpcalab.bounds._tensor_lemma(f, other)[2])
+        violations += int(any(kpcalab.bounds._rank_one_norms(f)[2].values()))
     return violations
 
 
@@ -316,12 +309,15 @@ def test_operator_suite_matches_a_trial_by_trial_tally(monkeypatch, slack):
 
 def test_tensor_lemma_equality_and_hand_case():
     f = np.array([1.5, -2.0, 0.5])
-    lhs, rhs = tensor_lemma_check(f, np.zeros(3))
+    lhs, rhs, violated = kpcalab.bounds._tensor_lemma(f, np.zeros(3))
     assert lhs == pytest.approx(float(f @ f), rel=1e-14)
     assert rhs == pytest.approx(lhs, rel=1e-14)  # g = 0 attains equality
-    lhs, rhs = tensor_lemma_check(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert not violated
+    lhs, rhs, violated = kpcalab.bounds._tensor_lemma(np.array([1.0, 0.0]),
+                                                      np.array([0.0, 1.0]))
     assert lhs == pytest.approx(math.sqrt(2.0), rel=1e-14)
     assert rhs == pytest.approx(math.sqrt(12.0), rel=1e-14)
+    assert not violated
 
 
 def test_rank_one_norms_take_one_eigensolve_per_stack(monkeypatch):
@@ -344,10 +340,11 @@ def test_rank_one_norms_take_one_eigensolve_per_stack(monkeypatch):
 
 def test_rank_one_norms():
     f = np.array([3.0, -4.0])
-    out = rank_one_norms_check(f)
-    assert out["target"] == 25.0
+    norms, target, strays = kpcalab.bounds._rank_one_norms(f)
+    assert target == 25.0
     for kind in ("operator", "hilbert_schmidt", "trace"):
-        assert out[kind] == pytest.approx(25.0, rel=1e-12)
+        assert norms[kind] == pytest.approx(25.0, rel=1e-12)
+        assert not strays[kind]
 
 
 def test_operator_inequality_suite_counts(monkeypatch):
@@ -470,7 +467,7 @@ def test_mc_tail_builds_one_kernel_per_config(monkeypatch):
     monkeypatch.setattr(kpcalab.bounds, "make_finite_rank_kernel",
                         lambda *args: builds.append(args) or build(*args))
     config = McTailConfig(tau=2.0, count=100, replications=50, seed=6, atoms=24, rank=6)
-    experiments = kpcalab.bounds._MC_EXPERIMENTS
+    experiments = kpcalab.bounds.MC_EXPERIMENTS
     shared = [mc_tail(experiment, config) for experiment in experiments]
     assert len(builds) == 1
     fresh = [mc_tail(experiment, dataclasses.replace(config)) for experiment in experiments]

@@ -237,6 +237,10 @@ def test_config_schema_rejections(tmp_path, capsys):
     ("bounds --seed 3", {"seed": "abc", "perturbation_cases": 3}),
     ("rates", {**_RATES_PAYLOAD, "n_grid": 5}),
     ("rates", {**_RATES_PAYLOAD, "slope_tolerance": -0.1}),
+    # exp(-0.5 i) keeps 47 eigenvalues above RANK_RTOL of the first: ell 59 cannot split
+    ("spectrum", {"atoms": 192, "rank": 60, "decay": "expo", "gamma": 0.5, "seed": 7,
+                  "ells": [1, 3, 10, 30, 59]}),
+    ("transition", {**_TRANSITION_PAYLOAD, "tau": 0.9}),
 ], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
         "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
         "tau_bool", "replications_fraction", "atoms_fraction", "unknown_experiment",
@@ -245,13 +249,14 @@ def test_config_schema_rejections(tmp_path, capsys):
         "ell_fixed_fraction", "rates_replications_fraction", "slope_tolerance_str",
         "spectrum_atoms_fraction", "spectrum_ells_fraction", "spectrum_ells_not_a_list",
         "taus_str", "rank_zero", "rank_negative", "atoms_not_above_rank",
-        "seed_str_under_override", "n_grid_scalar", "slope_tolerance_negative"])
+        "seed_str_under_override", "n_grid_scalar", "slope_tolerance_negative",
+        "spectrum_ell_past_retained_rank", "transition_tau_key"])
 def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys,
                                                    command, payload):
     def no_compute(*args, **kwargs):
         raise AssertionError("compute ran on a bad config")
 
-    for name in ("_case_stacks", "operator_inequality_suite", "mc_tail", "run_grid",
+    for name in ("perturbation_suite", "operator_inequality_suite", "mc_tail", "run_grid",
                  "transition_study", "_oracle"):
         monkeypatch.setattr(cli, name, no_compute)
     cfg = tmp_path / "bad.json"
@@ -370,9 +375,8 @@ def _spy_command(monkeypatch, read_count, outcome):
 
 
 @pytest.mark.parametrize("outcome, code", [
-    (True, 0), (cli.ConfigError("bad"), 1), (False, 2), (cli.CheckFailed("no"), 2),
-    (NumericFailure("nan"), 3),
-], ids=["exit0", "exit1", "exit2_verdict", "exit2_check", "exit3"])
+    (True, 0), (cli.ConfigError("bad"), 1), (False, 2), (NumericFailure("nan"), 3),
+], ids=["exit0", "exit1", "exit2_verdict", "exit3"])
 def test_commands_run_blas_on_one_thread_and_restore_it(tmp_path, monkeypatch, capsys,
                                                         outcome, code):
     fake = _FakeBlas(count=7)

@@ -16,7 +16,6 @@ from kpcalab import (
     cross_gram,
     derive_seed,
     discrete_measure,
-    finite_rank_kernel,
     gaussian_kernel,
     generator,
     gram,
@@ -155,6 +154,9 @@ def test_index_point_domain_errors():
         kernel_eval(ker, 0, 8)  # out of range
     with pytest.raises(DomainError):
         gram(ker, np.array([-1, 0]))
+    with pytest.raises(DomainError):
+        kernel_eval(ker, [1, 2], 3)  # one pair of points, not a list
+    assert kernel_eval(ker, np.array([1]), 3) == kernel_eval(ker, 1, 3)
 
 
 def test_kernel_builder_is_deterministic():

@@ -10,7 +10,7 @@ from kpcalab import (
     center_gram,
     embed_exact,
     embed_rf,
-    eigenfunction_eval,
+    feature_matrix,
     fit_exact,
     fit_rf,
     fix_signs,
@@ -18,7 +18,6 @@ from kpcalab import (
     gram,
     make_finite_rank_kernel,
     op_aa,
-    pop_rf_cov,
     sample_finite_rank,
     sym_eig,
     uniform_measure,
@@ -179,17 +178,17 @@ def test_training_score_variance_equals_eigenvalue():
     assert np.max(np.abs(var - model.eigvals)) < 1e-7
 
 
-def test_eigenfunction_eval_and_embed_edges():
+def test_embed_exact_columns_and_edges():
     measure, ker, samples = _rank_setup(t_count=3, n=12)
     model = fit_exact(ker, samples)
-    f0 = eigenfunction_eval(model, ker, 0, measure.atoms)
-    assert f0.shape == (measure.size,)
-    assert np.allclose(f0, embed_exact(model, ker, measure.atoms, 1)[:, 0])
+    full = embed_exact(model, ker, measure.atoms, model.rank)
+    assert full.shape == (measure.size, model.rank)
+    for ell in range(1, model.rank + 1):  # column i is f_i, whatever ell takes it
+        assert np.allclose(embed_exact(model, ker, measure.atoms, ell), full[:, :ell])
     assert embed_exact(model, ker, samples, 0).shape == (12, 0)
-    with pytest.raises(RankError):
-        eigenfunction_eval(model, ker, model.rank, samples)
-    with pytest.raises(RankError):
-        embed_exact(model, ker, samples, model.rank + 1)
+    for bad in (-1, model.rank + 1):
+        with pytest.raises(RankError):
+            embed_exact(model, ker, samples, bad)
 
 
 def test_identical_points_are_degenerate():
@@ -207,6 +206,18 @@ def test_fit_exact_rejects_points_off_the_atoms(points):
     _, ker, _ = _rank_setup()
     with pytest.raises(DomainError):
         fit_exact(ker, np.array(points))
+
+
+@pytest.mark.parametrize("points", [[0, 1, 2, -1, 3], [0, 1, 40, 3], [0.0, 1.0, 2.0]],
+                         ids=["negative", "past_last_atom", "float"])
+def test_rf_fit_and_embed_reject_points_off_the_atoms(points):
+    _, ker, samples = _rank_setup()
+    fs = sample_finite_rank(ker, 10, seed=33, mixed=True)
+    with pytest.raises(DomainError):
+        fit_rf(fs, np.array(points))
+    model = fit_rf(fs, samples)
+    with pytest.raises(DomainError):
+        embed_rf(model, np.array(points), 1)
 
 
 def test_fit_exact_on_a_stack_equals_fitting_each_row_alone():
@@ -256,8 +267,7 @@ def test_rf_fit_matches_population_cov_on_full_support():
     measure, ker, _ = _rank_setup(t_count=5, n_atoms=18)
     fs = sample_finite_rank(ker, 9, seed=4, mixed=True)
     model = fit_rf(fs, measure.atoms)
-    pop_cov = pop_rf_cov(fs, measure)
-    ref = np.sort(np.linalg.eigvalsh(pop_cov))[::-1]
+    ref = op_aa(fs, measure).eigenvalues
     assert np.max(np.abs(model.eigvals - ref[:model.rank])) < 1e-10
 
 
@@ -266,7 +276,9 @@ def test_rf_spectrum_agrees_with_feature_side_operator():
     # of the N x N feature-side operator
     measure, ker, _ = _rank_setup(t_count=5, n_atoms=18)
     fs = sample_finite_rank(ker, 7, seed=6, mixed=True)
-    cov_vals = np.sort(np.linalg.eigvalsh(pop_rf_cov(fs, measure)))[::-1]
+    f, w = feature_matrix(fs, measure.atoms), measure.weights
+    cov = (f * w[:, None]).T @ f - np.outer(w @ f, w @ f)
+    cov_vals = np.sort(np.linalg.eigvalsh((cov + cov.T) / 2.0))[::-1]
     op_vals = op_aa(fs, measure).spectrum.eigenvalues
     k = min(len(cov_vals), len(op_vals))
     assert np.max(np.abs(cov_vals[:k] - op_vals[:k])) < 1e-9

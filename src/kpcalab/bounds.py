@@ -268,6 +268,7 @@ def make_perturbation_cases(count: int, seed: int,
     resampled until a + b is PSD.  The cases are built and checked one
     stack per dimension.
     """
+    count = _count("count", count, least=1)
     cases: list[PerturbationCase] = [None] * count
     for members, a, b, d, spec_a, spec_ab in _case_stacks(count, seed, dims):
         for k, i in enumerate(members):  # already checked as a stack: skip __post_init__
@@ -293,6 +294,7 @@ class PerturbationSuiteReport:
 
 def perturbation_suite(count: int, seed: int) -> PerturbationSuiteReport:
     """Score seeded random cases one dimension stack at a time and tally the outcomes."""
+    count = _count("count", count, least=1)
     rows, plain, weighted, sharper = [None] * count, [], [], []
     for members, a, b, d, spec_a, spec_ab in _case_stacks(count, seed):
         delta, b_hs, rep = _score_cases(a, b, d, spec_a, spec_ab)
@@ -370,6 +372,7 @@ def operator_inequality_suite(trials: int, seed: int) -> OperatorInequalitySuite
         m = g @ g.swapaxes(-1, -2) / dim
         return (m + m.swapaxes(-1, -2)) / 2.0
 
+    trials = _count("trials", trials, least=1)
     # Each trial draws dim, then the normals of A, B, f and g in one call, from
     # its own stream; only dim up front.
     rngs = [generator(seed, "op-ineq", i) for i in range(trials)]
@@ -524,10 +527,9 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
     pop = np.diag(kernel.lambdas)
     if experiment == "cov_deviation":
         radius = bernstein_bound("cov_centered_mean", kernel.kappa, config.tau, config.count)
-        nu = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
         for rep in range(config.replications):
             idx = draw_samples(measure, config.count, derive_seed(config.seed, "mc-cov", rep))
-            v = nu[:, idx]
+            v = kernel.root[:, idx]
             vbar = v.mean(axis=1)
             c_hat = v @ v.T / config.count - np.outer(vbar, vbar)
             deviations[rep] = np.linalg.norm(c_hat - pop)

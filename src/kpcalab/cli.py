@@ -39,8 +39,8 @@ from .rates import (
     _count,
     _decay_schedule,
     _oracle,
-    _real,
     _schedule_error,
+    _taus,
     run_grid,
     transition_study,
 )
@@ -236,9 +236,7 @@ def _cmd_transition(config: dict, seed: int):
     # The command sweeps taus, so a tau key would be ignored: it is refused.
     _require_keys(config, (allowed - {"tau"}) | {"taus"}, required | {"taus"},
                   command="transition")
-    taus = [_real("taus", t) for t in _list(config, "taus")]
-    if not taus:
-        raise ConfigError("transition config needs at least one tau")
+    taus = _taus(_list(config, "taus"))
     base_dict = {k: v for k, v in config.items() if k != "taus"}
     base = ExperimentConfig(**{**base_dict, "tau": taus[0], "seed": seed})
     study = transition_study(base, taus)
@@ -271,10 +269,8 @@ def _cmd_transition(config: dict, seed: int):
 def _cmd_bounds(config: dict, seed: int):
     _require_keys(config, allowed={"perturbation_cases", "operator_trials", "seed"},
                   required=set(), command="bounds")
-    count = _count("perturbation_cases", config.get("perturbation_cases", 1000))
-    trials = _count("operator_trials", config.get("operator_trials", 1000))
-    if count < 1 or trials < 1:
-        raise ConfigError("bounds config needs positive case and trial counts")
+    count = _count("perturbation_cases", config.get("perturbation_cases", 1000), least=1)
+    trials = _count("operator_trials", config.get("operator_trials", 1000), least=1)
 
     header = ["case", "dim", "d", "delta_d", "b_hs", "plain_lhs", "plain_rhs",
               "plain_holds", "weighted_lhs", "weighted_rhs", "weighted_holds",

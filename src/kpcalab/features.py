@@ -54,8 +54,8 @@ class FeatureSample:
         at construction).
     rff fields: omegas (m, p), bandwidth.
     finite-rank fields: kernel, indices (m,) into the feature family,
-        probs (T,) sampling distribution, row_scale (m,) per-row weights,
-        coeffs (T, T) mapping basis rows to feature functions.
+        row_scale (m,) per-row weights, coeffs (T, T) mapping basis rows to
+        feature functions.
     """
 
     kind: str
@@ -67,7 +67,6 @@ class FeatureSample:
     bandwidth: float | None = None
     kernel: Kernel | None = None
     indices: np.ndarray | None = None
-    probs: np.ndarray | None = None
     row_scale: np.ndarray | None = None
     coeffs: np.ndarray | None = None
 
@@ -137,7 +136,7 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int,
         row_scale = np.full(m, 1.0 / np.sqrt(m))
     sample = FeatureSample(
         kind="finite_rank", m=m, d=int(indices.shape[0]), seed=seed, kappa_m=0.0,
-        kernel=kernel, indices=indices, probs=probs, row_scale=row_scale, coeffs=coeffs,
+        kernel=kernel, indices=indices, row_scale=row_scale, coeffs=coeffs,
     )
     # ||Phi(x)||^2 = ||L' psi(x)||^2 over the atoms, without the N x m feature matrix.
     root = basis_factor(sample).T @ kernel.table.values

@@ -11,6 +11,7 @@ computable downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +72,10 @@ class FunctionTable:
 class Kernel:
     """A positive-definite kernel of one of two kinds.
 
-    kind "gaussian": needs bandwidth; points are vectors (or scalars).
-    kind "finite_rank": needs table and strictly descending positive
-    lambdas; points are integer atom positions.
+    kind "gaussian": needs a finite bandwidth > 0; points are vectors (or scalars).
+    kind "finite_rank": needs table and strictly descending finite positive
+    lambdas; points are integer atom positions.  ``root``, the T x N
+    sqrt(Lambda) psi with k(i, j) = root[:, i]'root[:, j], is kept read-only.
     kappa is the exact supremum of k(x, x) over the kernel's domain.
     """
 
@@ -85,19 +87,25 @@ class Kernel:
 
     def __post_init__(self) -> None:
         if self.kind == "gaussian":
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise InvalidInput(f"Kernel: gaussian needs bandwidth > 0, got {self.bandwidth}")
+            if self.bandwidth is None or not 0.0 < self.bandwidth < np.inf:
+                raise InvalidInput(f"Kernel: bandwidth {self.bandwidth} is not finite and > 0")
         elif self.kind == "finite_rank":
             if self.table is None or self.lambdas is None:
                 raise InvalidInput("Kernel: finite_rank needs a table and lambdas")
             lam = np.asarray(self.lambdas, dtype=float)
             if lam.ndim != 1 or lam.shape[0] != self.table.count:
                 raise InvalidInput("Kernel: lambdas must match the table row count")
-            if np.any(lam <= 0.0) or np.any(np.diff(lam) >= 0.0):
-                raise InvalidInput("Kernel: lambdas must be positive and strictly descending")
+            if not (np.all(np.isfinite(lam) & (lam > 0.0)) and np.all(np.diff(lam) < 0.0)):
+                raise InvalidInput("Kernel: lambdas must be finite, > 0 and strictly descending")
             object.__setattr__(self, "lambdas", lam)
         else:
             raise InvalidInput(f"Kernel: unknown kind {self.kind!r}")
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        root = np.sqrt(self.lambdas)[:, None] * self.table.values
+        root.flags.writeable = False
+        return root
 
 
 def gaussian_kernel(bandwidth: float) -> Kernel:
@@ -209,7 +217,7 @@ def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:
         pts = _as_index_points(kernel, points)
         if pts.shape[0] < 1:
             raise InvalidInput("gram: need at least one point")
-        b = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values[:, pts]
+        b = kernel.root[:, pts]
         k = b.T @ b
     return (k + k.T) / 2.0
 

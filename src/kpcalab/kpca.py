@@ -177,10 +177,9 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
         raise InvalidInput(f"fit_exact: need at least two samples, got {n}")
     if finite:
         counts = _stack_counts(rows, kernel.table.values.shape[1])
-        root = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
         models = [KpcaModel(pts, kernel, sigma / n, counts=c, basis_vectors=v, _sigma=sigma)
                   for pts, c, (sigma, v) in zip(
-                      rows, counts, _count_fit(root, counts, kernel.kappa, "fit_exact"))]
+                      rows, counts, _count_fit(kernel.root, counts, kernel.kappa, "fit_exact"))]
         return models if stacked else models[0]
     k = gram(kernel, samples)
     centered = center_gram(k, np.full(n, 1.0 / n))
@@ -203,7 +202,7 @@ def _atom_coeffs(model: KpcaModel) -> np.ndarray:
     """A finite-rank fit's V mapped to the atoms, then count-weighted centring,
     unit scale, the K-quadratic rescale and first-appearance signing."""
     samples, counts, n = model.train_points, model.counts, model.n
-    root = np.sqrt(model.kernel.lambdas)[:, None] * model.kernel.table.values
+    root = model.kernel.root
     centred = root - (root @ counts / n)[:, None]
     alphas = (centred.T @ model.basis_vectors) / np.sqrt(model._sigma)[None, :]
     alphas = alphas - (counts @ alphas / n)[None, :]

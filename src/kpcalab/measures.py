@@ -23,7 +23,7 @@ class DiscreteMeasure:
 
     atoms: shape (N,) integer labels (positions 0..N-1 for kernels defined
         on an index set) or shape (N, p) real vectors.
-    weights: shape (N,), strictly positive, summing to one within 1e-12.
+    weights: shape (N,), finite and strictly positive, summing to one within 1e-12.
 
     Use :func:`discrete_measure` to build one from unnormalized weights;
     the raw constructor validates but never rescales.
@@ -41,8 +41,8 @@ class DiscreteMeasure:
             )
         if weights.size == 0:
             raise InvalidInput("DiscreteMeasure: empty support")
-        if np.any(weights <= 0.0):
-            raise InvalidInput("DiscreteMeasure: weights must be strictly positive")
+        if not np.all(np.isfinite(weights) & (weights > 0.0)):
+            raise InvalidInput("DiscreteMeasure: weights must be finite and strictly positive")
         if abs(weights.sum() - 1.0) > _WEIGHT_SUM_ATOL:
             raise InvalidInput(
                 f"DiscreteMeasure: weights sum to {weights.sum()!r}, not 1 within "

@@ -1,13 +1,13 @@
 """Exact population quantities for kernels on finitely supported measures.
 
 With a measure of N atoms, every population operator of interest is an
-N x N symmetric matrix in weight-symmetrized coordinates u = W^1/2 f:
+N x N symmetric matrix in weight-symmetrized coordinates u = W^1/2 f, kept
+as the factor F = W^1/2 (B - (B w) 1')' of a root B with K = B'B on the atoms:
 
   * covariance-side operator:  S_J = W^1/2 (I - 1 w') K (I - w 1') W^1/2,
     sharing its nonzero spectrum with the population covariance;
-  * feature-side operator:     S_A = W^1/2 Fbar Fbar' W^1/2 for a feature
-    matrix F on the atoms, Fbar = (I - 1 w') F, sharing its nonzero
-    spectrum with the population feature covariance.
+  * feature-side operator:     S_A, the same with B the transposed feature
+    matrix, sharing its nonzero spectrum with the population feature covariance.
 
 Projectors onto leading eigenspaces, reconstruction errors, and operator
 distances are then exact finite-dimensional computations, which is what
@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import InvalidInput, RankError
 from .features import FeatureSample, feature_matrix
-from .kernels import Kernel, center_gram, gram
+from .kernels import Kernel, _as_index_points, gram
 from .kpca import KpcaModel, RfKpcaModel, _eigenfunction_matrix
-from .linalg import Spectrum, matrix_norm, spectral_projector, sym_eig
+from .linalg import Spectrum, fractional_power, matrix_norm, spectral_projector, sym_eig
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -48,17 +48,17 @@ _PROJECTOR_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class PopOperator:
-    """A population operator in symmetrized coordinates; its spectrum,
-    eigenvalues and HS norm are computed on first read and kept.
-
-    factor: an optional N x r matrix F with matrix = F F'.  ``eigenvalues``
-    then comes from the r x r matrix F'F, which shares the nonzero spectrum,
-    padded with N - r zeros, and the N x N ``spectrum`` is left unsolved.
-    """
+    """A population operator S = F F' in symmetrized coordinates, held as its N x r
+    factor F; the dense ``matrix`` and its ``spectrum`` are built on first read.
+    ``eigenvalues`` (``spectrum``'s if r >= N) and ``hs_norm`` come from the r x r F'F."""
 
     kind: str
-    matrix: np.ndarray
-    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    factor: np.ndarray = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        s = self.factor @ self.factor.T
+        return (s + s.T) / 2.0
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -67,18 +67,18 @@ class PopOperator:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """The N eigenvalues of ``matrix``, descending."""
-        if self.factor is None:
+        n, r = self.factor.shape
+        if r >= n:
             return self.spectrum.eigenvalues
-        n = self.matrix.shape[0]
         gram_f = self.factor.T @ self.factor
-        vals = sym_eig((gram_f + gram_f.T) / 2.0).eigenvalues[:n]
-        return np.concatenate([vals, np.zeros(n - vals.size)])
+        vals = sym_eig((gram_f + gram_f.T) / 2.0).eigenvalues
+        return np.concatenate([vals, np.zeros(n - r)])
 
     @cached_property
     def hs_norm(self) -> float:
-        # numpy's pairwise sum, not np.linalg.norm's BLAS dot, whose rounding
-        # depends on how many threads OpenBLAS splits it across.
-        return float(np.sqrt(np.sum(self.matrix * self.matrix)))
+        # numpy's pairwise sum: np.linalg.norm's BLAS dot rounds by OpenBLAS's thread count
+        gram_f = self.factor.T @ self.factor
+        return float(np.sqrt(np.sum(gram_f * gram_f)))
 
 
 @dataclass(frozen=True)
@@ -105,33 +105,26 @@ class ProjectionLike:
                 raise InvalidInput("ProjectionLike: orthogonal projector trace is not integral")
 
 
-def op_jj(kernel: Kernel, measure: DiscreteMeasure) -> PopOperator:
-    """Covariance-side population operator S_J for a kernel and measure.
+def _centred_factor(root: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """F = W^1/2 (B - (B w) 1')' for a root B (r x N) on atoms of weights w."""
+    return np.sqrt(w)[:, None] * (root - (root @ w)[:, None]).T
 
-    On a finite-rank kernel K = B'B with B = sqrt(Lambda) psi on the atoms, so
-    S_J = F F' with the N x T factor F = W^1/2 (B - (B w) 1')', which the
-    operator keeps for its eigenvalues.
-    """
-    k = gram(kernel, measure.atoms)
-    centered = center_gram(k, measure.weights)
-    root_w = np.sqrt(measure.weights)
-    s = root_w[:, None] * centered * root_w[None, :]
-    s = (s + s.T) / 2.0
-    factor = None
+
+def op_jj(kernel: Kernel, measure: DiscreteMeasure) -> PopOperator:
+    """Covariance-side population operator S_J for a kernel and measure, whose
+    root is ``kernel.root`` on the atoms (finite-rank) or K^1/2 (gaussian)."""
     if kernel.kind == "finite_rank":
-        b = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values[:, measure.atoms]
-        factor = root_w[:, None] * (b - (b @ measure.weights)[:, None]).T
-    return PopOperator(kind="jj", matrix=s, factor=factor)
+        root = kernel.root[:, _as_index_points(kernel, measure.atoms)]
+    else:
+        root = fractional_power(gram(kernel, measure.atoms), 0.5)
+    return PopOperator(kind="jj", factor=_centred_factor(root, measure.weights))
 
 
 def op_aa(features: FeatureSample, measure: DiscreteMeasure) -> PopOperator:
-    """Feature-side population operator S_A for a feature draw and measure."""
-    f = feature_matrix(features, measure.atoms)
-    fbar = f - measure.weights @ f
-    b = np.sqrt(measure.weights)[:, None] * fbar
-    s = b @ b.T
-    s = (s + s.T) / 2.0
-    return PopOperator(kind="aa", matrix=s)
+    """Feature-side population operator S_A for a feature draw and measure,
+    whose root is the transposed feature matrix on the atoms."""
+    root = feature_matrix(features, measure.atoms).T
+    return PopOperator(kind="aa", factor=_centred_factor(root, measure.weights))
 
 
 def tail_energy(eigenvalues: np.ndarray | Spectrum, ell: int) -> float:

@@ -157,15 +157,16 @@ class ExperimentConfig:
                 raise ConfigError(f"ell_fixed={self.ell_fixed} outside 1..{self.rank - 1}")
 
 
-def _count(key: str, value, optional: bool = False) -> int | None:
-    """``value`` as an int: an integral number, never a bool (None if optional)."""
+def _count(key: str, value, optional: bool = False, least: int | None = None) -> int | None:
+    """``value`` as an int >= ``least``: an integral number, never a bool (None if optional)."""
     if value is None and optional:
         return None
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def _real(key: str, value, optional: bool = False) -> float | None:
@@ -176,6 +177,14 @@ def _real(key: str, value, optional: bool = False) -> float | None:
             and not isinstance(value, bool) and math.isfinite(value)):
         return float(value)
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _taus(taus) -> list[float]:
+    """``taus`` as finite floats, at least one, each once (a repeat reruns its grid)."""
+    taus = [_real("taus", tau) for tau in taus]
+    if not taus or len(set(taus)) < len(taus):
+        raise ConfigError(f"taus must hold at least one tau, each once, got {taus!r}")
+    return taus
 
 
 def _decay_schedule(decay: str, rank: int, alpha: float | None, gamma: float | None) -> np.ndarray:
@@ -583,9 +592,7 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     """
     if base.metric != "proj_rf_hat":
         raise ConfigError(f"transition_study needs metric proj_rf_hat, got {base.metric}")
-    configs = [replace(base, tau=_real("taus", tau)) for tau in taus]
-    if not configs:
-        raise ConfigError("transition_study needs at least one tau")
+    configs = [replace(base, tau=tau) for tau in _taus(taus)]
     for config in configs:  # an out-of-regime tau fails before the reference grid runs
         predicted_exponent(config)
     # The oracle depends on seed, atoms and schedule only, so every run shares it.

@@ -347,6 +347,18 @@ def test_rank_one_norms():
         assert not strays[kind]
 
 
+@pytest.mark.parametrize("suite", [perturbation_suite, operator_inequality_suite,
+                                   make_perturbation_cases])
+@pytest.mark.parametrize("count", [0, -3, 2.5, True])
+def test_bound_suites_reject_a_bad_count_before_any_draw(monkeypatch, suite, count):
+    def no_draw(*args):
+        raise AssertionError("a suite drew on a bad count")
+
+    monkeypatch.setattr(kpcalab.bounds, "generator", no_draw)
+    with pytest.raises(InvalidInput):
+        suite(count, 1)
+
+
 def test_operator_inequality_suite_counts(monkeypatch):
     calls = _count_sym_eig(monkeypatch)
     report = operator_inequality_suite(25, seed=4)

@@ -8,6 +8,7 @@ import kpcalab.cli
 import kpcalab.kernels
 from kpcalab import (
     CapacityError,
+    DiscreteMeasure,
     DomainError,
     FunctionTable,
     InvalidInput,
@@ -36,6 +37,34 @@ def test_gaussian_value_at_one_bandwidth():
     assert kernel_eval(ker, 0.5, 0.5) == 1.0
     with pytest.raises(InvalidInput):
         gaussian_kernel(0.0)
+
+
+@pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan, -1.0])
+def test_gaussian_kernel_rejects_a_non_finite_or_negative_bandwidth(bandwidth):
+    with pytest.raises(InvalidInput, match="bandwidth"):
+        gaussian_kernel(bandwidth)
+
+
+@pytest.mark.parametrize("lambdas", [[1.0, np.nan], [np.nan, 0.5], [np.inf, 1.0],
+                                     [1.0, -np.inf], [0.5, 1.0]])
+def test_finite_rank_kernel_rejects_bad_lambdas(lambdas):
+    with pytest.raises(InvalidInput, match="lambdas"):
+        make_finite_rank_kernel(uniform_measure(5), np.array(lambdas), seed=1)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5],
+                                     [np.inf, 0.5, 0.5], [-np.inf, 1.0, 1.0]])
+def test_measure_rejects_non_finite_weights(weights):
+    with pytest.raises(InvalidInput, match="weights"):
+        DiscreteMeasure(np.arange(3), np.array(weights))
+
+
+def test_finite_rank_root_is_the_read_only_gram_factor():
+    measure = uniform_measure(12)
+    ker = make_finite_rank_kernel(measure, (1.0 + np.arange(4)) ** -2.0, seed=3)
+    assert ker.root is ker.root and ker.root.shape == (4, 12)
+    assert not ker.root.flags.writeable
+    assert np.max(np.abs(ker.root.T @ ker.root - gram(ker, measure.atoms))) <= 1e-14
 
 
 def test_gaussian_gram_matches_pairwise_eval():

@@ -12,11 +12,13 @@ from kpcalab import (
     InvalidInput,
     ProjectionLike,
     Spectrum,
+    center_gram,
     discrete_measure,
     draw_samples,
     fit_exact,
     fit_rf,
     gaussian_kernel,
+    gram,
     kernel_eval,
     make_finite_rank_kernel,
     op_aa,
@@ -57,14 +59,16 @@ def test_operator_trace_matches_hand_computed_centering():
 
 def test_hs_norm_does_not_depend_on_blas_threads():
     # np.linalg.norm's BLAS dot rounds differently on one and two OpenBLAS
-    # threads for a good share of 128x128 matrices; hs_norm must not.
+    # threads for a good share of 128x128 matrices; hs_norm must not, on a
+    # square factor or on thin ones, whose F'F is r x r.
     blas = kpcalab.cli._openblas()
     if blas is None:
         pytest.skip("numpy does not ship OpenBLAS here")
     get, put = blas
     original = get()
     rng = np.random.default_rng(20260819)
-    ops = [kpcalab.oracle.PopOperator("jj", rng.standard_normal((128, 128))) for _ in range(40)]
+    ops = [kpcalab.oracle.PopOperator("jj", rng.standard_normal((128, r)))
+           for r in (128,) * 40 + (24, 60, 96) * 10]
     try:
         norms = {}
         for count in (1, 2):
@@ -98,14 +102,33 @@ def test_eigenvalues_from_the_factor_match_the_full_spectrum(n_atoms, t_count):
     assert np.max(np.abs(half.eigenvalues - full)) <= 1e-13 * full[0]
 
 
-def test_eigenvalues_without_a_factor_reuse_the_spectrum():
+def test_eigenvalues_of_a_square_factor_reuse_the_spectrum():
+    # a gaussian S_J's factor is N x N, so its eigenvalues are the spectrum's own
     rng = np.random.default_rng(4)
     measure = discrete_measure(rng.standard_normal((15, 2)), np.full(15, 1.0))
     pop = op_jj(gaussian_kernel(0.8), measure)
-    assert pop.factor is None
+    assert pop.factor.shape == (15, 15)
     assert pop.eigenvalues is pop.spectrum.eigenvalues
     assert recon_error(pop, proj_pop(pop, 3)) == pytest.approx(
         tail_energy(pop.eigenvalues, 3), rel=1e-10)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0.3, 1.0, 5.0])
+def test_matrix_from_the_factor_matches_the_centred_gram(bandwidth):
+    # S_J = W^1/2 (I - 1 w') K (I - w 1') W^1/2 by center_gram, on a finite-rank
+    # kernel (None) over reweighted atoms and on gaussian kernels
+    rng = np.random.default_rng(31)
+    if bandwidth is None:
+        _, ker = _setup(t_count=24, n_atoms=128)
+        measure = discrete_measure(np.arange(128), rng.uniform(0.5, 1.5, 128))
+    else:
+        ker = gaussian_kernel(bandwidth)
+        measure = discrete_measure(rng.standard_normal((120, 2)), rng.uniform(0.5, 1.5, 120))
+    root_w = np.sqrt(measure.weights)
+    want = root_w[:, None] * center_gram(gram(ker, measure.atoms), measure.weights) * root_w
+    pop = op_jj(ker, measure)
+    assert np.linalg.norm(pop.matrix - want) <= 1e-13 * np.linalg.norm(want)
+    assert pop.hs_norm == pytest.approx(np.linalg.norm(want), rel=1e-13)
 
 
 def test_tail_energy_geometric_closed_form():

@@ -414,7 +414,7 @@ def test_transition_study_smoke():
     with pytest.raises(ConfigError):
         transition_study(dataclasses.replace(base, metric="proj_hat", tau=None),
                          (0.3, 0.9))
-    for taus in (["abc"], [True], [0.3, math.nan]):
+    for taus in (["abc"], [True], [0.3, math.nan], [0.3, 0.3], []):
         with pytest.raises(ConfigError, match="taus"):
             transition_study(base, taus)
     # poly with beta = 3: threshold 1/2 + theta (2 beta - alpha)/alpha = 0.7
@@ -720,17 +720,19 @@ def test_grid_rejects_an_operator_off_the_kernel_schedule():
     # off its T x T factor and must still see it
     for scale in (1.01, 1.0 + 1e-9):
         _, other = _oracle(config.atoms, scale * lambda_schedule(config), config.seed)
-        assert other.factor is not None
         with pytest.raises(ConfigError, match="oracle self-check failed"):
             _measure_grid(config, kernel, other, False)
-        assert "spectrum" not in vars(other)
+        assert not {"matrix", "spectrum"} & vars(other).keys()
 
 
 def test_grids_and_transitions_never_solve_the_n_by_n_spectrum():
-    report = run_grid(_ecfg(theta=0.2, metric="proj_rf_hat", tau=0.8, n_grid=_SMALL_GRID))
-    assert "spectrum" not in vars(report.pop)
+    # S_J stays its N x T factor: no N x N matrix is built, let alone solved
+    for metric, tau in (("recon_hat", None), ("proj_hat", None), ("proj_rf_hat", 0.8)):
+        report = run_grid(_ecfg(theta=0.2, metric=metric, tau=tau, n_grid=_SMALL_GRID))
+        assert {"hs_norm", "eigenvalues"} <= vars(report.pop).keys()
+        assert not {"matrix", "spectrum"} & vars(report.pop).keys()
     base = _ecfg(theta=0.0, gamma=1.0, metric="proj_rf_hat", tau=0.5, ell_fixed=1,
                  n_grid=_SMALL_GRID, rank=6, slope_tolerance=5.0)
     study = transition_study(base, (0.3, 0.9))
-    assert all("spectrum" not in vars(rep.pop) for rep in study.reports)
+    assert all(not {"matrix", "spectrum"} & vars(rep.pop).keys() for rep in study.reports)
     assert all("eigenvalues" in vars(rep.pop) for rep in study.reports)

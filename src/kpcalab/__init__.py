@@ -14,138 +14,26 @@ The sample-level fits and projectors and the Gaussian / random Fourier
 path are the reference route the rate cells are cross-checked against.
 PerturbationCase, perturb_check and make_perturbation_cases are one-case
 views of the stacked bound suite.
+
+Each module's ``__all__`` is the one list of its public names: the package
+re-exports every module but cli in full, and its ``__all__`` is those lists
+joined in layer order.  Every count and seed that enters a sampling path
+passes one rule, ``errors._count``.
 """
 
-from .bounds import (
-    MC_EXPERIMENTS,
-    BernsteinBound,
-    BoundReport,
-    McTailConfig,
-    McTailReport,
-    OperatorInequalitySuiteReport,
-    PerturbationCase,
-    PerturbationSuiteReport,
-    PerturbReport,
-    bernstein_bound,
-    make_perturbation_cases,
-    mc_tail,
-    operator_inequality_suite,
-    perturb_check,
-    perturbation_suite,
-)
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DegenerateModel,
-    DomainError,
-    EigengapError,
-    InvalidInput,
-    NotPositiveSemidefinite,
-    NumericFailure,
-    OutOfRegime,
-    RankError,
-)
-from .features import (
-    FeatureSample,
-    basis_factor,
-    cos_form_kernel,
-    feature_matrix,
-    sample_finite_rank,
-    sample_rff,
-)
-from .kernels import (
-    FunctionTable,
-    Kernel,
-    center_gram,
-    cross_gram,
-    gaussian_kernel,
-    gram,
-    kernel_eval,
-    make_finite_rank_kernel,
-)
-from .kpca import (
-    KpcaModel,
-    RfKpcaModel,
-    embed_exact,
-    embed_rf,
-    fit_exact,
-    fit_rf,
-)
-from .linalg import (
-    GAP_TOL,
-    RANK_RTOL,
-    Spectrum,
-    eigengaps,
-    fix_signs,
-    fractional_power,
-    matrix_norm,
-    spectral_projector,
-    sym_eig,
-)
-from .measures import DiscreteMeasure, discrete_measure, draw_samples, uniform_measure
-from .oracle import (
-    PopOperator,
-    ProjectionLike,
-    op_aa,
-    op_jj,
-    oracle_snapshot,
-    proj_distance,
-    proj_hat,
-    proj_hat_rf,
-    proj_pop,
-    recon_error,
-    tail_energy,
-)
-from .rates import (
-    METRICS,
-    ExperimentConfig,
-    RateReport,
-    RateRow,
-    TransitionReport,
-    TransitionRow,
-    ell_for,
-    fit_slope,
-    lambda_schedule,
-    m_for,
-    predicted_exponent,
-    run_grid,
-    transition_study,
-)
-from .rng import derive_seed, generator
+from . import bounds, errors, features, kernels, kpca, linalg, measures, oracle, rates, rng
+from .bounds import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .features import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .kpca import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .rates import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "InvalidInput", "ConfigError", "RankError", "EigengapError", "DomainError",
-    "CapacityError", "DegenerateModel", "OutOfRegime", "NotPositiveSemidefinite",
-    "NumericFailure",
-    # rng
-    "derive_seed", "generator",
-    # linalg
-    "RANK_RTOL", "GAP_TOL", "Spectrum", "sym_eig", "fix_signs", "matrix_norm",
-    "fractional_power", "spectral_projector", "eigengaps",
-    # measures
-    "DiscreteMeasure", "discrete_measure", "uniform_measure", "draw_samples",
-    # kernels
-    "FunctionTable", "Kernel", "gaussian_kernel", "make_finite_rank_kernel",
-    "kernel_eval", "gram", "cross_gram", "center_gram",
-    # features
-    "FeatureSample", "sample_rff", "sample_finite_rank", "basis_factor",
-    "feature_matrix", "cos_form_kernel",
-    # kpca
-    "KpcaModel", "RfKpcaModel", "fit_exact", "embed_exact", "fit_rf", "embed_rf",
-    # oracle
-    "PopOperator", "ProjectionLike", "op_jj", "op_aa", "tail_energy", "proj_pop",
-    "proj_hat", "proj_hat_rf", "recon_error", "proj_distance", "oracle_snapshot",
-    # bounds
-    "BoundReport", "PerturbationCase", "PerturbReport", "perturb_check",
-    "make_perturbation_cases", "perturbation_suite", "PerturbationSuiteReport",
-    "operator_inequality_suite", "OperatorInequalitySuiteReport", "BernsteinBound",
-    "bernstein_bound", "McTailConfig", "McTailReport", "MC_EXPERIMENTS", "mc_tail",
-    # rates
-    "METRICS", "ExperimentConfig", "RateRow", "RateReport", "TransitionRow",
-    "TransitionReport", "lambda_schedule", "ell_for", "m_for",
-    "predicted_exponent", "fit_slope", "run_grid", "transition_study",
-]
+_LAYERS = (errors, rng, linalg, measures, kernels, features, kpca, oracle, bounds, rates)
+__all__ = ["__version__", *(name for layer in _LAYERS for name in layer.__all__)]

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidInput, NumericFailure
+from .errors import InvalidInput, NumericFailure, _count, _real
 from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
 from .linalg import (
@@ -31,7 +31,6 @@ from .linalg import (
     sym_eig,
 )
 from .measures import draw_samples, uniform_measure
-from .rates import _count, _real
 from .rng import derive_seed, generator
 
 __all__ = [
@@ -41,7 +40,9 @@ __all__ = [
     "perturb_check",
     "make_perturbation_cases",
     "perturbation_suite",
+    "PerturbationSuiteReport",
     "operator_inequality_suite",
+    "OperatorInequalitySuiteReport",
     "bernstein_bound",
     "BernsteinBound",
     "McTailConfig",
@@ -68,10 +69,10 @@ def _within_bound(lhs, rhs):
     return lhs <= rhs + _BOUND_SLACK * (1.0 + rhs)
 
 
-def _by_dimension(dims: list[int]) -> dict[int, list[int]]:
-    """Positions of each dimension in ``dims``, so draws can be stacked per dimension."""
+def _by_dimension(sizes: list[int]) -> dict[int, list[int]]:
+    """Positions of each dimension in ``sizes``, so draws can be stacked per dimension."""
     groups: dict[int, list[int]] = {}
-    for i, dim in enumerate(dims):
+    for i, dim in enumerate(sizes):
         groups.setdefault(dim, []).append(i)
     return groups
 
@@ -212,18 +213,17 @@ def _draw_case(rng: np.random.Generator, dim: int) -> tuple:
     return vals, q_raw, d, (vals[d - 1] - vals[d]) / 2.0
 
 
-def _case_stacks(count: int, seed: int, dims: tuple[int, int] = (4, 20)) -> Iterator[tuple]:
+def _case_stacks(count: int, seed: int) -> Iterator[tuple]:
     """The cases of ``make_perturbation_cases``, checked one stack per dimension.
 
     Yields ``(members, a, b, d, spec_a, spec_ab)`` per dimension: the case
     numbers, a, b, cut indices and spectra of a and a + b of its stack.
     """
-    # Each case draws from its own stream in a fixed order: dim, then
+    # Each case draws from its own stream in a fixed order: dim in 4..20, then
     # _draw_case's values, then (rho, g) per attempt.  Only dim is drawn up
     # front, so the other draws of a dimension exist only while its stack is built.
     rngs = [generator(seed, "perturb-case", i) for i in range(count)]
-    for dim, members in _by_dimension([int(rng.integers(dims[0], dims[1] + 1))
-                                       for rng in rngs]).items():
+    for dim, members in _by_dimension([int(rng.integers(4, 21)) for rng in rngs]).items():
         group_rngs = [rngs[i] for i in members]
         vals, q_raw, ds, deltas = zip(*(_draw_case(rng, dim) for rng in group_rngs))
         vals = np.stack(vals)
@@ -256,9 +256,8 @@ def _case_stacks(count: int, seed: int, dims: tuple[int, int] = (4, 20)) -> Iter
         yield members, a, b, d, spec_a, spec_ab
 
 
-def make_perturbation_cases(count: int, seed: int,
-                            dims: tuple[int, int] = (4, 20)) -> list[PerturbationCase]:
-    """Seeded random cases with well-gapped spectra and admissible b.
+def make_perturbation_cases(count: int, seed: int) -> list[PerturbationCase]:
+    """Seeded random cases in dimensions 4..20 with well-gapped spectra and admissible b.
 
     Half the spectra are built from additive gaps drawn in [0.05, 1] on a
     0.3 base, half decay geometrically above a floor (the regime where the
@@ -270,7 +269,7 @@ def make_perturbation_cases(count: int, seed: int,
     """
     count = _count("count", count, least=1)
     cases: list[PerturbationCase] = [None] * count
-    for members, a, b, d, spec_a, spec_ab in _case_stacks(count, seed, dims):
+    for members, a, b, d, spec_a, spec_ab in _case_stacks(count, seed):
         for k, i in enumerate(members):  # already checked as a stack: skip __post_init__
             case = cases[i] = object.__new__(PerturbationCase)
             vars(case).update(a=a[k], b=b[k], d=int(d[k]), spec_a=spec_a[k], spec_ab=spec_ab[k])
@@ -420,8 +419,11 @@ def bernstein_bound(kind: str, scale: float, tau: float, count: int) -> Bernstei
     kind "feature_op": feature-operator deviation, radius
         8 scale sqrt(2 tau / count) with ``scale`` the kernel sup and
         ``count`` the feature count, tail 2 exp(-tau).
-    All three need count >= 8 tau.
+    All three need count >= 8 tau; scale and tau must be finite numbers and
+    count an integer, or the radius would be NaN and every check against it pass.
     """
+    scale, tau = _real("bernstein_bound: scale", scale), _real("bernstein_bound: tau", tau)
+    count = _count("bernstein_bound: count", count)
     if tau <= 0:
         raise InvalidInput(f"bernstein_bound: tau must be positive, got {tau}")
     if count < 8.0 * tau:

@@ -31,12 +31,11 @@ import numpy as np
 
 from .bounds import (MC_EXPERIMENTS, McTailConfig, mc_tail, operator_inequality_suite,
                      perturbation_suite)
-from .errors import ConfigError, EigengapError, InvalidInput, NumericFailure, RankError
+from .errors import ConfigError, EigengapError, InvalidInput, NumericFailure, RankError, _count
 from .linalg import RANK_RTOL, _check_split
 from .oracle import oracle_snapshot, proj_pop, recon_error, tail_energy
 from .rates import (
     ExperimentConfig,
-    _count,
     _decay_schedule,
     _oracle,
     _schedule_error,

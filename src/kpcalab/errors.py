@@ -1,10 +1,32 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its one rule for counts.
 
 The split matters to the command line driver, which maps configuration
 problems (InvalidInput and its subclasses) to exit 1 and numerical
 breakdowns (NumericFailure) to exit 3.  A failed verification is a verdict
 a command reports (exit 2), never an exception.
+
+Every config value and every count or seed that enters a sampling path
+passes ``_count`` or ``_real`` below, so a bad one is a ConfigError.
 """
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = [
+    "InvalidInput",
+    "ConfigError",
+    "RankError",
+    "EigengapError",
+    "DomainError",
+    "CapacityError",
+    "DegenerateModel",
+    "OutOfRegime",
+    "NotPositiveSemidefinite",
+    "NumericFailure",
+]
 
 
 class InvalidInput(ValueError):
@@ -45,3 +67,25 @@ class NotPositiveSemidefinite(InvalidInput):
 
 class NumericFailure(RuntimeError):
     """An iterative numerical routine failed to converge."""
+
+
+def _count(key: str, value, optional: bool = False, least: int | None = None) -> int | None:
+    """``value`` as an int >= ``least``: an integral number, never a bool (None if optional)."""
+    if value is None and optional:
+        return None
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def _real(key: str, value, optional: bool = False) -> float | None:
+    """``value`` as a float: a finite number, never a bool (None if optional)."""
+    if value is None and optional:
+        return None
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value)):
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")

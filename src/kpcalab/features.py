@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _count
 from .kernels import Kernel, _as_index_points
 from .rng import generator
 
@@ -71,26 +71,12 @@ class FeatureSample:
     coeffs: np.ndarray | None = None
 
 
-def sample_rff(bandwidth: float, point_dim: int, m: int, seed: int,
-               forced_omegas: np.ndarray | None = None) -> FeatureSample:
-    """Draw m Fourier frequencies for a gaussian kernel on R^point_dim.
-
-    ``forced_omegas`` is a test hook that substitutes an explicit (m, p)
-    frequency matrix for the random draw.
-    """
-    if m < 1:
-        raise InvalidInput(f"sample_rff: need m >= 1, got {m}")
+def sample_rff(bandwidth: float, point_dim: int, m: int, seed: int) -> FeatureSample:
+    """Draw m Fourier frequencies for a gaussian kernel on R^point_dim."""
+    m = _count("sample_rff: m", m, least=1)
     if not bandwidth > 0:
         raise InvalidInput(f"sample_rff: bandwidth must be positive, got {bandwidth}")
-    if forced_omegas is not None:
-        omegas = np.asarray(forced_omegas, dtype=float)
-        if omegas.shape != (m, point_dim):
-            raise InvalidInput(
-                f"sample_rff: forced omegas shape {omegas.shape} != ({m}, {point_dim})"
-            )
-    else:
-        rng = generator(seed, "rff-omegas")
-        omegas = rng.standard_normal((m, point_dim)) / bandwidth
+    omegas = generator(seed, "rff-omegas").standard_normal((m, point_dim)) / bandwidth
     return FeatureSample(
         kind="rff", m=m, d=2 * m, seed=seed, kappa_m=1.0,
         omegas=omegas, bandwidth=float(bandwidth),
@@ -109,6 +95,7 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int,
     """
     if kernel.kind != "finite_rank":
         raise InvalidInput(f"sample_finite_rank: kernel kind is {kernel.kind!r}")
+    m = _count("sample_finite_rank: m", m, least=1)
     t_count = kernel.table.count
     lam = kernel.lambdas
     if mixed:
@@ -129,8 +116,6 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int,
         indices = np.arange(t_count)
         row_scale = np.sqrt(probs)
     else:
-        if m < 1:
-            raise InvalidInput(f"sample_finite_rank: need m >= 1, got {m}")
         rng = generator(seed, "feature-indices")
         indices = rng.choice(t_count, size=m, p=probs)
         row_scale = np.full(m, 1.0 / np.sqrt(m))

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import EigengapError, InvalidInput, NotPositiveSemidefinite, NumericFailure, RankError
 
 __all__ = [
+    "RANK_RTOL",
+    "GAP_TOL",
     "Spectrum",
     "sym_eig",
     "matrix_norm",

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _count
 from .rng import generator
 
 __all__ = ["DiscreteMeasure", "discrete_measure", "uniform_measure", "draw_samples"]
@@ -94,8 +94,7 @@ def discrete_measure(atoms: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
 
 def uniform_measure(n_atoms: int) -> DiscreteMeasure:
     """Uniform measure on the index atoms 0..n_atoms-1."""
-    if n_atoms < 1:
-        raise InvalidInput(f"uniform_measure: need at least one atom, got {n_atoms}")
+    n_atoms = _count("uniform_measure: n_atoms", n_atoms, least=1)
     return DiscreteMeasure(np.arange(n_atoms), np.full(n_atoms, 1.0 / n_atoms))
 
 
@@ -108,8 +107,7 @@ def draw_samples(measure: DiscreteMeasure, n: int, seed: int) -> np.ndarray:
     samples a skewed measure leaves more than _GUIDE_STEPS atoms away.  The
     measure builds its CDF and guide table on its first draw and keeps them.
     """
-    if n < 1:
-        raise InvalidInput(f"draw_samples: need n >= 1, got {n}")
+    n = _count("draw_samples: n", n, least=1)
     cdf, guide = measure._guide
     u = generator(seed).random(n)
     idx = guide[(u * cdf.size).astype(np.intp)]

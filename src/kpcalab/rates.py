@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, EigengapError, OutOfRegime, RankError
+from .errors import ConfigError, EigengapError, OutOfRegime, RankError, _count, _real
 from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
 from .kpca import _count_fit, _stack_counts, fit_exact
@@ -47,6 +47,7 @@ __all__ = [
     "ExperimentConfig",
     "RateRow",
     "RateReport",
+    "TransitionRow",
     "TransitionReport",
     "lambda_schedule",
     "ell_for",
@@ -157,28 +158,6 @@ class ExperimentConfig:
                 raise ConfigError(f"ell_fixed={self.ell_fixed} outside 1..{self.rank - 1}")
 
 
-def _count(key: str, value, optional: bool = False, least: int | None = None) -> int | None:
-    """``value`` as an int >= ``least``: an integral number, never a bool (None if optional)."""
-    if value is None and optional:
-        return None
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value!r}")
-    return int(value)
-
-
-def _real(key: str, value, optional: bool = False) -> float | None:
-    """``value`` as a float: a finite number, never a bool (None if optional)."""
-    if value is None and optional:
-        return None
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value)):
-        return float(value)
-    raise ConfigError(f"{key} must be a finite number, got {value!r}")
-
-
 def _taus(taus) -> list[float]:
     """``taus`` as finite floats, at least one, each once (a repeat reruns its grid)."""
     taus = [_real("taus", tau) for tau in taus]
@@ -235,35 +214,27 @@ def m_for(config: ExperimentConfig, n: int) -> int:
     return max(_round_half_up(float(n) ** config.tau), 1)
 
 
-def _beta_for(config: ExperimentConfig, beta: float | None) -> float:
-    if beta is not None:
-        return beta
-    return config.alpha + 1.0
-
-
-def _tau_threshold(config: ExperimentConfig, beta: float | None = None) -> float:
+def _tau_threshold(config: ExperimentConfig) -> float:
     """The tau where proj_rf_hat's feature-count error stops dominating:
     1/2 + theta (2 beta - alpha)/alpha for poly decay, 1/2 + theta for expo."""
     if config.decay == "poly":
-        b = _beta_for(config, beta)
+        b = config.alpha + 1.0
         return 0.5 + config.theta * (2.0 * b - config.alpha) / config.alpha
     return 0.5 + config.theta
 
 
-def predicted_exponent(config: ExperimentConfig, beta: float | None = None,
-                       improved: bool = False) -> float:
+def predicted_exponent(config: ExperimentConfig, improved: bool = False) -> float:
     """The theoretical log-log slope for the configured coupling.
 
-    Returns the negated exponent (a slope, so typically negative).
-    ``beta`` overrides the gap-decay exponent of polynomial projection
-    rates (default alpha + 1, see module docstring); ``improved`` selects
-    the sharper eigengap-based expo reconstruction rates.  Raises
-    OutOfRegime outside the theory's regimes: reconstruction needs
-    0 < theta < 1/2 and ``recon_rf_hat`` tau > 2 theta; projection needs
-    theta below alpha/(2 beta) (poly) or 1/2 (expo), and ``proj_rf_hat``
-    tau > 2 g with g = theta beta/alpha (poly) or theta (expo), where the
-    gap closes.  ``proj_rf_hat`` is sample-limited iff tau >= the
-    transition_study threshold, feature-limited (-(tau/2 - g)) below it.
+    Returns the negated exponent (a slope, so typically negative).  Poly
+    projection rates use the gap exponent beta = alpha + 1 (see module
+    docstring); ``improved`` selects the sharper eigengap-based expo
+    reconstruction rates.  Raises OutOfRegime outside the theory's regimes:
+    reconstruction needs 0 < theta < 1/2 and ``recon_rf_hat`` tau > 2 theta;
+    projection needs theta below alpha/(2 beta) (poly) or 1/2 (expo), and
+    ``proj_rf_hat`` tau > 2 g with g = theta beta/alpha (poly) or theta
+    (expo), where the gap closes.  ``proj_rf_hat`` is sample-limited iff tau
+    >= the transition_study threshold, feature-limited (-(tau/2 - g)) below it.
 
     Projection exponents are the paper's upper bounds: at a constant ell
     the measured ``proj_hat`` slope is about -1/2, faster than the -1/4
@@ -296,9 +267,7 @@ def predicted_exponent(config: ExperimentConfig, beta: float | None = None,
         return rate
 
     if config.decay == "poly":
-        alpha, b = config.alpha, _beta_for(config, beta)
-        if b < alpha:
-            raise OutOfRegime(f"projection rates need beta >= alpha, got beta={b}")
+        alpha, b = config.alpha, config.alpha + 1.0
         g, limit, knee = theta * b / alpha, alpha / (2.0 * b), alpha / (2.0 * (2.0 * b - alpha))
     else:
         g, limit, knee = theta, 0.5, 0.5
@@ -311,7 +280,7 @@ def predicted_exponent(config: ExperimentConfig, beta: float | None = None,
     if metric == "proj_rf_hat":
         if tau <= 2.0 * g:
             raise OutOfRegime(f"proj_rf_hat needs tau > {2.0 * g:g}, got {tau}")
-        if tau >= _tau_threshold(config, beta):
+        if tau >= _tau_threshold(config):
             return sample_rate
     return -(tau / 2.0 - g)
 
@@ -541,7 +510,7 @@ def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
             )
         medians[n] = float(np.median(vals))
     slope, stderr = fit_slope(list(config.n_grid), [medians[n] for n in config.n_grid])
-    beta = _beta_for(config, None) if (
+    beta = config.alpha + 1.0 if (
         config.decay == "poly" and config.metric.startswith("proj")) else None
     return RateReport(
         config=config,

@@ -2,10 +2,11 @@
 
 Every sampling routine takes an integer seed and derives a counter-based
 bit generator from it, so results never depend on call order, thread
-count, or global state.  Derivation rule: the master seed and a sequence
-of labels (strings or integers) are joined into the byte string
-``b"kpcalab|<seed>|<label>|..."``, hashed with SHA-256, and the first
-128 bits of the digest become a Philox key.
+count, or global state.  The seed passes ``errors._count``: 4.0 is seed 4,
+while 2.7 or True is a ConfigError, never seed 2 or 1.  Derivation rule:
+the master seed and a sequence of labels (strings or integers) are joined
+into the byte string ``b"kpcalab|<seed>|<label>|..."``, hashed with
+SHA-256, and the first 128 bits of the digest become a Philox key.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import hashlib
 
 import numpy as np
 
+from .errors import _count
+
 __all__ = ["derive_seed", "generator"]
 
 
 def derive_seed(master: int, *labels: int | str) -> int:
     """Derive a 128-bit child seed from a master seed and stream labels."""
-    parts = ["kpcalab", str(int(master))] + [str(lab) for lab in labels]
+    parts = ["kpcalab", str(_count("seed", master))] + [str(lab) for lab in labels]
     digest = hashlib.sha256("|".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "big")
 
@@ -31,7 +34,7 @@ def generator(seed: int, *labels: int | str) -> np.random.Generator:
     With no labels the seed is used as the Philox key directly, so
     ``generator(derive_seed(s, "x"))`` and ``generator(s, "x")`` agree.
     """
-    key = derive_seed(seed, *labels) if labels else int(seed) % (1 << 128)
+    key = derive_seed(seed, *labels) if labels else _count("seed", seed) % (1 << 128)
     return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 

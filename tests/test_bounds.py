@@ -430,6 +430,17 @@ def test_bernstein_input_checks():
         bernstein_bound("florp", 1.0, 1.0, 100)
 
 
+@pytest.mark.parametrize("scale, tau, count", [
+    (math.nan, 1.0, 100), (math.inf, 1.0, 100), (1.0, math.nan, 100), (1.0, math.inf, 100),
+    (1.0, 1.0, math.nan), (1.0, 1.0, 100.5), (True, 1.0, 100), (1.0, 1.0, True),
+], ids=["scale_nan", "scale_inf", "tau_nan", "tau_inf", "count_nan", "count_fractional",
+        "scale_bool", "count_bool"])
+def test_bernstein_rejects_non_finite_reals_and_non_integral_counts(scale, tau, count):
+    # A NaN radius would make every ``deviation > bound`` tail check read as a pass.
+    with pytest.raises(kpcalab.ConfigError):
+        bernstein_bound("cov_centered_mean", scale, tau, count)
+
+
 def test_mc_tail_smoke_both_experiments():
     config = McTailConfig(tau=2.0, count=400, replications=60, seed=21,
                           atoms=32, rank=8)

@@ -54,11 +54,6 @@ def test_rff_reproducible_and_hooks():
     a = sample_rff(1.0, 2, 16, seed=5)
     b = sample_rff(1.0, 2, 16, seed=5)
     assert np.array_equal(a.omegas, b.omegas)
-    forced = np.ones((4, 2))
-    c = sample_rff(1.0, 2, 4, seed=0, forced_omegas=forced)
-    assert np.array_equal(c.omegas, forced)
-    with pytest.raises(InvalidInput):
-        sample_rff(1.0, 2, 3, seed=0, forced_omegas=forced)  # m mismatch
     with pytest.raises(InvalidInput):
         sample_rff(1.0, 2, 0, seed=0)
 

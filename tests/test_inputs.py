@@ -1,0 +1,60 @@
+"""Every count and seed that enters a sampling path passes one rule: an
+integral number (an integral float included), never a bool, a string or NaN."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kpcalab import (
+    ConfigError,
+    InvalidInput,
+    basis_factor,
+    derive_seed,
+    draw_samples,
+    generator,
+    make_finite_rank_kernel,
+    sample_finite_rank,
+    sample_rff,
+    uniform_measure,
+)
+
+_MEASURE = uniform_measure(10)
+_KERNEL = make_finite_rank_kernel(_MEASURE, [1.0, 0.5, 0.25], 3)
+
+# Each entry point, as a function of the one count or seed under test.
+_ENTRIES = {
+    "derive_seed.master": lambda v: derive_seed(v, "x"),
+    "generator.seed": lambda v: generator(v).random(3),
+    "generator.labelled_seed": lambda v: generator(v, "x").random(3),
+    "make_finite_rank_kernel.seed": lambda v: make_finite_rank_kernel(
+        _MEASURE, [1.0, 0.5], v).table.values,
+    "draw_samples.n": lambda v: draw_samples(_MEASURE, v, 1),
+    "draw_samples.seed": lambda v: draw_samples(_MEASURE, 5, v),
+    "uniform_measure.n_atoms": lambda v: uniform_measure(v).weights,
+    "sample_finite_rank.m": lambda v: basis_factor(sample_finite_rank(_KERNEL, v, 1)),
+    "sample_rff.m": lambda v: sample_rff(1.0, 2, v, 1).omegas,
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("bad", [2.5, 2.7, True, math.nan, "3"],
+                         ids=["half", "seed_2.7", "bool", "nan", "string"])
+def test_a_non_integral_count_or_seed_is_a_config_error(entry, bad):
+    with pytest.raises(ConfigError) as err:
+        _ENTRIES[entry](bad)
+    assert isinstance(err.value, InvalidInput)
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_an_integral_float_is_the_integer(entry):
+    assert np.array_equal(_ENTRIES[entry](4.0), _ENTRIES[entry](4))
+    assert np.array_equal(_ENTRIES[entry](np.int64(4)), _ENTRIES[entry](4))
+
+
+@pytest.mark.parametrize("entry", ["draw_samples.n", "uniform_measure.n_atoms",
+                                   "sample_finite_rank.m", "sample_rff.m"])
+@pytest.mark.parametrize("low", [0, -3])
+def test_a_count_below_one_is_a_config_error(entry, low):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        _ENTRIES[entry](low)

@@ -63,7 +63,7 @@ def test_predicted_poly_reconstruction_branches():
 
 
 def test_predicted_poly_projection_branches():
-    # default beta = alpha + 1 = 3, knee = alpha/(2 (2 beta - alpha)) = 1/4
+    # beta = alpha + 1 = 3, knee = alpha/(2 (2 beta - alpha)) = 1/4
     assert predicted_exponent(_cfg(metric="proj_hat", theta=0.1)) == pytest.approx(-0.2)
     assert predicted_exponent(_cfg(metric="proj_hat", theta=0.3)) == pytest.approx(-0.05)
     with pytest.raises(OutOfRegime):
@@ -76,14 +76,6 @@ def test_predicted_poly_projection_branches():
         _cfg(metric="proj_rf_hat", theta=0.1, tau=0.5)) == pytest.approx(-0.1)
     with pytest.raises(OutOfRegime):
         predicted_exponent(_cfg(metric="proj_rf_hat", theta=0.1, tau=0.2))
-    # explicit beta override
-    assert predicted_exponent(
-        _cfg(metric="proj_hat", theta=0.3), beta=2.0) == pytest.approx(-0.1)
-    # beta = 2 moves the proj_rf_hat threshold from 0.7 to 0.6
-    assert predicted_exponent(
-        _cfg(metric="proj_rf_hat", theta=0.1, tau=0.65), beta=2.0) == pytest.approx(-0.2)
-    with pytest.raises(OutOfRegime):
-        predicted_exponent(_cfg(metric="proj_hat", theta=0.1), beta=1.5)
 
 
 def _ecfg(**kw):
@@ -118,7 +110,7 @@ def test_predicted_expo_branches():
             predicted_exponent(_ecfg(metric="proj_rf_hat", theta=0.2, tau=tau))
 
 
-def _branchwise_predicted_exponent(config, beta=None, improved=False):
+def _branchwise_predicted_exponent(config, improved=False):
     """The rate rules spelled out branch by branch for each decay: the reference
     predicted_exponent must match bit for bit, but for the two cases
     test_predicted_exponent_matches_the_branchwise_reference names."""
@@ -148,9 +140,7 @@ def _branchwise_predicted_exponent(config, beta=None, improved=False):
                     f"recon_rf_hat needs tau > 2 theta ({tau} <= {2.0 * theta})"
                 )
             return -bias_exp if theta <= knee else -(0.5 - theta / (2.0 * alpha))
-        b = rates._beta_for(config, beta)
-        if b < alpha:
-            raise OutOfRegime(f"projection rates need beta >= alpha, got beta={b}")
+        b = alpha + 1.0
         if not 0.0 <= theta < alpha / (2.0 * b):
             raise OutOfRegime(
                 f"poly projection rates need 0 <= theta < alpha/(2 beta), got {theta}"
@@ -165,7 +155,7 @@ def _branchwise_predicted_exponent(config, beta=None, improved=False):
             raise OutOfRegime(
                 f"proj_rf_hat needs tau > 2 theta beta / alpha ({tau} too small)"
             )
-        if theta < knee and tau > rates._tau_threshold(config, beta):
+        if theta < knee and tau > rates._tau_threshold(config):
             return -(0.25 - theta / 2.0)
         return -(tau / 2.0 - theta * b / alpha)
 
@@ -200,29 +190,27 @@ def _branchwise_predicted_exponent(config, beta=None, improved=False):
     return -(tau / 2.0 - theta)
 
 
-def _outcome(predict, config, beta, improved):
+def _outcome(predict, config, improved):
     """The prediction's exact bits, or the type of exception it raised."""
     try:
-        return predict(config, beta, improved).hex()
+        return predict(config, improved).hex()
     except Exception as exc:  # noqa: BLE001 -- the type is the outcome compared
         return type(exc)
 
 
 def _prediction_cases():
-    """(config, beta, improved) for both decays and every metric: theta over 0..0.6
+    """(config, improved) for both decays and every metric: theta over 0..0.6
     plus every knee and limit, tau over (0, 1] plus every 2 theta, 2 g and
-    threshold, beta below, at and above alpha, improved off and on."""
+    threshold at beta = alpha + 1, improved off and on."""
     for alpha in (1.5, 2.0, 3.0, None):
-        betas = [None] if alpha is None else [None, 0.9 * alpha, alpha, 2.0 * alpha]
-        bs = [] if alpha is None else [alpha, alpha + 1.0, 2.0 * alpha]
         thetas = {k / 40.0 for k in range(25)} | {0.25, 1.0 / 3.0}
         if alpha is not None:
-            thetas.add(alpha / (4.0 * alpha - 1.0))
-            thetas |= {alpha / (2.0 * b) for b in bs}
-            thetas |= {alpha / (2.0 * (2.0 * b - alpha)) for b in bs}
+            b = alpha + 1.0
+            thetas |= {alpha / (4.0 * alpha - 1.0), alpha / (2.0 * b),
+                       alpha / (2.0 * (2.0 * b - alpha))}
         for theta in sorted(thetas):
             taus = {k / 20.0 for k in range(1, 21)} | {2.0 * theta, 0.5 + theta}
-            for b in bs:
+            if alpha is not None:
                 taus |= {2.0 * (theta * b / alpha), 0.5 + theta * (2.0 * b - alpha) / alpha}
             for metric in rates.METRICS:
                 rf = metric in rates._RF_METRICS
@@ -230,25 +218,24 @@ def _prediction_cases():
                     config = _cfg(decay="expo" if alpha is None else "poly", alpha=alpha,
                                   gamma=0.5 if alpha is None else None, theta=theta,
                                   metric=metric, tau=tau)
-                    for beta in betas:
-                        yield config, beta, False
-                        yield config, beta, True
+                    yield config, False
+                    yield config, True
 
 
 def test_predicted_exponent_matches_the_branchwise_reference():
     ties = gaps = 0
-    for config, beta, improved in _prediction_cases():
-        want = _outcome(_branchwise_predicted_exponent, config, beta, improved)
-        got = _outcome(predicted_exponent, config, beta, improved)
+    for config, improved in _prediction_cases():
+        want = _outcome(_branchwise_predicted_exponent, config, improved)
+        got = _outcome(predicted_exponent, config, improved)
         if got == want:
             continue
-        assert config.metric == "proj_rf_hat", (config, beta, improved)
+        assert config.metric == "proj_rf_hat", (config, improved)
         if config.decay == "expo":  # tau <= 2 theta is now out of regime
             assert config.tau <= 2.0 * config.theta and got is OutOfRegime
             assert isinstance(want, str)
             gaps += 1
         else:  # tau at the threshold: both rates agree but for rounding
-            assert config.tau == rates._tau_threshold(config, beta)
+            assert config.tau == rates._tau_threshold(config)
             assert abs(float.fromhex(got) - float.fromhex(want)) <= 1e-16
             ties += 1
     assert ties > 0 and gaps > 0

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidInput, NumericFailure, _count, _real
+from .errors import ConfigError, InvalidInput, NumericFailure, _count, _real
 from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, make_finite_rank_kernel
 from .linalg import (
@@ -421,9 +421,12 @@ def bernstein_bound(kind: str, scale: float, tau: float, count: int) -> Bernstei
         ``count`` the feature count, tail 2 exp(-tau).
     All three need count >= 8 tau; scale and tau must be finite numbers and
     count an integer, or the radius would be NaN and every check against it pass.
+    A negative scale, a radius every deviation exceeds, is refused too.
     """
     scale, tau = _real("bernstein_bound: scale", scale), _real("bernstein_bound: tau", tau)
     count = _count("bernstein_bound: count", count)
+    if scale < 0:
+        raise ConfigError(f"bernstein_bound: scale must be >= 0, got {scale}")
     if tau <= 0:
         raise InvalidInput(f"bernstein_bound: tau must be positive, got {tau}")
     if count < 8.0 * tau:

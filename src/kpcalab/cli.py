@@ -3,9 +3,9 @@
 Every command reads a JSON config, runs a deterministic experiment, and
 writes results.csv plus summary.json into the output directory (the
 rate commands also write oracle_snapshot.json describing the synthetic
-ground truth).  All floating-point values in these files are rendered
-with %.17g so reruns of the same config are byte-identical; wall time
-appears only in summary.json.
+ground truth).  The standard library's json and csv writers write these
+files, floats in Python's shortest round-trip form, so reruns of the same
+config are byte-identical; wall time appears only in summary.json.
 
 Exit codes: 0 all verdicts pass, 1 config problem (malformed JSON,
 unknown keys, out-of-regime parameters; nothing is written), 2 at least
@@ -48,65 +48,19 @@ from .rng import derive_seed
 __all__ = ["main"]
 
 
-def _fnum(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _csv_cell(v) -> str:
-    kind = type(v)  # exact types first: nearly every cell is a plain float, bool or int
-    if kind is float:
-        return format(v, ".17g")
-    if kind is bool:
-        return "true" if v else "false"
-    if kind is int:
-        return str(v)
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fnum(v)
-    return str(v)
-
-
-def render_json(obj, indent: int = 0) -> str:
-    """JSON with floats in %.17g form; NaN and infinities become null."""
-    pad = "  " * indent
+def _plain(obj):
+    """``obj`` with tuples as lists and NaN or infinite floats as None (JSON null)."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        # Lists of plain floats or ints render without a recursive call per value.
-        if all(type(v) is float for v in obj):
-            items = [format(v, ".17g") if math.isfinite(v) else "null" for v in obj]
-        elif all(type(v) is int for v in obj):
-            items = [str(v) for v in obj]
-        else:
-            items = [render_json(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return _fnum(x)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise ConfigError(f"cannot serialize a {type(obj).__name__} into summary output")
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(_plain(obj), indent=2) + "\n")
 
 
 def _require_keys(config: dict, allowed: set, required: set, command: str) -> None:
@@ -142,7 +96,7 @@ def _keys(cls) -> tuple[set, set]:
 
 def _snapshot(report) -> dict:
     kernel = report.kernel
-    return oracle_snapshot(kernel, kernel.table.measure, report.pop, seed=report.config.seed)
+    return oracle_snapshot(kernel, kernel.table.measure, report.pop, report.config.seed)
 
 
 def _cmd_spectrum(config: dict, seed: int):
@@ -249,7 +203,7 @@ def _cmd_transition(config: dict, seed: int):
     all_swap_ok = all(r.swap_violations == 0 for r in study.reports)
     for row in study.rows:
         verdicts.append((
-            f"tau_{_fnum(row.tau)}_{row.regime}", row.matches,
+            f"tau_{row.tau:.17g}_{row.regime}", row.matches,
             f"slope {row.slope:.4f} vs expected {row.expected:.4f} "
             f"(threshold {study.threshold:g})",
         ))
@@ -446,7 +400,7 @@ def _run(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+            writer.writerow([str(v).lower() if type(v) is bool else v for v in row])
     summary = {
         "tool": "kpcalab",
         "command": args.command,
@@ -460,9 +414,9 @@ def _run(args) -> int:
     summary["verdicts"] = {
         name: {"pass": bool(ok), "detail": detail} for name, ok, detail in verdicts
     }
-    (out / "summary.json").write_text(render_json(summary) + "\n")
+    _write_json(out / "summary.json", summary)
     if snapshot is not None:
-        (out / "oracle_snapshot.json").write_text(render_json(snapshot) + "\n")
+        _write_json(out / "oracle_snapshot.json", snapshot)
 
     print(f"kpcalab {args.command}: config sha256 {digest[:12]}, "
           f"wall {elapsed:.2f}s, {len(rows)} result rows")

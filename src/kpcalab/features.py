@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, _count
+from .errors import InvalidInput, _count, _real
 from .kernels import Kernel, _as_index_points
 from .rng import generator
 
@@ -74,12 +74,14 @@ class FeatureSample:
 def sample_rff(bandwidth: float, point_dim: int, m: int, seed: int) -> FeatureSample:
     """Draw m Fourier frequencies for a gaussian kernel on R^point_dim."""
     m = _count("sample_rff: m", m, least=1)
-    if not bandwidth > 0:
+    point_dim = _count("sample_rff: point_dim", point_dim, least=1)
+    bandwidth = _real("sample_rff: bandwidth", bandwidth)
+    if bandwidth <= 0:
         raise InvalidInput(f"sample_rff: bandwidth must be positive, got {bandwidth}")
     omegas = generator(seed, "rff-omegas").standard_normal((m, point_dim)) / bandwidth
     return FeatureSample(
         kind="rff", m=m, d=2 * m, seed=seed, kappa_m=1.0,
-        omegas=omegas, bandwidth=float(bandwidth),
+        omegas=omegas, bandwidth=bandwidth,
     )
 
 

@@ -263,21 +263,13 @@ def fit_rf(features: FeatureSample, samples: np.ndarray) -> RfKpcaModel:
     )
 
 
-def embed_rf(model: RfKpcaModel, points: np.ndarray, ell: int,
-             centered: bool = False) -> np.ndarray:
-    """Scores <Phi(x), w_i> for i < ell; shape (n_points, ell).
-
-    The default leaves the feature vector uncentered.  With
-    ``centered=True`` the training mean is subtracted first, making the
-    per-component training variance equal the model eigenvalue.
-    """
+def embed_rf(model: RfKpcaModel, points: np.ndarray, ell: int) -> np.ndarray:
+    """Scores <Phi(x), w_i> for i < ell of the uncentered feature vector;
+    shape (n_points, ell)."""
     if ell < 0 or ell > model.rank:
         raise RankError(f"embed_rf: ell={ell} outside [0, {model.rank}]")
     points = np.atleast_1d(np.asarray(points))
     if ell == 0:
         return np.empty((points.shape[0], 0))
-    f = feature_matrix(model.features, points)
-    if centered:
-        f = f - model.mean[None, :]
-    return f @ model.components[:, :ell]
+    return feature_matrix(model.features, points) @ model.components[:, :ell]
 

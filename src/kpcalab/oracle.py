@@ -188,31 +188,27 @@ def proj_distance(p: ProjectionLike, q: ProjectionLike) -> float:
 
 
 def oracle_snapshot(kernel: Kernel, measure: DiscreteMeasure, pop: PopOperator,
-                    seed: int | None = None) -> dict:
-    """JSON-ready description of an oracle: measure, kernel, and the exact
-    spectrum of ``pop = op_jj(kernel, measure)``.
+                    seed: int) -> dict:
+    """JSON-ready description of a finite-rank oracle: measure, kernel, and
+    the exact spectrum of ``pop = op_jj(kernel, measure)``.
 
-    A finite-rank kernel's T x N basis table is packed, lossless, as base64
-    of its row-major little-endian float64 bytes with its shape beside it.
+    The kernel's T x N basis table is packed, lossless, as base64 of its
+    row-major little-endian float64 bytes with its shape beside it.
     """
-    snap: dict = {
+    if kernel.kind != "finite_rank":
+        raise InvalidInput(f"oracle_snapshot: kernel kind is {kernel.kind!r}")
+    values = kernel.table.values
+    return {
         "atoms": np.asarray(measure.atoms).tolist(),
         "weights": measure.weights.tolist(),
         "population_spectrum": pop.eigenvalues.tolist(),
-    }
-    if kernel.kind == "gaussian":
-        snap["kernel"] = {"kind": "gaussian", "bandwidth": kernel.bandwidth,
-                          "kappa": kernel.kappa}
-    else:
-        values = kernel.table.values
-        snap["kernel"] = {
+        "kernel": {
             "kind": "finite_rank",
             "lambdas": kernel.lambdas.tolist(),
             "kappa": kernel.kappa,
             "basis_shape": list(values.shape),
             "basis_values_f64le_b64": binascii.b2a_base64(
                 values.astype("<f8", copy=False).tobytes(), newline=False).decode("ascii"),
-        }
-    if seed is not None:
-        snap["seed"] = int(seed)
-    return snap
+        },
+        "seed": int(seed),
+    }

@@ -433,10 +433,12 @@ def test_bernstein_input_checks():
 @pytest.mark.parametrize("scale, tau, count", [
     (math.nan, 1.0, 100), (math.inf, 1.0, 100), (1.0, math.nan, 100), (1.0, math.inf, 100),
     (1.0, 1.0, math.nan), (1.0, 1.0, 100.5), (True, 1.0, 100), (1.0, 1.0, True),
+    (-1.0, 1.0, 100),
 ], ids=["scale_nan", "scale_inf", "tau_nan", "tau_inf", "count_nan", "count_fractional",
-        "scale_bool", "count_bool"])
+        "scale_bool", "count_bool", "scale_negative"])
 def test_bernstein_rejects_non_finite_reals_and_non_integral_counts(scale, tau, count):
-    # A NaN radius would make every ``deviation > bound`` tail check read as a pass.
+    # A NaN radius would make every ``deviation > bound`` tail check read as a pass,
+    # and a negative one every check a failure.
     with pytest.raises(kpcalab.ConfigError):
         bernstein_bound("cov_centered_mean", scale, tau, count)
 

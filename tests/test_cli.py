@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import csv
 import hashlib
 import json
 import math
@@ -16,6 +17,19 @@ def _write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _rows(out) -> list:
+    """results.csv's rows below its header, as lists of cell texts."""
+    with open(out / "results.csv", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _parsed(text: str, like):
+    """A results.csv cell read back as the type of the value written there."""
+    if type(like) is bool:
+        return {"true": True, "false": False}[text]
+    return type(like)(text)
 
 
 def _bounds_config(tmp_path, seed=5):
@@ -77,18 +91,24 @@ def test_bounds_rows_equal_the_per_case_views(tmp_path, monkeypatch, capsys):
         row = [i, case.a.shape[0], case.d, case.delta_d, case.b_hs, rep.plain.lhs,
                rep.plain.rhs, rep.plain.holds, rep.weighted.lhs, rep.weighted.rhs,
                rep.weighted.holds, rep.trivial_rhs, rep.sharper_than_trivial]
-        expected.append(",".join(cli._csv_cell(v) for v in row))
-    assert (out / "results.csv").read_text().splitlines()[1:] == expected
+        expected.append(row)
+    written = _rows(out)
+    assert len(written) == len(expected)
+    for texts, row in zip(written, expected):
+        assert [_parsed(t, v) for t, v in zip(texts, row)] == row
     capsys.readouterr()
 
 
 def _render_per_value(obj, indent=0):
-    """render_json's list layout with each value rendered on its own."""
-    if not isinstance(obj, list) or not obj:
-        return cli.render_json(obj, indent)
+    """The JSON layout built one value at a time: two-space indent, one list
+    item per line, floats in repr form, NaN and infinities as null."""
     pad = "  " * indent
-    items = [f"{pad}  {_render_per_value(v, indent + 1)}" for v in obj]
-    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, list) and obj:
+        items = [f"{pad}  {_render_per_value(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if type(obj) is float:
+        return repr(obj) if math.isfinite(obj) else "null"
+    return str(obj).lower() if type(obj) is bool else str(obj)
 
 
 @pytest.mark.parametrize("indent", [0, 2])
@@ -100,36 +120,100 @@ def _render_per_value(obj, indent=0):
     list(np.random.default_rng(3).standard_normal(500) * 10.0 ** np.arange(-250, 250)),
 ], ids=["finite", "nan", "inf", "neg_inf", "one", "mixed", "bools", "ints", "empty", "nested",
         "wide_range"])
-def test_float_lists_render_like_one_value_at_a_time(values, indent):
+def test_float_lists_render_like_one_value_at_a_time(tmp_path, values, indent):
     values = [float(v) if isinstance(v, np.floating) else v for v in values]
-    assert cli.render_json(values, indent) == _render_per_value(values, indent)
-    assert cli.render_json({"v": values}, indent) == (
-        "{\n" + "  " * indent + '  "v": ' + _render_per_value(values, indent + 1)
-        + "\n" + "  " * indent + "}")
+    obj, expected = values, _render_per_value(values, indent)
+    for depth in reversed(range(indent)):  # nest the list ``indent`` objects deep
+        obj = {"v": obj}
+        expected = "{\n" + "  " * depth + '  "v": ' + expected + "\n" + "  " * depth + "}"
+    cli._write_json(tmp_path / "out.json", obj)
+    assert (tmp_path / "out.json").read_text() == expected + "\n"
 
 
-def test_writers_fast_paths_equal_the_generic_path():
-    floats = [0.1, -2.5e-300, 1e17, math.nan, math.inf, -math.inf, 3.0]
-    ints = [0, -7, 2**40]
-    as_numpy = [np.float64(v) for v in floats]
-    assert cli.render_json(floats) == cli.render_json(as_numpy)
-    assert cli.render_json(floats).splitlines()[4:7] == ["  null,", "  null,", "  null,"]
-    assert cli.render_json(ints) == cli.render_json([np.int64(v) for v in ints])
-    assert cli.render_json([True, False]) == cli.render_json([np.bool_(True), np.bool_(False)])
-    mixed = [1, 2.5, True, None, "x", [0.5, 1], {"k": [math.nan]}]
-    assert cli.render_json(mixed) == cli.render_json(
-        [np.int64(1), np.float64(2.5), np.bool_(True), None, "x",
-         [np.float64(0.5), np.int64(1)], {"k": [np.float64(math.nan)]}])
-    nested = {"basis": [[0.25, -1.0], [2.0, 3.5]], "n": [4, 5]}
-    assert cli.render_json(nested, indent=2) == cli.render_json(
-        {"basis": [list(map(np.float64, r)) for r in nested["basis"]],
-         "n": [np.int64(4), np.int64(5)]}, indent=2)
-    for plain, generic in [(0.1, np.float64(0.1)), (1e-310, np.float64(1e-310)),
-                           (True, np.bool_(True)), (False, np.bool_(False)),
-                           (12, np.int64(12)), (-3, np.int32(-3))]:
-        assert cli._csv_cell(plain) == cli._csv_cell(generic)
-    assert [cli._csv_cell(v) for v in (0.1, True, 7, None, "s")] == [
-        "0.10000000000000001", "true", "7", "", "s"]
+_SMALL_RUNS = {
+    "spectrum": _SPECTRUM_PAYLOAD,
+    "rates": _RATES_PAYLOAD,
+    "transition": {**_TRANSITION_PAYLOAD, "taus": [0.25, 0.8]},
+    "bounds": {"seed": 5, "perturbation_cases": 30, "operator_trials": 20},
+    "concentration": {"tau": 2.0, "count": 200, "replications": 50, "atoms": 32,
+                      "rank": 8, "seed": 4},
+}
+
+
+@pytest.mark.parametrize("command", _SMALL_RUNS)
+def test_every_float_is_written_in_shortest_round_trip_form(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, "c.json", _SMALL_RUNS[command])
+    out = tmp_path / command
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) in (0, 2)
+    texts = []
+
+    def collect(text):
+        texts.append(text)
+        return float(text)
+
+    for name in ("summary.json", "oracle_snapshot.json"):
+        if (out / name).exists():
+            json.loads((out / name).read_text(), parse_float=collect)
+    for row in _rows(out):
+        for cell in row:
+            try:
+                float(cell)
+            except ValueError:
+                continue
+            if not cell.lstrip("-").isdigit():
+                texts.append(cell)
+    assert texts
+    assert [t for t in texts if repr(float(t)) != t] == []
+    capsys.readouterr()
+
+
+def test_rate_values_are_written_exactly(tmp_path, monkeypatch, capsys):
+    reports = []
+
+    def spy(config):
+        reports.append(rates.run_grid(config))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_grid", spy)
+    out = tmp_path / "rates"
+    assert cli.main(["rates", "--config", _write_config(tmp_path, "r.json", _RATES_PAYLOAD),
+                     "--out", str(out)]) == 0
+    written = [float(row[-1]).hex() for row in _rows(out)]
+    assert written == [float(r.value).hex() for r in reports[0].rows]
+    capsys.readouterr()
+
+
+def test_transition_verdict_names_keep_17_significant_digits(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "t.json", _SMALL_RUNS["transition"])
+    out = tmp_path / "trans"
+    assert cli.main(["transition", "--config", cfg, "--out", str(out)]) in (0, 2)
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary["verdicts"]) == [
+        "tau_0.25_feature_limited", "tau_0.80000000000000004_sample_limited",
+        "projector_swap_inequality"]
+    assert summary["config"]["taus"] == [0.25, 0.8]
+    capsys.readouterr()
+
+
+def test_writers_map_nan_to_null_and_nan_and_bools_to_lowercase(tmp_path, monkeypatch,
+                                                                capsys):
+    def handler(config, seed):
+        header = ["a", "b", "c", "d", "e", "f", "g"]
+        rows = [[math.nan, True, False, None, 0.1, 7, "s"]]
+        body = {"missing": math.nan, "ends": (math.inf, -math.inf, 0.5), "ok": False}
+        return header, rows, body, [("check", True, "fine")], {"x": [math.nan, 2.0]}
+
+    monkeypatch.setitem(cli._HANDLERS, "bounds", handler)
+    out = tmp_path / "w"
+    assert cli.main(["bounds", "--config", _bounds_config(tmp_path), "--out", str(out)]) == 0
+    assert (out / "results.csv").read_text().splitlines()[1] == "nan,true,false,,0.1,7,s"
+    text = (out / "summary.json").read_text()
+    assert '\n  "missing": null,\n  "ends": [\n    null,\n    null,\n    0.5\n  ],\n' in text
+    summary = json.loads(text)
+    assert summary["ok"] is False and summary["verdicts"]["check"]["pass"] is True
+    assert (out / "oracle_snapshot.json").read_text() == (
+        '{\n  "x": [\n    null,\n    2.0\n  ]\n}\n')
+    capsys.readouterr()
 
 
 def test_rates_threads_do_not_change_bytes(tmp_path):
@@ -476,7 +560,7 @@ def test_concentration_smoke(tmp_path, capsys):
     assert cli.main(["concentration", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0].startswith("experiment,tau,count,replications,bound")
-    assert len(lines) == 2 and lines[1].startswith("cov_deviation,2,200,50,")
+    assert len(lines) == 2 and lines[1].startswith("cov_deviation,2.0,200,50,")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"]["cov_deviation_within_tail"]["pass"]
     capsys.readouterr()

@@ -34,6 +34,7 @@ _ENTRIES = {
     "uniform_measure.n_atoms": lambda v: uniform_measure(v).weights,
     "sample_finite_rank.m": lambda v: basis_factor(sample_finite_rank(_KERNEL, v, 1)),
     "sample_rff.m": lambda v: sample_rff(1.0, 2, v, 1).omegas,
+    "sample_rff.point_dim": lambda v: sample_rff(1.0, v, 4, 1).omegas,
 }
 
 
@@ -53,8 +54,17 @@ def test_an_integral_float_is_the_integer(entry):
 
 
 @pytest.mark.parametrize("entry", ["draw_samples.n", "uniform_measure.n_atoms",
-                                   "sample_finite_rank.m", "sample_rff.m"])
+                                   "sample_finite_rank.m", "sample_rff.m",
+                                   "sample_rff.point_dim"])
 @pytest.mark.parametrize("low", [0, -3])
 def test_a_count_below_one_is_a_config_error(entry, low):
     with pytest.raises(ConfigError, match="must be >= 1"):
         _ENTRIES[entry](low)
+
+
+@pytest.mark.parametrize("bad", [0, -1.0, math.inf, math.nan, True, "3"],
+                         ids=["zero", "negative", "inf", "nan", "bool", "string"])
+def test_an_rff_bandwidth_must_be_a_finite_positive_number(bad):
+    # A zero or infinite bandwidth would draw infinite or all-zero frequencies.
+    with pytest.raises(InvalidInput, match="bandwidth"):
+        sample_rff(bad, 2, 4, 1)

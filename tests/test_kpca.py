@@ -288,7 +288,8 @@ def test_rf_centered_score_variance_and_edges():
     measure, ker, samples = _rank_setup(t_count=4, n=25)
     fs = sample_finite_rank(ker, 8, seed=12, mixed=True)
     model = fit_rf(fs, samples)
-    scores = embed_rf(model, samples, model.rank, centered=True)
+    r = model.rank
+    scores = embed_rf(model, samples, r) - model.mean @ model.components[:, :r]
     var = (scores**2).mean(axis=0) - scores.mean(axis=0) ** 2
     assert np.max(np.abs(var - model.eigvals)) < 1e-8
     assert embed_rf(model, samples, 0).shape == (25, 0)

@@ -284,3 +284,5 @@ def test_snapshot_structure():
     assert table.shape == (3, 9)
     assert table.tobytes() == ker.table.values.tobytes()
     assert spec[3:] == [0.0] * 6
+    with pytest.raises(InvalidInput, match="kernel kind"):
+        oracle_snapshot(gaussian_kernel(1.0), measure, op_jj(ker, measure), seed=5)

@@ -414,12 +414,10 @@ def bernstein_bound(kind: str, scale: float, tau: float, count: int) -> Bernstei
         with mean removal, radius 7 scale sqrt(2 tau / count), tail
         4 exp(-tau).  ``scale`` is the uniform bound on the squared
         vector norm, ``count`` the sample size.
-    kind "cov_zero_mean": same without mean removal, radius
-        2 scale sqrt(2 tau / count), tail 2 exp(-tau).
     kind "feature_op": feature-operator deviation, radius
         8 scale sqrt(2 tau / count) with ``scale`` the kernel sup and
         ``count`` the feature count, tail 2 exp(-tau).
-    All three need count >= 8 tau; scale and tau must be finite numbers and
+    Both need count >= 8 tau; scale and tau must be finite numbers and
     count an integer, or the radius would be NaN and every check against it pass.
     A negative scale, a radius every deviation exceeds, is refused too.
     """
@@ -436,8 +434,6 @@ def bernstein_bound(kind: str, scale: float, tau: float, count: int) -> Bernstei
     root = math.sqrt(2.0 * tau / count)
     if kind == "cov_centered_mean":
         return BernsteinBound(bound=7.0 * scale * root, tail_probability=4.0 * math.exp(-tau))
-    if kind == "cov_zero_mean":
-        return BernsteinBound(bound=2.0 * scale * root, tail_probability=2.0 * math.exp(-tau))
     if kind == "feature_op":
         return BernsteinBound(bound=8.0 * scale * root, tail_probability=2.0 * math.exp(-tau))
     raise InvalidInput(f"bernstein_bound: unknown kind {kind!r}")

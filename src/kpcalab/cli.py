@@ -255,26 +255,15 @@ def _cmd_bounds(config: dict, seed: int):
 
 
 def _cmd_concentration(config: dict, seed: int):
-    allowed, required = _keys(McTailConfig)
-    _require_keys(config, allowed | {"experiments"}, required, command="concentration")
-    experiments = config.get("experiments", list(MC_EXPERIMENTS))
-    if not isinstance(experiments, list) or any(e not in MC_EXPERIMENTS for e in experiments):
-        raise ConfigError(f"experiments must be a list drawn from {list(MC_EXPERIMENTS)}, "
-                          f"got {experiments!r}")
-    # An empty list would pass with nothing checked; a repeat would write
-    # duplicate rows under one verdict key.
-    if not experiments or len(set(experiments)) < len(experiments):
-        raise ConfigError(f"experiments must name at least one experiment, each once, "
-                          f"got {experiments!r}")
-    mc_cfg = McTailConfig(**{k: v for k, v in config.items() if k not in ("experiments", "seed")},
-                          seed=seed)
+    _require_keys(config, *_keys(McTailConfig), command="concentration")
+    mc_cfg = McTailConfig(**{**config, "seed": seed})
     header = ["experiment", "tau", "count", "replications", "bound", "tail_cap",
               "exceed_count", "exceed_fraction", "max_deviation",
               "median_deviation", "holds"]
     rows = []
     verdicts = []
     summary_rows = []
-    for exp in experiments:
+    for exp in MC_EXPERIMENTS:
         rep = mc_tail(exp, mc_cfg)
         rows.append([
             exp, mc_cfg.tau, mc_cfg.count, rep.replications, rep.bound, rep.cap,

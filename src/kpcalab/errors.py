@@ -5,8 +5,9 @@ problems (InvalidInput and its subclasses) to exit 1 and numerical
 breakdowns (NumericFailure) to exit 3.  A failed verification is a verdict
 a command reports (exit 2), never an exception.
 
-Every config value and every count or seed that enters a sampling path
-passes ``_count`` or ``_real`` below, so a bad one is a ConfigError.
+Every config value, every count or seed that enters a sampling path, and
+every split index or exponent a spectral routine takes passes ``_count`` or
+``_real`` below, so a bad one is a ConfigError.
 """
 
 from __future__ import annotations

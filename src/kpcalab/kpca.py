@@ -42,7 +42,8 @@ _DEGENERATE_RTOL = 1e-12
 
 @dataclass
 class KpcaModel:
-    """Frozen result of an exact KPCA fit.
+    """The result of an exact KPCA fit: a plain dataclass whose coefficient
+    caches (atom_coeffs, dual_coeffs) are filled on first read.
 
     train_points: the n training points (atom positions or vectors).
     kernel: the training kernel.
@@ -90,7 +91,7 @@ class KpcaModel:
 
 @dataclass
 class RfKpcaModel:
-    """Frozen result of a random-feature KPCA fit.
+    """The result of a random-feature KPCA fit, a plain (unfrozen) dataclass.
 
     features: the feature draw the model was fit with.
     train_points: the n training points.

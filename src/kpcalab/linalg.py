@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigengapError, InvalidInput, NotPositiveSemidefinite, NumericFailure, RankError
+from .errors import (EigengapError, InvalidInput, NotPositiveSemidefinite, NumericFailure,
+                     RankError, _count, _real)
 
 __all__ = [
     "RANK_RTOL",
@@ -158,6 +159,7 @@ def fractional_power(a: np.ndarray | Spectrum, t: float) -> np.ndarray:
     negative ones raise NotPositiveSemidefinite, each member of a stack
     measured against its own floor.
     """
+    t = _real("fractional_power: t", t)
     if t < 0:
         raise InvalidInput(f"fractional_power: exponent must be >= 0, got {t}")
     spec = a if isinstance(a, Spectrum) else sym_eig(a)
@@ -185,16 +187,16 @@ def spectral_projector(spectrum: Spectrum, ell: int) -> np.ndarray:
     never splits a degenerate cluster.  A stacked Spectrum gives one
     projector per member, each checked and bit-for-bit the member's alone.
     """
-    _check_split(spectrum.eigenvalues, ell)
+    ell = _check_split(spectrum.eigenvalues, ell)
     v = spectrum.eigenvectors[..., :ell]
     p = v @ v.swapaxes(-1, -2)
     return (p + p.swapaxes(-1, -2)) / 2.0
 
 
-def _check_split(vals: np.ndarray, ell: int) -> None:
-    """spectral_projector's rank and gap checks on descending eigenvalues ``vals``."""
-    if not isinstance(ell, (int, np.integer)) or ell < 1:
-        raise InvalidInput(f"spectral_projector: ell must be a positive integer, got {ell!r}")
+def _check_split(vals: np.ndarray, ell: int) -> int:
+    """spectral_projector's rank and gap checks on descending eigenvalues
+    ``vals``; returns ``ell`` as an int."""
+    ell = _count("spectral_projector: ell", ell, least=1)
     top = vals[..., :1]
     retained = np.sum((vals > RANK_RTOL * top) & (top > 0), axis=-1)
     if np.any(ell > retained):
@@ -209,6 +211,7 @@ def _check_split(vals: np.ndarray, ell: int) -> None:
                 f"spectral_projector: gap at ell={ell} is "
                 f"{gap.flat[np.argmax(gap <= GAP_TOL)]:.3e} <= {GAP_TOL:g}"
             )
+    return ell
 
 
 def eigengaps(spectrum: Spectrum) -> np.ndarray:

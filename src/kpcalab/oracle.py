@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, RankError
+from .errors import InvalidInput, RankError, _count
 from .features import FeatureSample, feature_matrix
 from .kernels import Kernel, _as_index_points, gram
 from .kpca import KpcaModel, RfKpcaModel, _eigenfunction_matrix
@@ -133,8 +133,7 @@ def tail_energy(eigenvalues: np.ndarray | Spectrum, ell: int) -> float:
     Takes descending eigenvalues, such as ``PopOperator.eigenvalues``, or a
     Spectrum.
     """
-    if ell < 0:
-        raise InvalidInput(f"tail_energy: ell must be >= 0, got {ell}")
+    ell = _count("tail_energy: ell", ell, least=0)
     if isinstance(eigenvalues, Spectrum):
         eigenvalues = eigenvalues.eigenvalues
     vals = np.maximum(eigenvalues, 0.0)

@@ -223,13 +223,12 @@ def _tau_threshold(config: ExperimentConfig) -> float:
     return 0.5 + config.theta
 
 
-def predicted_exponent(config: ExperimentConfig, improved: bool = False) -> float:
+def predicted_exponent(config: ExperimentConfig) -> float:
     """The theoretical log-log slope for the configured coupling.
 
     Returns the negated exponent (a slope, so typically negative).  Poly
     projection rates use the gap exponent beta = alpha + 1 (see module
-    docstring); ``improved`` selects the sharper eigengap-based expo
-    reconstruction rates.  Raises OutOfRegime outside the theory's regimes:
+    docstring).  Raises OutOfRegime outside the theory's regimes:
     reconstruction needs 0 < theta < 1/2 and ``recon_rf_hat`` tau > 2 theta;
     projection needs theta below alpha/(2 beta) (poly) or 1/2 (expo), and
     ``proj_rf_hat`` tau > 2 g with g = theta beta/alpha (poly) or theta
@@ -241,16 +240,11 @@ def predicted_exponent(config: ExperimentConfig, improved: bool = False) -> floa
     returned here (see module docstring).
     """
     theta, tau, metric = config.theta, config.tau, config.metric
-    if improved and (config.decay != "expo" or not metric.startswith("recon")):
-        raise OutOfRegime("improved rates exist only for exponential-decay reconstruction")
-
     if metric.startswith("recon"):
         if not 0.0 < theta < 0.5:
             raise OutOfRegime(f"{config.decay} reconstruction rates need 0 < theta < 1/2, "
                               f"got {theta}")
-        if improved:
-            bias, rate = None, (-2.0 * theta if theta <= 1.0 / 3.0 else -(1.0 - theta))
-        elif config.decay == "poly":
+        if config.decay == "poly":
             alpha = config.alpha
             bias = 2.0 * theta * (1.0 - 1.0 / (2.0 * alpha))
             knee = alpha / (4.0 * alpha - 1.0)
@@ -259,8 +253,6 @@ def predicted_exponent(config: ExperimentConfig, improved: bool = False) -> floa
             bias = 2.0 * theta
             rate = -bias if theta < 0.25 else -0.5
         if metric == "recon_rf_pop":
-            if bias is None:
-                raise OutOfRegime("improved rates cover the sampled-feature estimators")
             return -min(tau, bias)
         if metric == "recon_rf_hat" and tau <= 2.0 * theta:
             raise OutOfRegime(f"recon_rf_hat needs tau > 2 theta ({tau} <= {2.0 * theta})")
@@ -375,7 +367,7 @@ def _empirical_guard_ok(eigvals: np.ndarray, ell: int) -> bool:
 
 
 def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: dict,
-                   n: int, full_support: bool) -> list[tuple[RateRow, float | None]]:
+                   n: int) -> list[tuple[RateRow, float | None]]:
     """Each replication at grid point n as a row and its swap-inequality margin
     (None when invalid), drawn from its own (seed, n, rep) streams and fitted
     and scored with the others as one stack.
@@ -393,11 +385,8 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
     ell, m, r_pop = plan[n]
     measure, psi, lam = kernel.table.measure, kernel.table.values, kernel.lambdas
     reps = range(config.replications)
-    if full_support:
-        samples = np.tile(measure.atoms, (config.replications, 1))
-    else:
-        samples = np.stack([draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
-                            for rep in reps])
+    samples = np.stack([draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
+                        for rep in reps])
     metric = config.metric
     fits = []  # per replication, the basis coordinates and eigenvalues, or None
     if metric in ("recon_hat", "proj_hat"):
@@ -462,16 +451,14 @@ def _span_distance(ell: int, coords: np.ndarray, eigvals: np.ndarray) -> float |
     return matrix_norm((core + core.swapaxes(-1, -2)) / 2.0, "operator")
 
 
-def run_grid(config: ExperimentConfig, full_support: bool = False) -> RateReport:
+def run_grid(config: ExperimentConfig) -> RateReport:
     """Measure the configured metric over the grid and fit its rate.
 
     Fully deterministic for a given config: every cell derives its own
     random streams from (seed, n, rep), so neither the order of the grid
     points nor the replication count, each point's replications being fitted
-    and scored as one stack, changes a number.  ``full_support`` is a test
-    hook replacing every sample draw with the complete atom set, which
-    removes all sampling error and must reproduce the pure bias values.  An
-    out-of-regime config fails before the oracle is built.
+    and scored as one stack, changes a number.  An out-of-regime config
+    fails before the oracle is built.
 
     Alongside the metric, every valid cell checks the projector-swap
     inequality |sqrt(R_emp) - sqrt(R_pop)| <= ||S||_HS * dist with 1e-8
@@ -479,7 +466,7 @@ def run_grid(config: ExperimentConfig, full_support: bool = False) -> RateReport
     """
     predicted_exponent(config)
     oracle = _oracle(config.atoms, lambda_schedule(config), config.seed)
-    return _measure_grid(config, *oracle, full_support)
+    return _measure_grid(config, *oracle)
 
 
 def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOperator]:
@@ -489,12 +476,11 @@ def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOper
     return kernel, op_jj(kernel, measure)
 
 
-def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
-                  full_support: bool) -> RateReport:
+def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> RateReport:
     predicted = predicted_exponent(config)  # an out-of-regime config fails before any cell
     plan = _grid_plan(config, kernel, pop)
     outcomes = [out for n in config.n_grid
-                for out in _measure_point(config, kernel, pop, plan, n, full_support)]
+                for out in _measure_point(config, kernel, pop, plan, n)]
     rows = tuple(row for row, _ in outcomes)
     margins = [mar for _, mar in outcomes if mar is not None]
     medians = {}
@@ -566,12 +552,12 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
         predicted_exponent(config)
     # The oracle depends on seed, atoms and schedule only, so every run shares it.
     oracle = _oracle(base.atoms, lambda_schedule(base), base.seed)
-    reference = _measure_grid(replace(base, tau=None, metric="proj_hat"), *oracle, False)
+    reference = _measure_grid(replace(base, tau=None, metric="proj_hat"), *oracle)
     threshold = _tau_threshold(base)
     rows = []
     reports = [reference]
     for config in configs:
-        rep = _measure_grid(config, *oracle, False)
+        rep = _measure_grid(config, *oracle)
         reports.append(rep)
         if config.tau >= threshold:
             expected = reference.slope

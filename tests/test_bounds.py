@@ -411,23 +411,21 @@ def test_bernstein_frozen_values():
     r = bernstein_bound("cov_centered_mean", 1.0, 1.0, 100)
     assert r.bound == pytest.approx(0.9899494936611666, abs=1e-15)
     assert r.tail_probability == pytest.approx(1.4715177646857693, abs=1e-15)
-    r = bernstein_bound("cov_zero_mean", 1.0, 1.0, 100)
-    assert r.bound == pytest.approx(0.282842712474619, abs=1e-15)
-    assert r.tail_probability == pytest.approx(0.7357588823428847, abs=1e-15)
     r = bernstein_bound("feature_op", 1.0, 2.0, 64)
     assert r.bound == 2.0
     assert r.tail_probability == pytest.approx(0.2706705664732254, abs=1e-15)
-    assert bernstein_bound("cov_zero_mean", 3.0, 1.0, 100).bound == pytest.approx(
-        3.0 * 0.282842712474619, rel=1e-15)
+    assert bernstein_bound("cov_centered_mean", 3.0, 1.0, 100).bound == pytest.approx(
+        3.0 * 0.9899494936611666, rel=1e-15)
 
 
 def test_bernstein_input_checks():
     with pytest.raises(InvalidInput):
-        bernstein_bound("cov_zero_mean", 1.0, 2.0, 15)  # count < 8 tau
+        bernstein_bound("cov_centered_mean", 1.0, 2.0, 15)  # count < 8 tau
     with pytest.raises(InvalidInput):
-        bernstein_bound("cov_zero_mean", 1.0, 0.0, 100)
-    with pytest.raises(InvalidInput):
-        bernstein_bound("florp", 1.0, 1.0, 100)
+        bernstein_bound("cov_centered_mean", 1.0, 0.0, 100)
+    for kind in ("florp", "cov_zero_mean"):
+        with pytest.raises(InvalidInput, match="unknown kind"):
+            bernstein_bound(kind, 1.0, 1.0, 100)
 
 
 @pytest.mark.parametrize("scale, tau, count", [

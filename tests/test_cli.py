@@ -295,15 +295,9 @@ def test_config_schema_rejections(tmp_path, capsys):
     ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50.5}),
     ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
                        "atoms": 32.5}),
+    # concentration always runs both experiments, so it has no experiments key
     ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
-                       "experiments": ["cov_deviation", "nope"]}),
-    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
-                       "experiments": "cov_deviation"}),
-    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
-                       "experiments": []}),
-    ("concentration", {"seed": 1, "tau": 2.0, "count": 400, "replications": 50,
-                       "experiments": ["cov_deviation", "feature_op_deviation",
-                                       "cov_deviation"]}),
+                       "experiments": ["cov_deviation"]}),
     ("rates", {**_RATES_PAYLOAD, "n_grid": [32.9, 48, 64, 96]}),
     ("rates", {**_RATES_PAYLOAD, "theta": True}),
     ("rates", {**_RATES_PAYLOAD, "atoms": 24.5}),
@@ -329,9 +323,8 @@ def test_config_schema_rejections(tmp_path, capsys):
     ("bounds", {"seed": 1, "perturbation_cases": 3, "operator_trials": 0}),
 ], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
         "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
-        "tau_bool", "replications_fraction", "atoms_fraction", "unknown_experiment",
-        "experiments_not_a_list", "experiments_empty",
-        "experiments_repeated", "n_grid_fraction", "theta_bool", "rates_atoms_fraction",
+        "tau_bool", "replications_fraction", "atoms_fraction", "experiments_key_unknown",
+        "n_grid_fraction", "theta_bool", "rates_atoms_fraction",
         "ell_fixed_fraction", "rates_replications_fraction", "slope_tolerance_str",
         "spectrum_atoms_fraction", "spectrum_ells_fraction", "spectrum_ells_not_a_list",
         "taus_str", "rank_zero", "rank_negative", "atoms_not_above_rank",
@@ -555,12 +548,14 @@ def test_transition_smoke(tmp_path, capsys):
 def test_concentration_smoke(tmp_path, capsys):
     cfg = _write_config(tmp_path, "conc.json", {
         "tau": 2.0, "count": 200, "replications": 50, "atoms": 32,
-        "rank": 8, "seed": 4, "experiments": ["cov_deviation"]})
+        "rank": 8, "seed": 4})
     out = tmp_path / "conc"
     assert cli.main(["concentration", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0].startswith("experiment,tau,count,replications,bound")
-    assert len(lines) == 2 and lines[1].startswith("cov_deviation,2.0,200,50,")
+    assert len(lines) == 3 and lines[1].startswith("cov_deviation,2.0,200,50,")
+    assert lines[2].startswith("feature_op_deviation,2.0,200,50,")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"]["cov_deviation_within_tail"]["pass"]
+    assert summary["verdicts"]["feature_op_deviation_within_tail"]["pass"]
     capsys.readouterr()

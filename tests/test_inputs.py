@@ -1,5 +1,6 @@
-"""Every count and seed that enters a sampling path passes one rule: an
-integral number (an integral float included), never a bool, a string or NaN."""
+"""Every count and seed that enters a sampling path, and every component
+count a spectral routine splits at, passes one rule: an integral number (an
+integral float included), never a bool, a string or NaN."""
 
 import math
 
@@ -12,15 +13,20 @@ from kpcalab import (
     basis_factor,
     derive_seed,
     draw_samples,
+    fractional_power,
     generator,
     make_finite_rank_kernel,
     sample_finite_rank,
     sample_rff,
+    spectral_projector,
+    sym_eig,
+    tail_energy,
     uniform_measure,
 )
 
 _MEASURE = uniform_measure(10)
 _KERNEL = make_finite_rank_kernel(_MEASURE, [1.0, 0.5, 0.25], 3)
+_EIGENVALUES = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
 
 # Each entry point, as a function of the one count or seed under test.
 _ENTRIES = {
@@ -35,6 +41,8 @@ _ENTRIES = {
     "sample_finite_rank.m": lambda v: basis_factor(sample_finite_rank(_KERNEL, v, 1)),
     "sample_rff.m": lambda v: sample_rff(1.0, 2, v, 1).omegas,
     "sample_rff.point_dim": lambda v: sample_rff(1.0, v, 4, 1).omegas,
+    "spectral_projector.ell": lambda v: spectral_projector(sym_eig(np.diag(_EIGENVALUES)), v),
+    "tail_energy.ell": lambda v: tail_energy(_EIGENVALUES, v),
 }
 
 
@@ -55,7 +63,7 @@ def test_an_integral_float_is_the_integer(entry):
 
 @pytest.mark.parametrize("entry", ["draw_samples.n", "uniform_measure.n_atoms",
                                    "sample_finite_rank.m", "sample_rff.m",
-                                   "sample_rff.point_dim"])
+                                   "sample_rff.point_dim", "spectral_projector.ell"])
 @pytest.mark.parametrize("low", [0, -3])
 def test_a_count_below_one_is_a_config_error(entry, low):
     with pytest.raises(ConfigError, match="must be >= 1"):
@@ -68,3 +76,11 @@ def test_an_rff_bandwidth_must_be_a_finite_positive_number(bad):
     # A zero or infinite bandwidth would draw infinite or all-zero frequencies.
     with pytest.raises(InvalidInput, match="bandwidth"):
         sample_rff(bad, 2, 4, 1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, True, "1"],
+                         ids=["inf", "nan", "bool", "string"])
+def test_a_fractional_power_exponent_must_be_a_finite_number(bad):
+    # A NaN or infinite exponent would return a NaN or infinite matrix.
+    with pytest.raises(ConfigError, match="fractional_power: t"):
+        fractional_power(np.diag([2.0, 1.0]), bad)

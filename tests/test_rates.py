@@ -110,7 +110,7 @@ def test_predicted_expo_branches():
             predicted_exponent(_ecfg(metric="proj_rf_hat", theta=0.2, tau=tau))
 
 
-def _branchwise_predicted_exponent(config, improved=False):
+def _branchwise_predicted_exponent(config):
     """The rate rules spelled out branch by branch for each decay: the reference
     predicted_exponent must match bit for bit, but for the two cases
     test_predicted_exponent_matches_the_branchwise_reference names."""
@@ -118,8 +118,6 @@ def _branchwise_predicted_exponent(config, improved=False):
     tau = config.tau
     metric = config.metric
     recon = metric.startswith("recon")
-    if improved and (config.decay != "expo" or not recon):
-        raise OutOfRegime("improved rates exist only for exponential-decay reconstruction")
     if metric in rates._RF_METRICS and tau is None:
         raise ConfigError(f"metric {metric} needs tau")
 
@@ -161,14 +159,6 @@ def _branchwise_predicted_exponent(config, improved=False):
 
     # exponential decay
     if recon:
-        if improved:
-            if not 0.0 < theta < 0.5:
-                raise OutOfRegime(f"improved expo rates need 0 < theta < 1/2, got {theta}")
-            if metric == "recon_rf_pop":
-                raise OutOfRegime("improved rates cover the sampled-feature estimators")
-            if metric == "recon_rf_hat" and tau <= 2.0 * theta:
-                raise OutOfRegime(f"recon_rf_hat needs tau > 2 theta ({tau} <= {2 * theta})")
-            return -2.0 * theta if theta <= 1.0 / 3.0 else -(1.0 - theta)
         if not 0.0 < theta < 0.5:
             raise OutOfRegime(f"expo reconstruction rates need 0 < theta < 1/2, got {theta}")
         if metric == "recon_hat":
@@ -190,18 +180,18 @@ def _branchwise_predicted_exponent(config, improved=False):
     return -(tau / 2.0 - theta)
 
 
-def _outcome(predict, config, improved):
+def _outcome(predict, config):
     """The prediction's exact bits, or the type of exception it raised."""
     try:
-        return predict(config, improved).hex()
+        return predict(config).hex()
     except Exception as exc:  # noqa: BLE001 -- the type is the outcome compared
         return type(exc)
 
 
 def _prediction_cases():
-    """(config, improved) for both decays and every metric: theta over 0..0.6
-    plus every knee and limit, tau over (0, 1] plus every 2 theta, 2 g and
-    threshold at beta = alpha + 1, improved off and on."""
+    """Configs for both decays and every metric: theta over 0..0.6 plus every
+    knee and limit, tau over (0, 1] plus every 2 theta, 2 g and threshold at
+    beta = alpha + 1."""
     for alpha in (1.5, 2.0, 3.0, None):
         thetas = {k / 40.0 for k in range(25)} | {0.25, 1.0 / 3.0}
         if alpha is not None:
@@ -218,18 +208,17 @@ def _prediction_cases():
                     config = _cfg(decay="expo" if alpha is None else "poly", alpha=alpha,
                                   gamma=0.5 if alpha is None else None, theta=theta,
                                   metric=metric, tau=tau)
-                    yield config, False
-                    yield config, True
+                    yield config
 
 
 def test_predicted_exponent_matches_the_branchwise_reference():
     ties = gaps = 0
-    for config, improved in _prediction_cases():
-        want = _outcome(_branchwise_predicted_exponent, config, improved)
-        got = _outcome(predicted_exponent, config, improved)
+    for config in _prediction_cases():
+        want = _outcome(_branchwise_predicted_exponent, config)
+        got = _outcome(predicted_exponent, config)
         if got == want:
             continue
-        assert config.metric == "proj_rf_hat", (config, improved)
+        assert config.metric == "proj_rf_hat", config
         if config.decay == "expo":  # tau <= 2 theta is now out of regime
             assert config.tau <= 2.0 * config.theta and got is OutOfRegime
             assert isinstance(want, str)
@@ -239,18 +228,6 @@ def test_predicted_exponent_matches_the_branchwise_reference():
             assert abs(float.fromhex(got) - float.fromhex(want)) <= 1e-16
             ties += 1
     assert ties > 0 and gaps > 0
-
-
-def test_predicted_improved_rates():
-    assert predicted_exponent(_ecfg(theta=0.2), improved=True) == pytest.approx(-0.4)
-    assert predicted_exponent(_ecfg(theta=0.4), improved=True) == pytest.approx(-0.6)
-    with pytest.raises(OutOfRegime):
-        predicted_exponent(_cfg(theta=0.2), improved=True)  # poly
-    with pytest.raises(OutOfRegime):
-        predicted_exponent(_ecfg(metric="proj_hat", theta=0.2), improved=True)
-    with pytest.raises(OutOfRegime):
-        predicted_exponent(
-            _ecfg(metric="recon_rf_pop", theta=0.2, tau=0.5), improved=True)
 
 
 def test_schedules_round_half_up():
@@ -358,11 +335,18 @@ def test_division_guard_rejects_tiny_retained_eigenvalues():
         run_grid(cfg)
 
 
-def test_full_support_reproduces_population_bias():
+def _draw_full_support(monkeypatch):
+    """Make every rate cell's sample draw the complete atom set, which removes
+    all sampling error."""
+    monkeypatch.setattr(rates, "draw_samples", lambda measure, n, seed: measure.atoms)
+
+
+def test_full_support_reproduces_population_bias(monkeypatch):
     # training on the whole atom set turns the estimator into the population
     # truth, so every replication must equal the schedule's tail energy
     cfg = _cfg(theta=0.25, n_grid=(64, 128, 256, 512), atoms=20, rank=6)
-    report = run_grid(cfg, full_support=True)
+    _draw_full_support(monkeypatch)
+    report = run_grid(cfg)
     lam = lambda_schedule(cfg)
     for n in cfg.n_grid:
         tail = float(np.sum(lam[ell_for(cfg, n):] ** 2))
@@ -537,13 +521,16 @@ def _reference_run_cell(config, kernel, pop, plan, n, rep, full_support):
 
 @pytest.mark.parametrize("full_support", [False, True], ids=["drawn", "full_support"])
 @pytest.mark.parametrize("config, invalid", list(_grid_cases()))
-def test_stacked_points_match_the_one_cell_reference(config, invalid, full_support):
+def test_stacked_points_match_the_one_cell_reference(config, invalid, full_support,
+                                                     monkeypatch):
     kernel, pop = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    if full_support:
+        _draw_full_support(monkeypatch)
     plan = rates._grid_plan(config, kernel, pop)
     exact = config.tau is None
     nans = 0
     for n in config.n_grid:
-        point = rates._measure_point(config, kernel, pop, plan, n, full_support)
+        point = rates._measure_point(config, kernel, pop, plan, n)
         assert [row.rep for row, _ in point] == list(range(config.replications))
         for row, margin in point:
             value, want = _reference_run_cell(config, kernel, pop, plan, n, row.rep,
@@ -569,8 +556,8 @@ def test_a_replication_does_not_depend_on_how_many_are_stacked(config):
     longer = dataclasses.replace(config, replications=10)
     plan = rates._grid_plan(config, kernel, pop)
     for n in config.n_grid:
-        five = rates._measure_point(config, kernel, pop, plan, n, False)
-        ten = rates._measure_point(longer, kernel, pop, plan, n, False)
+        five = rates._measure_point(config, kernel, pop, plan, n)
+        ten = rates._measure_point(longer, kernel, pop, plan, n)
         assert len(ten) == 10
         for (row, margin), (row10, margin10) in zip(five, ten[:5]):
             # repr tells every float apart and reads NaN equal to NaN
@@ -708,7 +695,7 @@ def test_grid_rejects_an_operator_off_the_kernel_schedule():
     for scale in (1.01, 1.0 + 1e-9):
         _, other = _oracle(config.atoms, scale * lambda_schedule(config), config.seed)
         with pytest.raises(ConfigError, match="oracle self-check failed"):
-            _measure_grid(config, kernel, other, False)
+            _measure_grid(config, kernel, other)
         assert not {"matrix", "spectrum"} & vars(other).keys()
 
 

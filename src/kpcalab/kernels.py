@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InvalidInput, NumericFailure
+from .errors import CapacityError, DomainError, InvalidInput, NumericFailure, _real
 from .linalg import _SYMMETRY_ATOL
 from .measures import _WEIGHT_SUM_ATOL, DiscreteMeasure
 from .rng import generator
@@ -110,7 +110,8 @@ class Kernel:
 
 def gaussian_kernel(bandwidth: float) -> Kernel:
     """Gaussian kernel exp(-||x - y||^2 / (2 bandwidth^2)); k(x, x) = 1."""
-    return Kernel(kind="gaussian", kappa=1.0, bandwidth=float(bandwidth))
+    return Kernel(kind="gaussian", kappa=1.0,
+                  bandwidth=_real("gaussian_kernel: bandwidth", bandwidth))
 
 
 def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed: int) -> Kernel:

@@ -10,9 +10,9 @@ eigenfunction
 
 exactly unit norm in the RKHS.  Finite-rank kernels compute the same fit
 from the samples' count vector over the atoms, never forming H K H, and build
-per-atom coefficients only when read.  The random-feature route substitutes
-a finite feature map and eigendecomposes the biased (V-statistic) sample
-covariance of the features.
+gamma from its T x T eigenvectors only when read.  The random-feature route
+substitutes a finite feature map and eigendecomposes the biased (V-statistic)
+sample covariance of the features.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModel, InvalidInput, RankError
+from .errors import DegenerateModel, InvalidInput, RankError, _count
 from .features import FeatureSample, feature_matrix
 from .kernels import Kernel, _as_index_points, center_gram, cross_gram, gram
 from .linalg import RANK_RTOL, fix_signs, sym_eig
@@ -42,30 +42,24 @@ _DEGENERATE_RTOL = 1e-12
 
 @dataclass
 class KpcaModel:
-    """The result of an exact KPCA fit: a plain dataclass whose coefficient
-    caches (atom_coeffs, dual_coeffs) are filled on first read.
+    """The result of an exact KPCA fit: a plain dataclass whose dual
+    coefficients a finite-rank fit builds on first read.
 
     train_points: the n training points (atom positions or vectors).
     kernel: the training kernel.
     eigvals: retained empirical eigenvalues, descending, length r <= n-1.
-    counts, basis_vectors, atom_coeffs: a finite-rank fit's samples per atom,
-        shape (N,); the retained eigenvectors V (T, r) of its T x T matrix,
-        eigenfunction i being psi' sqrt(Lambda) v_i up to sign; and the
-        coefficients each sample at atom a carries, atom_coeffs[a], shape
-        (N, r), built from V on first read.  None on a gaussian fit.
+    basis_vectors: a finite-rank fit's retained eigenvectors V (T, r) of its
+        T x T matrix, eigenfunction i being psi' sqrt(Lambda) v_i up to sign;
+        None on a gaussian fit.
     dual_coeffs: shape (r, n); row i is gamma_i (centered, scaled so
-        gamma_i' K gamma_i = n eigvals[i]), gathered from atom_coeffs on
-        first read.  Large fits that never touch these stay free of per-atom
-        and per-sample work.
+        gamma_i' K gamma_i = n eigvals[i]), built from V on a finite-rank
+        fit's first read, so fits that never read them do no per-sample work.
     """
 
     train_points: np.ndarray
     kernel: Kernel
     eigvals: np.ndarray
-    counts: np.ndarray | None = None
     basis_vectors: np.ndarray | None = None
-    _sigma: np.ndarray | None = field(default=None, repr=False)
-    _atom_coeffs: np.ndarray | None = field(default=None, repr=False)
     _dual_coeffs: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -77,15 +71,13 @@ class KpcaModel:
         return int(self.eigvals.shape[0])
 
     @property
-    def atom_coeffs(self) -> np.ndarray | None:
-        if self._atom_coeffs is None and self.basis_vectors is not None:
-            self._atom_coeffs = _atom_coeffs(self)
-        return self._atom_coeffs
-
-    @property
     def dual_coeffs(self) -> np.ndarray:
         if self._dual_coeffs is None:
-            self._dual_coeffs = self.atom_coeffs[self.train_points].T
+            # H K H = (R H)'(R H); centring R before R'V keeps small components' digits
+            root = self.kernel.root[:, self.train_points]
+            root -= root.mean(axis=1, keepdims=True)
+            self._dual_coeffs = _normalized_duals(
+                root.T @ self.basis_vectors, lambda x: root.T @ (root @ x), self.eigvals)
         return self._dual_coeffs
 
 
@@ -121,6 +113,18 @@ def _retained_rank(vals: np.ndarray, kappa: float, n: int, op: str) -> int:
     if vals.size == 0 or vals[0] <= _DEGENERATE_RTOL * kappa:
         raise DegenerateModel(f"{op}: no component above the noise floor")
     return min(int(np.sum(vals > RANK_RTOL * vals[0])), n - 1)
+
+
+def _normalized_duals(alphas: np.ndarray, kmul, eigvals: np.ndarray) -> np.ndarray:
+    """Dual vectors gamma (r, n) from eigenvectors ``alphas`` (n, r) of H K H, kmul(x) = K x:
+    centred and unit scale (no-ops up to rounding that pin the documented
+    normalization), fix_signs, then gamma_i' K gamma_i = n eigvals[i]."""
+    n = alphas.shape[0]
+    alphas = alphas - alphas.mean(axis=0, keepdims=True)
+    alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
+    alphas = fix_signs(alphas)
+    k_quad = np.sum(alphas * kmul(alphas), axis=0)
+    return (alphas * np.sqrt(n * eigvals / k_quad)).T
 
 
 def _count_fit(root: np.ndarray, counts: np.ndarray, kappa: float | np.ndarray,
@@ -159,9 +163,9 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
     products are the kernel, solves a T x T matrix with the nonzero spectrum of
     H K H.  The fit stops at its retained eigenvectors V, sqrt(Lambda) V being
     the eigenfunctions' basis coordinates: past one bincount it costs O(N T^2).
-    ``atom_coeffs`` maps V to the atoms on first read and ``dual_coeffs``
-    gathers those to the n samples.  Equal to the H K H route within solver
-    tolerance; off-atom points raise DomainError.
+    ``dual_coeffs`` maps V to the n samples on first read, in O(n T r).  Equal
+    to the H K H route within solver tolerance; off-atom points raise
+    DomainError.
 
     A finite-rank (k, n) array is a stack of k sample lists, fitted with one
     eigensolve, giving k models bit-for-bit ``fit_exact(kernel, samples[i])``.
@@ -178,67 +182,36 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
         raise InvalidInput(f"fit_exact: need at least two samples, got {n}")
     if finite:
         counts = _stack_counts(rows, kernel.table.values.shape[1])
-        models = [KpcaModel(pts, kernel, sigma / n, counts=c, basis_vectors=v, _sigma=sigma)
-                  for pts, c, (sigma, v) in zip(
-                      rows, counts, _count_fit(kernel.root, counts, kernel.kappa, "fit_exact"))]
+        models = [KpcaModel(pts, kernel, sigma / n, basis_vectors=v)
+                  for pts, (sigma, v) in zip(
+                      rows, _count_fit(kernel.root, counts, kernel.kappa, "fit_exact"))]
         return models if stacked else models[0]
     k = gram(kernel, samples)
     centered = center_gram(k, np.full(n, 1.0 / n))
     spec = sym_eig(centered)
     lam_hat = spec.eigenvalues / n
     r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
-    alphas = spec.eigenvectors[:, :r]
-    # The centring and unit scale are no-ops up to rounding but pin the
-    # documented normalization.
-    alphas = alphas - alphas.mean(axis=0, keepdims=True)
-    alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
-    alphas = fix_signs(alphas)
-    k_quad = np.sum(alphas * (k @ alphas), axis=0)
-    coeffs = alphas * np.sqrt(n * lam_hat[:r] / k_quad)
-    return KpcaModel(train_points=samples, kernel=kernel, eigvals=lam_hat[:r].copy(),
-                     _dual_coeffs=coeffs.T)
-
-
-def _atom_coeffs(model: KpcaModel) -> np.ndarray:
-    """A finite-rank fit's V mapped to the atoms, then count-weighted centring,
-    unit scale, the K-quadratic rescale and first-appearance signing."""
-    samples, counts, n = model.train_points, model.counts, model.n
-    root = model.kernel.root
-    centred = root - (root @ counts / n)[:, None]
-    alphas = (centred.T @ model.basis_vectors) / np.sqrt(model._sigma)[None, :]
-    alphas = alphas - (counts @ alphas / n)[None, :]
-    alphas = alphas / np.sqrt(counts @ alphas**2)[None, :]
-    k_quad = np.sum((root @ (counts[:, None] * alphas)) ** 2, axis=0)
-    # Signing the sampled atoms in order of first appearance picks the
-    # same entries as signing the n gathered rows, ties included.
-    first = np.full(counts.shape[0], n)
-    np.minimum.at(first, samples, np.arange(n))
-    seen = samples[np.sort(first[counts > 0])]
-    alphas[seen] = fix_signs(alphas[seen])
-    return alphas * np.sqrt(n * model.eigvals / k_quad)
-
-
-def _eigenfunction_matrix(model: KpcaModel, kernel: Kernel, points: np.ndarray,
-                          count: int) -> np.ndarray:
-    """Columns f_i(points) for i < count, via one rectangular kernel block."""
-    kc = cross_gram(kernel, points, model.train_points)
-    scale = 1.0 / np.sqrt(model.n * model.eigvals[:count])
-    return (kc @ model.dual_coeffs[:count].T) * scale[None, :]
+    eigvals = lam_hat[:r].copy()
+    duals = _normalized_duals(spec.eigenvectors[:, :r], lambda x: k @ x, eigvals)
+    return KpcaModel(samples, kernel, eigvals, _dual_coeffs=duals)
 
 
 def embed_exact(model: KpcaModel, kernel: Kernel, points: np.ndarray,
                 ell: int) -> np.ndarray:
-    """Score matrix (n_points, ell) of the first ell eigenfunctions.
+    """Score matrix (n_points, ell) of the first ell eigenfunctions, via one kernel block.
 
     Points follow the kernel's convention: a 1-d integer array of atom
     positions for finite-rank kernels, an (n, p) array for gaussian ones.
     """
-    if ell < 0 or ell > model.rank:
+    ell = _count("embed_exact: ell", ell, least=0)
+    if ell > model.rank:
         raise RankError(f"embed_exact: ell={ell} outside [0, {model.rank}]")
     points = np.atleast_1d(np.asarray(points))
     if ell == 0:
         return np.empty((points.shape[0], 0))
-    return _eigenfunction_matrix(model, kernel, points, ell)
+    kc = cross_gram(kernel, points, model.train_points)
+    scale = 1.0 / np.sqrt(model.n * model.eigvals[:ell])
+    return (kc @ model.dual_coeffs[:ell].T) * scale[None, :]
 
 
 def fit_rf(features: FeatureSample, samples: np.ndarray) -> RfKpcaModel:
@@ -267,7 +240,8 @@ def fit_rf(features: FeatureSample, samples: np.ndarray) -> RfKpcaModel:
 def embed_rf(model: RfKpcaModel, points: np.ndarray, ell: int) -> np.ndarray:
     """Scores <Phi(x), w_i> for i < ell of the uncentered feature vector;
     shape (n_points, ell)."""
-    if ell < 0 or ell > model.rank:
+    ell = _count("embed_rf: ell", ell, least=0)
+    if ell > model.rank:
         raise RankError(f"embed_rf: ell={ell} outside [0, {model.rank}]")
     points = np.atleast_1d(np.asarray(points))
     if ell == 0:

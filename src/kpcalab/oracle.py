@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidInput, RankError, _count
 from .features import FeatureSample, feature_matrix
 from .kernels import Kernel, _as_index_points, gram
-from .kpca import KpcaModel, RfKpcaModel, _eigenfunction_matrix
+from .kpca import KpcaModel, RfKpcaModel, embed_exact
 from .linalg import Spectrum, fractional_power, matrix_norm, spectral_projector, sym_eig
 from .measures import DiscreteMeasure
 
@@ -154,9 +154,10 @@ def proj_hat(model: KpcaModel, kernel: Kernel, measure: DiscreteMeasure,
     eigenvalue: P = sum_i u_i u_i' / lambda_i.  Components are already
     restricted to the retained rank, so the eigenvalue divisions are safe.
     """
-    if ell < 1 or ell > model.rank:
+    ell = _count("proj_hat: ell", ell, least=1)
+    if ell > model.rank:
         raise RankError(f"proj_hat: ell={ell} outside retained rank {model.rank}")
-    v = _eigenfunction_matrix(model, kernel, measure.atoms, ell)
+    v = embed_exact(model, kernel, measure.atoms, ell)
     vbar = v - measure.weights @ v
     u = np.sqrt(measure.weights)[:, None] * vbar
     p = (u / model.eigvals[:ell]) @ u.T
@@ -165,7 +166,8 @@ def proj_hat(model: KpcaModel, kernel: Kernel, measure: DiscreteMeasure,
 
 def proj_hat_rf(model: RfKpcaModel, measure: DiscreteMeasure, ell: int) -> ProjectionLike:
     """Plug-in projector of random-feature KPCA against the measure."""
-    if ell < 1 or ell > model.rank:
+    ell = _count("proj_hat_rf: ell", ell, least=1)
+    if ell > model.rank:
         raise RankError(f"proj_hat_rf: ell={ell} outside retained rank {model.rank}")
     f = feature_matrix(model.features, measure.atoms)
     fbar = f - measure.weights @ f
@@ -209,5 +211,5 @@ def oracle_snapshot(kernel: Kernel, measure: DiscreteMeasure, pop: PopOperator,
             "basis_values_f64le_b64": binascii.b2a_base64(
                 values.astype("<f8", copy=False).tobytes(), newline=False).decode("ascii"),
         },
-        "seed": int(seed),
+        "seed": _count("oracle_snapshot: seed", seed),
     }

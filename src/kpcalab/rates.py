@@ -283,8 +283,8 @@ def fit_slope(ns, values) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape or ns.size < _MIN_SLOPE_POINTS:
         raise ConfigError(f"fit_slope: need >= {_MIN_SLOPE_POINTS} matched points, got {ns.size}")
-    if np.any(ns <= 0.0) or np.any(values <= 0.0):
-        raise ConfigError("fit_slope: log-log fit needs strictly positive data")
+    if not np.all((ns > 0.0) & (values > 0.0) & np.isfinite(ns) & np.isfinite(values)):
+        raise ConfigError("fit_slope: log-log fit needs finite, strictly positive data")
     x = np.log(ns)
     y = np.log(values)
     xc = x - x.mean()

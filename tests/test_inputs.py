@@ -13,9 +13,17 @@ from kpcalab import (
     basis_factor,
     derive_seed,
     draw_samples,
+    embed_exact,
+    embed_rf,
+    fit_exact,
+    fit_rf,
     fractional_power,
     generator,
     make_finite_rank_kernel,
+    op_jj,
+    oracle_snapshot,
+    proj_hat,
+    proj_hat_rf,
     sample_finite_rank,
     sample_rff,
     spectral_projector,
@@ -27,6 +35,10 @@ from kpcalab import (
 _MEASURE = uniform_measure(10)
 _KERNEL = make_finite_rank_kernel(_MEASURE, [1.0, 0.5, 0.25], 3)
 _EIGENVALUES = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+# Fits on every atom of a rank-5 kernel, so each retains at least 4 components.
+_KERNEL5 = make_finite_rank_kernel(_MEASURE, 0.5 ** np.arange(5), 3)
+_FIT = fit_exact(_KERNEL5, _MEASURE.atoms)
+_RF_FIT = fit_rf(sample_finite_rank(_KERNEL5, 40, 2, mixed=True), _MEASURE.atoms)
 
 # Each entry point, as a function of the one count or seed under test.
 _ENTRIES = {
@@ -43,6 +55,12 @@ _ENTRIES = {
     "sample_rff.point_dim": lambda v: sample_rff(1.0, v, 4, 1).omegas,
     "spectral_projector.ell": lambda v: spectral_projector(sym_eig(np.diag(_EIGENVALUES)), v),
     "tail_energy.ell": lambda v: tail_energy(_EIGENVALUES, v),
+    "embed_exact.ell": lambda v: embed_exact(_FIT, _KERNEL5, _MEASURE.atoms, v),
+    "embed_rf.ell": lambda v: embed_rf(_RF_FIT, _MEASURE.atoms, v),
+    "proj_hat.ell": lambda v: proj_hat(_FIT, _KERNEL5, _MEASURE, v).matrix,
+    "proj_hat_rf.ell": lambda v: proj_hat_rf(_RF_FIT, _MEASURE, v).matrix,
+    "oracle_snapshot.seed": lambda v: oracle_snapshot(
+        _KERNEL, _MEASURE, op_jj(_KERNEL, _MEASURE), v)["seed"],
 }
 
 
@@ -63,7 +81,8 @@ def test_an_integral_float_is_the_integer(entry):
 
 @pytest.mark.parametrize("entry", ["draw_samples.n", "uniform_measure.n_atoms",
                                    "sample_finite_rank.m", "sample_rff.m",
-                                   "sample_rff.point_dim", "spectral_projector.ell"])
+                                   "sample_rff.point_dim", "spectral_projector.ell",
+                                   "proj_hat.ell", "proj_hat_rf.ell"])
 @pytest.mark.parametrize("low", [0, -3])
 def test_a_count_below_one_is_a_config_error(entry, low):
     with pytest.raises(ConfigError, match="must be >= 1"):

@@ -39,7 +39,7 @@ def test_gaussian_value_at_one_bandwidth():
         gaussian_kernel(0.0)
 
 
-@pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan, -1.0, True, "2"])
 def test_gaussian_kernel_rejects_a_non_finite_or_negative_bandwidth(bandwidth):
     with pytest.raises(InvalidInput, match="bandwidth"):
         gaussian_kernel(bandwidth)

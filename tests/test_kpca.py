@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kpcalab import (
+    ConfigError,
     DegenerateModel,
     DomainError,
     RankError,
@@ -91,22 +92,22 @@ def _check_against_dense_gram_route(ker, samples):
         assert np.max(np.abs(model.dual_coeffs[i] - gamma)) < 1e-8
 
 
-def test_dual_coeffs_are_the_per_atom_coefficients_gathered_on_first_read():
+def test_dual_coeffs_are_built_from_the_basis_vectors_on_first_read():
     for setup in ({}, {"t_count": 12, "n": 1000}, {"t_count": 12, "n": 9}):
-        measure, ker, samples = _rank_setup(**setup)
+        _, ker, samples = _rank_setup(**setup)
         model = fit_exact(ker, samples)
         assert model._dual_coeffs is None
-        assert model.atom_coeffs.shape == (measure.size, model.rank)
-        assert np.array_equal(model.counts, np.bincount(samples, minlength=measure.size))
+        assert model.basis_vectors.shape == (ker.lambdas.size, model.rank)
         g = model.dual_coeffs
         assert g is model.dual_coeffs
-        assert np.array_equal(g, model.atom_coeffs[samples].T)
+        assert g.shape == (model.rank, samples.size)
         # the sign rule holds on the n samples: re-signing changes no bit
         assert np.array_equal(fix_signs(g.T), g.T)
 
 
 def _eager_atom_coeffs(kernel, samples):
-    """The per-atom coefficients as a fit built them before they became lazy."""
+    """Per-atom coefficients by a count-weighted route independent of the fit's:
+    row a is what every sample at atom a carries in the dual vectors."""
     n = samples.shape[0]
     counts = np.bincount(samples, minlength=kernel.table.values.shape[1])
     root = np.sqrt(kernel.lambdas)[:, None] * kernel.table.values
@@ -127,16 +128,14 @@ def _eager_atom_coeffs(kernel, samples):
     return alphas * np.sqrt(n * lam_hat[:r].copy() / k_quad)
 
 
-def test_atom_coeffs_are_built_on_first_read_as_the_eager_fit_built_them():
+def test_dual_coeffs_equal_the_per_atom_coefficients_gathered_to_the_samples():
     for setup in ({}, {"t_count": 12, "n": 1000}, {"t_count": 12, "n": 9},
                   {"t_count": 24, "n_atoms": 128, "n": 4096}):
-        measure, ker, samples = _rank_setup(**setup)
-        model = fit_exact(ker, samples)
-        assert model._atom_coeffs is None
-        assert model.basis_vectors.shape == (ker.lambdas.size, model.rank)
-        coeffs = model.atom_coeffs
-        assert coeffs is model.atom_coeffs
-        assert np.array_equal(coeffs, _eager_atom_coeffs(ker, samples))
+        _, ker, samples = _rank_setup(**setup)
+        want = _eager_atom_coeffs(ker, samples)[samples].T
+        got = fit_exact(ker, samples).dual_coeffs
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_gram_route_matches_explicit_feature_covariance():
@@ -186,9 +185,10 @@ def test_embed_exact_columns_and_edges():
     for ell in range(1, model.rank + 1):  # column i is f_i, whatever ell takes it
         assert np.allclose(embed_exact(model, ker, measure.atoms, ell), full[:, :ell])
     assert embed_exact(model, ker, samples, 0).shape == (12, 0)
-    for bad in (-1, model.rank + 1):
-        with pytest.raises(RankError):
-            embed_exact(model, ker, samples, bad)
+    with pytest.raises(ConfigError, match="must be >= 0"):
+        embed_exact(model, ker, samples, -1)
+    with pytest.raises(RankError):
+        embed_exact(model, ker, samples, model.rank + 1)
 
 
 def test_identical_points_are_degenerate():
@@ -231,8 +231,7 @@ def test_fit_exact_on_a_stack_equals_fitting_each_row_alone():
     assert len({m.rank for m in models}) > 1
     for row, got in zip(stack, models):
         want = fit_exact(ker, row)
-        for name in ("train_points", "eigvals", "basis_vectors", "counts", "atom_coeffs",
-                     "dual_coeffs"):
+        for name in ("train_points", "eigvals", "basis_vectors", "dual_coeffs"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     # an out-of-range atom in any one row rejects the stack

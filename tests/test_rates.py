@@ -267,6 +267,13 @@ def test_fit_slope_exact_power_law():
         fit_slope([10, 20, 40, 80], [1.0, 0.5, 0.0, 0.25])
     with pytest.raises(ConfigError):
         fit_slope([10, 20, 40, 80], [1.0, 0.5, 0.25])
+    # NaN <= 0 is false, so a positivity check alone lets these through
+    for ns, values in (([1, 2, 3, 4], [1.0, math.nan, 1.0, 2.0]),
+                       ([1, 2, math.inf, 4], [1.0, 0.5, 0.25, 0.125]),
+                       ([1, 2, math.nan, 4], [1.0, 0.5, 0.25, 0.125]),
+                       ([1, 2, 3, 4], [1.0, math.inf, 1.0, 2.0])):
+        with pytest.raises(ConfigError, match="finite"):
+            fit_slope(ns, values)
 
 
 def test_config_validation():
@@ -605,10 +612,9 @@ def test_rf_hat_grid_solves_no_matrix_of_n_or_m_per_cell(monkeypatch):
 
 
 def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
-    fits, gathers, atom_builds = [], [], []
+    fits, gathers = [], []
     fit = rates.fit_exact
     gather = kpca.KpcaModel.dual_coeffs
-    build = kpca._atom_coeffs
 
     def recording_fit(kernel, samples):
         fits.append(samples)
@@ -618,13 +624,8 @@ def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
         gathers.append(model.n)
         return gather.fget(model)
 
-    def recording_build(model):
-        atom_builds.append(model.n)
-        return build(model)
-
     monkeypatch.setattr(rates, "fit_exact", recording_fit)
     monkeypatch.setattr(kpca.KpcaModel, "dual_coeffs", property(recording_gather))
-    monkeypatch.setattr(kpca, "_atom_coeffs", recording_build)
     for metric in ("recon_hat", "proj_hat"):
         config = _ecfg(theta=0.2, metric=metric, n_grid=_SMALL_GRID)
         report = run_grid(config)
@@ -634,10 +635,9 @@ def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
         assert [row.size for stack in stacks for row in stack] == [row.n for row in report.rows]
     assert len(fits) == 2 * len(_SMALL_GRID)
     assert gathers == []
-    assert atom_builds == []
-    # the recorder is live: a read after the grid builds the per-atom coefficients
-    fit(report.kernel, np.arange(config.atoms)).atom_coeffs
-    assert atom_builds == [config.atoms]
+    # the recorder is live: a read after the grid builds the dual coefficients
+    fit(report.kernel, np.arange(config.atoms)).dual_coeffs
+    assert gathers == [config.atoms]
 
 
 # The three exact-KPCA acceptance configs.
@@ -663,9 +663,9 @@ def test_exact_cell_coordinates_match_the_per_atom_route(overrides):
         model = fit_exact(kernel, samples)
         eigvals = model.eigvals[:ell]
         q = rates._plug_in(np.sqrt(lam)[:, None] * model.basis_vectors[:, :ell], eigvals)
-        # f_i's basis coordinates Lambda psi (c A_i) / sqrt(n lambda_i) from the atom coeffs
-        per_atom = lam[:, None] * (psi @ (model.counts[:, None] * model.atom_coeffs[:, :ell]))
-        want = rates._plug_in(per_atom / np.sqrt(n * eigvals), eigvals)
+        # f_i's basis coordinates Lambda psi(x) gamma_i / sqrt(n lambda_i) from the duals
+        from_duals = lam[:, None] * (psi[:, samples] @ model.dual_coeffs[:ell].T)
+        want = rates._plug_in(from_duals / np.sqrt(n * eigvals), eigvals)
         assert np.max(np.abs(q - want)) <= 1e-10 * np.max(np.abs(want))
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     Spectrum,
     _frobenius,
     eigengaps,
+    fix_signs,
     fractional_power,
     matrix_norm,
     spectral_projector,
@@ -135,9 +136,10 @@ class PerturbationCase:
         a, b = np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float)
         if a.shape != b.shape:
             raise InvalidInput(f"PerturbationCase: shapes {a.shape} != {b.shape}")
+        d = _count("PerturbationCase: d", self.d)
         spec_a, spec_ab = sym_eig(a[None]), sym_eig((a + b)[None])  # a stack of one
-        _check_cases(b[None], np.array([self.d]), spec_a, spec_ab)
-        vars(self).update(a=a, b=b, spec_a=spec_a[0], spec_ab=spec_ab[0])  # frozen: no setattr
+        _check_cases(b[None], np.array([d]), spec_a, spec_ab)
+        vars(self).update(a=a, b=b, d=d, spec_a=spec_a[0], spec_ab=spec_ab[0])  # frozen: no setattr
 
     @property
     def delta_d(self) -> float:
@@ -199,49 +201,45 @@ def perturb_check(case: PerturbationCase) -> PerturbReport:
     return PerturbReport(plain, weighted, float(rep.trivial_rhs[0]))
 
 
-def _draw_case(rng: np.random.Generator, dim: int) -> tuple:
-    """A case's spectrum, raw rotation, cut index d and half-gap delta_d."""
-    if rng.uniform() < 0.5:
-        gaps = rng.uniform(0.05, 1.0, size=dim)
-        vals = 0.3 + np.cumsum(gaps)[::-1]
-    else:
-        ratio = rng.uniform(0.35, 0.7)
-        scale = rng.uniform(1.0, 4.0)
-        vals = scale * (ratio ** np.arange(dim) + 0.05)
-    q_raw = rng.standard_normal((dim, dim))
-    d = int(rng.integers(1, max(dim // 2, 1) + 1))
-    return vals, q_raw, d, (vals[d - 1] - vals[d]) / 2.0
-
-
 def _case_stacks(count: int, seed: int) -> Iterator[tuple]:
     """The cases of ``make_perturbation_cases``, checked one stack per dimension.
 
     Yields ``(members, a, b, d, spec_a, spec_ab)`` per dimension: the case
     numbers, a, b, cut indices and spectra of a and a + b of its stack.
+    spec_a is the (vals, q) a is built from, so only a + b is decomposed.
     """
-    # Each case draws from its own stream in a fixed order: dim in 4..20, then
-    # _draw_case's values, then (rho, g) per attempt.  Only dim is drawn up
-    # front, so the other draws of a dimension exist only while its stack is built.
+    # Each case draws from its own stream, in order: dim in 4..20, the spectrum (shape
+    # coin, then gaps or ratio and scale), the raw rotation, d, then (rho, g) per attempt.
+    # Only dim is drawn up front; the other draws exist only while their stack is built.
     rngs = [generator(seed, "perturb-case", i) for i in range(count)]
     for dim, members in _by_dimension([int(rng.integers(4, 21)) for rng in rngs]).items():
-        group_rngs = [rngs[i] for i in members]
-        vals, q_raw, ds, deltas = zip(*(_draw_case(rng, dim) for rng in group_rngs))
-        vals = np.stack(vals)
-        q, r = np.linalg.qr(np.stack(q_raw))
+        group_rngs, size = [rngs[i] for i in members], len(members)
+        vals, q_raw, d = np.empty((size, dim)), np.empty((size, dim, dim)), np.empty(size, int)
+        for k, rng in enumerate(group_rngs):
+            if rng.uniform() < 0.5:
+                vals[k] = 0.3 + np.cumsum(rng.uniform(0.05, 1.0, size=dim))[::-1]
+            else:
+                ratio = rng.uniform(0.35, 0.7)
+                vals[k] = rng.uniform(1.0, 4.0) * (ratio ** np.arange(dim) + 0.05)
+            q_raw[k] = rng.standard_normal((dim, dim))
+            d[k] = rng.integers(1, dim // 2 + 1)
+        q, r = np.linalg.qr(q_raw)
         q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
         a = (q * vals[:, None, :]) @ q.swapaxes(1, 2)
         a = (a + a.swapaxes(1, 2)) / 2.0
-        b = np.empty_like(a)
-        # a + b's spectra, member by member in sym_eig's memory layout.
-        ab_vals, ab_vecs = np.empty(a.shape[:-1]), np.empty_like(a).swapaxes(1, 2)
+        spec_a = Spectrum(vals, fix_signs(q))
+        deltas = eigengaps(spec_a)[np.arange(size), d - 1]
+        b, ab_vals = np.empty_like(a), np.empty((size, dim))
+        ab_vecs = np.empty_like(a).swapaxes(1, 2)  # a + b's eigenvectors in sym_eig's layout
         # Each case redraws (rho, g) from its own generator until its a + b is PSD.
-        pending = np.arange(len(members))
+        pending = np.arange(size)
         for _ in range(100):
-            for k in pending:
-                rho = 1.0 - group_rngs[k].uniform(0.0, 1.0)  # uniform on (0, 1]
-                g = group_rngs[k].standard_normal((dim, dim))
-                bk = (g + g.T) / 2.0
-                b[k] = bk * (rho * deltas[k] / 2.0 / np.linalg.norm(bk))
+            rho, g = np.empty(len(pending)), np.empty((len(pending), dim, dim))
+            for j, k in enumerate(pending):
+                rho[j] = 1.0 - group_rngs[k].uniform(0.0, 1.0)  # uniform on (0, 1]
+                g[j] = group_rngs[k].standard_normal((dim, dim))
+            g = (g + g.swapaxes(1, 2)) / 2.0
+            b[pending] = g * (rho * deltas[pending] / 2.0 / _frobenius(g))[:, None, None]
             spec = sym_eig(a[pending] + b[pending])
             ab_vals[pending], ab_vecs[pending] = spec.eigenvalues, spec.eigenvectors
             low = spec.eigenvalues.min(axis=-1)
@@ -250,8 +248,7 @@ def _case_stacks(count: int, seed: int) -> Iterator[tuple]:
                 break
         else:
             raise NumericFailure("perturbation cases: could not keep a + b PSD")
-        d = np.array(ds)
-        spec_a, spec_ab = sym_eig(a), Spectrum(ab_vals, ab_vecs)
+        spec_ab = Spectrum(ab_vals, ab_vecs)
         _check_cases(b, d, spec_a, spec_ab)
         yield members, a, b, d, spec_a, spec_ab
 
@@ -264,8 +261,8 @@ def make_perturbation_cases(count: int, seed: int) -> list[PerturbationCase]:
     weighted bound beats the operator-norm fallback, since d * lambda_d
     can drop below lambda_1 only under fast decay).  The cut index d runs
     over 1..dim/2 and ||b||_HS is a uniform fraction of delta_d / 2; b is
-    resampled until a + b is PSD.  The cases are built and checked one
-    stack per dimension.
+    resampled until a + b is PSD.  Cases are checked one stack per
+    dimension, and each spec_a is the (vals, q) its a is built from.
     """
     count = _count("count", count, least=1)
     cases: list[PerturbationCase] = [None] * count

@@ -193,6 +193,7 @@ def _round_half_up(x: float) -> int:
 
 def ell_for(config: ExperimentConfig, n: int) -> int:
     """Component count at sample size n under the configured schedule."""
+    n = _count("ell_for: n", n, least=1)
     if config.ell_fixed is not None:
         return config.ell_fixed
     if config.decay == "poly":
@@ -209,6 +210,7 @@ def ell_for(config: ExperimentConfig, n: int) -> int:
 
 def m_for(config: ExperimentConfig, n: int) -> int:
     """Feature count at sample size n; requires tau."""
+    n = _count("m_for: n", n, least=1)
     if config.tau is None:
         raise ConfigError("m(n) undefined without tau")
     return max(_round_half_up(float(n) ** config.tau), 1)
@@ -281,8 +283,10 @@ def fit_slope(ns, values) -> tuple[float, float]:
     """Least-squares slope and its standard error in log-log coordinates."""
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
-    if ns.shape != values.shape or ns.size < _MIN_SLOPE_POINTS:
-        raise ConfigError(f"fit_slope: need >= {_MIN_SLOPE_POINTS} matched points, got {ns.size}")
+    if (ns.ndim != 1 or ns.shape != values.shape or ns.size < _MIN_SLOPE_POINTS
+            or np.unique(ns).size < 2):
+        raise ConfigError(f"fit_slope: need >= {_MIN_SLOPE_POINTS} matched 1-D points at two or "
+                          f"more distinct ns, got ns {ns.tolist()} and values {values.tolist()}")
     if not np.all((ns > 0.0) & (values > 0.0) & np.isfinite(ns) & np.isfinite(values)):
         raise ConfigError("fit_slope: log-log fit needs finite, strictly positive data")
     x = np.log(ns)

@@ -13,9 +13,11 @@ from kpcalab import (
     InvalidInput,
     McTailConfig,
     PerturbationCase,
+    Spectrum,
     bernstein_bound,
     derive_seed,
     eigengaps,
+    fix_signs,
     fractional_power,
     generator,
     make_finite_rank_kernel,
@@ -139,7 +141,7 @@ def test_perturbation_suite_and_case_generator():
 
 
 def _cases_one_by_one(count, seed):
-    """make_perturbation_cases' draws, one case at a time: (a, b, d, redraws)."""
+    """make_perturbation_cases' draws, one case at a time: (a, b, d, redraws, vals, q)."""
     out = []
     for i in range(count):
         rng = generator(seed, "perturb-case", i)
@@ -163,8 +165,12 @@ def _cases_one_by_one(count, seed):
             b *= rho * delta / 2.0 / np.linalg.norm(b)
             if np.linalg.eigvalsh(a + b).min() >= -1e-12 * vals.max():
                 break
-        out.append((a, b, d, redraws))
+        out.append((a, b, d, redraws, vals, q))
     return out
+
+
+def _sides(rep):
+    return rep.plain.lhs, rep.plain.rhs, rep.weighted.lhs, rep.weighted.rhs, rep.trivial_rhs
 
 
 def test_case_generator_decomposes_one_stack_per_dimension(monkeypatch):
@@ -179,30 +185,36 @@ def test_case_generator_decomposes_one_stack_per_dimension(monkeypatch):
     dims = {case.a.shape[0] for case in cases}
     assert len(dims) > 1
     reference = _cases_one_by_one(60, seed=34)
-    assert any(redraws for *_, redraws in reference)  # the PSD retry ran
-    # Per dimension: one decomposition of the a stack, and one of a + b per
-    # attempt, on the sub-stack of members still waiting for a PSD a + b.
+    assert any(redraws for _, _, _, redraws, _, _ in reference)  # the PSD retry ran
+    # Per dimension: a's spectrum is the one it was built from, so only a + b
+    # is decomposed, once per attempt, on the sub-stack of members still
+    # waiting for a PSD a + b.
     expected = []
     for dim in dims:
-        redraws = [r for a, _, _, r in reference if a.shape[0] == dim]
-        expected.append((len(redraws), dim, dim))
+        redraws = [r for a, _, _, r, _, _ in reference if a.shape[0] == dim]
         expected += [(sum(r >= j for r in redraws), dim, dim) for j in range(max(redraws) + 1)]
-    assert len(calls) == len(expected) > 2 * len(dims)
+    assert len(calls) == len(expected) > len(dims)
     assert sorted(calls) == sorted(expected)
-    for case, (a, b, d, _) in zip(cases, reference):
+    for case, (a, b, d, _, vals, _) in zip(cases, reference):
         assert np.array_equal(case.a, a) and np.array_equal(case.b, b) and case.d == d
+        assert np.array_equal(case.spec_a.eigenvalues, vals)
+        # The construction spectrum is sym_eig(a)'s to rounding.
         alone_a, alone_ab = sym_eig(case.a), sym_eig(case.a + case.b)
-        assert np.array_equal(case.spec_a.eigenvalues, alone_a.eigenvalues)
-        assert np.array_equal(case.spec_a.eigenvectors, alone_a.eigenvectors)
+        np.testing.assert_allclose(case.spec_a.eigenvalues, alone_a.eigenvalues,
+                                   rtol=0, atol=1e-13 * vals[0])
+        np.testing.assert_allclose(spectral_projector(case.spec_a, case.d),
+                                   spectral_projector(alone_a, case.d), rtol=0, atol=1e-12)
         assert np.array_equal(case.spec_ab.eigenvalues, alone_ab.eigenvalues)
         assert np.array_equal(case.spec_ab.eigenvectors, alone_ab.eigenvectors)
         rebuilt = PerturbationCase(a=case.a, b=case.b, d=case.d)
-        assert perturb_check(rebuilt) == perturb_check(case)
+        assert _sides(perturb_check(rebuilt)) == pytest.approx(_sides(perturb_check(case)),
+                                                              rel=1e-9)
 
 
-def _bounds_alone(a, b, d):
-    """Both bounds on one case through the 2-D API: delta_d, ||b||_HS, the four sides, trivial."""
-    spec_a, spec_ab = sym_eig(a), sym_eig(a + b)
+def _bounds_alone(a, b, d, vals, q):
+    """Both bounds on one case through the 2-D API, with a's spectrum the (vals, q) it
+    was built from: delta_d, ||b||_HS, the four sides, trivial."""
+    spec_a, spec_ab = Spectrum(vals, fix_signs(q)), sym_eig(a + b)
     diff = spectral_projector(spec_a, d) - spectral_projector(spec_ab, d)
     delta, b_hs = float(eigengaps(spec_a)[d - 1]), float(np.linalg.norm(b))
     root_a = fractional_power(spec_a, 0.5)
@@ -221,11 +233,11 @@ def test_stacked_scores_equal_the_one_case_reference(seed):
         delta, b_hs, rep = kpcalab.bounds._score_cases(a, b, d, spec_a, spec_ab)
         cuts.append(len(np.unique(d)))
         for k, i in enumerate(members):
-            ref_a, ref_b, ref_d, _ = reference[i]
+            ref_a, ref_b, ref_d, _, ref_vals, ref_q = reference[i]
             assert np.array_equal(a[k], ref_a) and np.array_equal(b[k], ref_b) and d[k] == ref_d
             got = (delta[k], b_hs[k], rep.plain.lhs[k], rep.plain.rhs[k], rep.weighted.lhs[k],
                    rep.weighted.rhs[k], rep.trivial_rhs[k])
-            want = _bounds_alone(ref_a, ref_b, ref_d)
+            want = _bounds_alone(ref_a, ref_b, ref_d, ref_vals, ref_q)
             assert got == want  # bit for bit
             plain, weighted = BoundReport("p", *want[2:4]), BoundReport("w", *want[4:6])
             assert rep.plain.holds[k] == plain.holds and rep.plain.margin[k] == plain.margin

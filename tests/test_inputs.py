@@ -9,16 +9,20 @@ import pytest
 
 from kpcalab import (
     ConfigError,
+    ExperimentConfig,
     InvalidInput,
+    PerturbationCase,
     basis_factor,
     derive_seed,
     draw_samples,
     embed_exact,
     embed_rf,
+    ell_for,
     fit_exact,
     fit_rf,
     fractional_power,
     generator,
+    m_for,
     make_finite_rank_kernel,
     op_jj,
     oracle_snapshot,
@@ -39,6 +43,13 @@ _EIGENVALUES = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
 _KERNEL5 = make_finite_rank_kernel(_MEASURE, 0.5 ** np.arange(5), 3)
 _FIT = fit_exact(_KERNEL5, _MEASURE.atoms)
 _RF_FIT = fit_rf(sample_finite_rank(_KERNEL5, 40, 2, mixed=True), _MEASURE.atoms)
+_RF_CONFIG = ExperimentConfig(decay="poly", theta=0.2, n_grid=(64, 128, 256, 512),
+                              replications=5, atoms=24, rank=8, seed=0,
+                              metric="recon_rf_hat", alpha=2.0, tau=0.5)
+# Dimension 6, so every cut index up to 4 is within the half-gap rule.
+_CASE_A = np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
+_CASE_B = np.zeros((6, 6))
+_CASE_B[0, 5] = _CASE_B[5, 0] = 0.05
 
 # Each entry point, as a function of the one count or seed under test.
 _ENTRIES = {
@@ -61,6 +72,9 @@ _ENTRIES = {
     "proj_hat_rf.ell": lambda v: proj_hat_rf(_RF_FIT, _MEASURE, v).matrix,
     "oracle_snapshot.seed": lambda v: oracle_snapshot(
         _KERNEL, _MEASURE, op_jj(_KERNEL, _MEASURE), v)["seed"],
+    "PerturbationCase.d": lambda v: PerturbationCase(_CASE_A, _CASE_B, v).delta_d,
+    "ell_for.n": lambda v: ell_for(_RF_CONFIG, v),
+    "m_for.n": lambda v: m_for(_RF_CONFIG, v),
 }
 
 
@@ -82,7 +96,7 @@ def test_an_integral_float_is_the_integer(entry):
 @pytest.mark.parametrize("entry", ["draw_samples.n", "uniform_measure.n_atoms",
                                    "sample_finite_rank.m", "sample_rff.m",
                                    "sample_rff.point_dim", "spectral_projector.ell",
-                                   "proj_hat.ell", "proj_hat_rf.ell"])
+                                   "proj_hat.ell", "proj_hat_rf.ell", "ell_for.n", "m_for.n"])
 @pytest.mark.parametrize("low", [0, -3])
 def test_a_count_below_one_is_a_config_error(entry, low):
     with pytest.raises(ConfigError, match="must be >= 1"):

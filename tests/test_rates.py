@@ -267,6 +267,10 @@ def test_fit_slope_exact_power_law():
         fit_slope([10, 20, 40, 80], [1.0, 0.5, 0.0, 0.25])
     with pytest.raises(ConfigError):
         fit_slope([10, 20, 40, 80], [1.0, 0.5, 0.25])
+    with pytest.raises(ConfigError, match="distinct"):  # no spread in n to fit
+        fit_slope([4, 4, 4, 4], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ConfigError, match="1-D"):
+        fit_slope([[10, 20], [40, 80]], [[1.0, 0.5], [0.25, 0.125]])
     # NaN <= 0 is false, so a positivity check alone lets these through
     for ns, values in (([1, 2, 3, 4], [1.0, math.nan, 1.0, 2.0]),
                        ([1, 2, math.inf, 4], [1.0, 0.5, 0.25, 0.125]),

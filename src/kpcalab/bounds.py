@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, NumericFailure, _count, _real
 from .features import basis_factor, sample_finite_rank
-from .kernels import Kernel, make_finite_rank_kernel
+from .kernels import Kernel, _decay_schedule, make_finite_rank_kernel
 from .linalg import (
     RANK_RTOL,
     Spectrum,
@@ -482,7 +482,7 @@ class McTailConfig:
 
     @cached_property
     def kernel(self) -> Kernel:
-        lambdas = (1.0 + np.arange(self.rank)) ** -2.0
+        lambdas = _decay_schedule("poly", self.rank, 2.0, None)
         return make_finite_rank_kernel(uniform_measure(self.atoms), lambdas,
                                        derive_seed(self.seed, "mc-kernel"))
 

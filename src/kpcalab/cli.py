@@ -8,8 +8,9 @@ files, floats in Python's shortest round-trip form, so reruns of the same
 config are byte-identical; wall time appears only in summary.json.
 
 Exit codes: 0 all verdicts pass, 1 config problem (malformed JSON,
-unknown keys, out-of-regime parameters; nothing is written), 2 at least
-one verdict failed, 3 numerical failure inside a computation.
+unknown keys, out-of-regime parameters, an --out path through a file;
+nothing is written), 2 at least one verdict failed, 3 numerical failure
+inside a computation.
 """
 
 from __future__ import annotations
@@ -32,17 +33,10 @@ import numpy as np
 from .bounds import (MC_EXPERIMENTS, McTailConfig, mc_tail, operator_inequality_suite,
                      perturbation_suite)
 from .errors import ConfigError, EigengapError, InvalidInput, NumericFailure, RankError, _count
+from .kernels import _decay_schedule
 from .linalg import RANK_RTOL, _check_split
 from .oracle import oracle_snapshot, proj_pop, recon_error, tail_energy
-from .rates import (
-    ExperimentConfig,
-    _decay_schedule,
-    _oracle,
-    _schedule_error,
-    _taus,
-    run_grid,
-    transition_study,
-)
+from .rates import ExperimentConfig, _oracle, _schedule_error, _taus, run_grid, transition_study
 from .rng import derive_seed
 
 __all__ = ["main"]
@@ -366,6 +360,10 @@ def _run(args) -> int:
 
     seed = _effective_seed(config, args.seed)
     threads = _parse_threads(args.threads)
+    out = Path(args.out)
+    blocked = [p for p in (out, *out.parents) if p.exists() and not p.is_dir()]
+    if blocked:
+        raise ConfigError(f"--out {out}: {blocked[0]} exists and is not a directory")
     digest = hashlib.sha256(raw).hexdigest()
 
     # One BLAS thread is at least as fast on every solve the commands make
@@ -383,7 +381,6 @@ def _run(args) -> int:
             blas[1](previous)
     elapsed = time.perf_counter() - start
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -46,13 +46,12 @@ class FeatureSample:
 
     kind: "rff" or "finite_rank".
     m: number of parameter draws (for deterministic finite-rank mode,
-        the full index count).
-    d: feature dimension; 2m for rff, m for finite-rank.
-    seed: the seed the draw came from, for provenance.
+        the full index count); the feature dimension is 2m for rff, m for
+        finite-rank.
     kappa_m: exact sup over the kernel's domain of ||Phi(x)||^2 (for rff,
         1 by construction; for finite-rank, the max over atoms, computed
         at construction).
-    rff fields: omegas (m, p), bandwidth.
+    rff fields: omegas (m, p), already scaled by 1 / bandwidth.
     finite-rank fields: kernel, indices (m,) into the feature family,
         row_scale (m,) per-row weights, coeffs (T, T) mapping basis rows to
         feature functions.
@@ -60,11 +59,8 @@ class FeatureSample:
 
     kind: str
     m: int
-    d: int
-    seed: int
     kappa_m: float
     omegas: np.ndarray | None = None
-    bandwidth: float | None = None
     kernel: Kernel | None = None
     indices: np.ndarray | None = None
     row_scale: np.ndarray | None = None
@@ -79,10 +75,7 @@ def sample_rff(bandwidth: float, point_dim: int, m: int, seed: int) -> FeatureSa
     if bandwidth <= 0:
         raise InvalidInput(f"sample_rff: bandwidth must be positive, got {bandwidth}")
     omegas = generator(seed, "rff-omegas").standard_normal((m, point_dim)) / bandwidth
-    return FeatureSample(
-        kind="rff", m=m, d=2 * m, seed=seed, kappa_m=1.0,
-        omegas=omegas, bandwidth=bandwidth,
-    )
+    return FeatureSample(kind="rff", m=m, kappa_m=1.0, omegas=omegas)
 
 
 def sample_finite_rank(kernel: Kernel, m: int, seed: int,
@@ -121,10 +114,8 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int,
         rng = generator(seed, "feature-indices")
         indices = rng.choice(t_count, size=m, p=probs)
         row_scale = np.full(m, 1.0 / np.sqrt(m))
-    sample = FeatureSample(
-        kind="finite_rank", m=m, d=int(indices.shape[0]), seed=seed, kappa_m=0.0,
-        kernel=kernel, indices=indices, row_scale=row_scale, coeffs=coeffs,
-    )
+    sample = FeatureSample(kind="finite_rank", m=m, kappa_m=0.0, kernel=kernel,
+                           indices=indices, row_scale=row_scale, coeffs=coeffs)
     # ||Phi(x)||^2 = ||L' psi(x)||^2 over the atoms, without the N x m feature matrix.
     root = basis_factor(sample).T @ kernel.table.values
     object.__setattr__(sample, "kappa_m", float(np.max(np.sum(root**2, axis=0))))

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InvalidInput, NumericFailure, _real
+from .errors import CapacityError, ConfigError, DomainError, InvalidInput, NumericFailure, _real
 from .linalg import _SYMMETRY_ATOL
 from .measures import _WEIGHT_SUM_ATOL, DiscreteMeasure
 from .rng import generator
@@ -36,13 +36,28 @@ _GS_BREAKDOWN = 1e-10
 _GS_MAX_RETRIES = 100
 
 
+def _position_weights(measure: DiscreteMeasure) -> np.ndarray:
+    """The measure's weights by atom position, w[atoms] = weights; InvalidInput
+    unless the atoms are a permutation of the positions 0..N-1."""
+    atoms, n_atoms = measure.atoms, measure.size
+    if not (atoms.ndim == 1 and np.issubdtype(atoms.dtype, np.integer)
+            and atoms.min() >= 0 and atoms.max() < n_atoms):
+        raise InvalidInput(f"finite-rank kernels need atoms that are a permutation of "
+                           f"0..{n_atoms - 1}")
+    w = np.empty(n_atoms)
+    w[atoms] = measure.weights
+    return w
+
+
 @dataclass(frozen=True)
 class FunctionTable:
     """Values of T basis functions on the support of a discrete measure.
 
-    values: shape (T, N); row t holds psi_t evaluated at atoms 0..N-1.
-    Rows must be orthonormal in the measure-weighted inner product and
-    orthogonal to the constant function, both within 1e-10.
+    values: shape (T, N); row t holds psi_t evaluated at positions 0..N-1.
+    The measure's atoms must be a permutation of those positions, and column
+    i is weighted by the weight of the atom labelled i.  Rows must be
+    orthonormal in that weighted inner product and orthogonal to the
+    constant function, both within 1e-10.
     """
 
     measure: DiscreteMeasure
@@ -55,7 +70,7 @@ class FunctionTable:
                 f"FunctionTable: values shape {values.shape} does not match "
                 f"{self.measure.size} atoms"
             )
-        w = self.measure.weights
+        w = _position_weights(self.measure)
         gram_w = (values * w) @ values.T
         if np.max(np.abs(gram_w - np.eye(values.shape[0]))) > _ORTHO_ATOL:
             raise InvalidInput("FunctionTable: rows are not weighted-orthonormal within 1e-10")
@@ -114,13 +129,29 @@ def gaussian_kernel(bandwidth: float) -> Kernel:
                   bandwidth=_real("gaussian_kernel: bandwidth", bandwidth))
 
 
+def _decay_schedule(decay: str, rank: int, alpha: float | None, gamma: float | None) -> np.ndarray:
+    """i^-alpha (poly) or e^-gamma*i (expo) for i = 1..rank; ConfigError if invalid."""
+    i = 1.0 + np.arange(rank)
+    if decay == "poly":
+        if alpha is None or not _real("alpha", alpha) > 1.0:
+            raise ConfigError(f"poly decay needs alpha > 1, got {alpha}")
+        return i ** -float(alpha)
+    if decay == "expo":
+        if gamma is None or not _real("gamma", gamma) > 0.0:
+            raise ConfigError(f"expo decay needs gamma > 0, got {gamma}")
+        return np.exp(-float(gamma) * i)
+    raise ConfigError(f"unknown decay {decay!r}")
+
+
 def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed: int) -> Kernel:
     """Seeded synthetic kernel whose population spectrum is exactly ``lambdas``.
 
-    Basis rows come from two passes of block classical Gram-Schmidt of
-    standard normal draws against the constant function and all previous
-    rows at once, in the measure-weighted inner product.  A draw whose
-    residual norm falls below 1e-10 is redrawn, up to 100 times per row.
+    The measure's atoms must be a permutation of the positions 0..N-1; each
+    position is weighted by its own atom's weight.  Basis rows come from two
+    passes of block classical Gram-Schmidt of standard normal draws against
+    the constant function and all previous rows at once, in the
+    measure-weighted inner product.  A draw whose residual norm falls below
+    1e-10 is redrawn, up to 100 times per row.
     """
     lam = np.asarray(lambdas, dtype=float)
     n_atoms = measure.size
@@ -132,7 +163,7 @@ def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed:
             f"make_finite_rank_kernel: {lam.shape[0]} components need at least "
             f"{lam.shape[0] + 1} atoms, measure has {n_atoms}"
         )
-    w = measure.weights
+    w = _position_weights(measure)
     rng = generator(seed, "finite-rank-basis")
     rows = np.empty((lam.shape[0], n_atoms))
     # The constant function has weighted norm one already.
@@ -205,40 +236,27 @@ def kernel_eval(kernel: Kernel, x, y) -> float:
 
 
 def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:
-    """Symmetric PSD Gram matrix k(x_i, x_j) over a point list."""
-    if kernel.kind == "gaussian":
-        pts = _as_vector_points(points)
-        if pts.shape[0] < 1:
-            raise InvalidInput("gram: need at least one point")
-        sq = np.sum(pts**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-        np.maximum(d2, 0.0, out=d2)
-        k = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
-    else:
-        pts = _as_index_points(kernel, points)
-        if pts.shape[0] < 1:
-            raise InvalidInput("gram: need at least one point")
-        b = kernel.root[:, pts]
-        k = b.T @ b
+    """Symmetric PSD Gram matrix k(x_i, x_j) over a point list: ``cross_gram`` of
+    the points with themselves, symmetrised; needs at least one point."""
+    k = cross_gram(kernel, points, points)
+    if k.shape[0] < 1:
+        raise InvalidInput("gram: need at least one point")
     return (k + k.T) / 2.0
 
 
 def cross_gram(kernel: Kernel, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Rectangular kernel matrix k(a_i, b_j); shape (len(a), len(b))."""
+    """Rectangular kernel matrix k(a_i, b_j); shape (len(a), len(b)).  A
+    finite-rank kernel's is root[:, a]' root[:, b], with root = sqrt(Lambda) psi."""
     if kernel.kind == "gaussian":
         pa = _as_vector_points(points_a)
         pb = _as_vector_points(points_b)
-        d2 = (
-            np.sum(pa**2, axis=1)[:, None]
-            + np.sum(pb**2, axis=1)[None, :]
-            - 2.0 * (pa @ pb.T)
-        )
+        d2 = (np.sum(pa**2, axis=1)[:, None] + np.sum(pb**2, axis=1)[None, :]
+              - 2.0 * (pa @ pb.T))
         np.maximum(d2, 0.0, out=d2)
         return np.exp(-d2 / (2.0 * kernel.bandwidth**2))
     pa = _as_index_points(kernel, points_a)
     pb = _as_index_points(kernel, points_b)
-    vals = kernel.table.values
-    return (vals[:, pa] * kernel.lambdas[:, None]).T @ vals[:, pb]
+    return kernel.root[:, pa].T @ kernel.root[:, pb]
 
 
 def center_gram(k: np.ndarray, weights: np.ndarray) -> np.ndarray:

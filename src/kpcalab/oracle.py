@@ -52,7 +52,6 @@ class PopOperator:
     factor F; the dense ``matrix`` and its ``spectrum`` are built on first read.
     ``eigenvalues`` (``spectrum``'s if r >= N) and ``hs_norm`` come from the r x r F'F."""
 
-    kind: str
     factor: np.ndarray = field(repr=False)
 
     @cached_property
@@ -117,14 +116,14 @@ def op_jj(kernel: Kernel, measure: DiscreteMeasure) -> PopOperator:
         root = kernel.root[:, _as_index_points(kernel, measure.atoms)]
     else:
         root = fractional_power(gram(kernel, measure.atoms), 0.5)
-    return PopOperator(kind="jj", factor=_centred_factor(root, measure.weights))
+    return PopOperator(_centred_factor(root, measure.weights))
 
 
 def op_aa(features: FeatureSample, measure: DiscreteMeasure) -> PopOperator:
     """Feature-side population operator S_A for a feature draw and measure,
     whose root is the transposed feature matrix on the atoms."""
     root = feature_matrix(features, measure.atoms).T
-    return PopOperator(kind="aa", factor=_centred_factor(root, measure.weights))
+    return PopOperator(_centred_factor(root, measure.weights))
 
 
 def tail_energy(eigenvalues: np.ndarray | Spectrum, ell: int) -> float:

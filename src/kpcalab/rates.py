@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, EigengapError, OutOfRegime, RankError, _count, _real
 from .features import basis_factor, sample_finite_rank
-from .kernels import Kernel, make_finite_rank_kernel
+from .kernels import Kernel, _decay_schedule, make_finite_rank_kernel
 from .kpca import _count_fit, _stack_counts, fit_exact
 from .linalg import RANK_RTOL, _check_split, matrix_norm, sym_eig
 from .measures import draw_samples, uniform_measure
@@ -147,7 +147,7 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be strictly increasing")
         if self.replications < 5:
             raise ConfigError(f"need >= 5 replications, got {self.replications}")
-        if self.atoms < self.rank + 1:
+        if self.rank < 2 or self.atoms < self.rank + 1:
             raise ConfigError(
                 f"need atoms >= rank + 1 >= 3, got atoms={self.atoms} rank={self.rank}"
             )
@@ -164,22 +164,6 @@ def _taus(taus) -> list[float]:
     if not taus or len(set(taus)) < len(taus):
         raise ConfigError(f"taus must hold at least one tau, each once, got {taus!r}")
     return taus
-
-
-def _decay_schedule(decay: str, rank: int, alpha: float | None, gamma: float | None) -> np.ndarray:
-    """i^-alpha (poly) or e^-gamma*i (expo) for i = 1..rank; ConfigError if invalid."""
-    if rank < 2:
-        raise ConfigError(f"rank must be >= 2, got {rank}")
-    i = 1.0 + np.arange(rank)
-    if decay == "poly":
-        if alpha is None or not _real("alpha", alpha) > 1.0:
-            raise ConfigError(f"poly decay needs alpha > 1, got {alpha}")
-        return i ** -float(alpha)
-    if decay == "expo":
-        if gamma is None or not _real("gamma", gamma) > 0.0:
-            raise ConfigError(f"expo decay needs gamma > 0, got {gamma}")
-        return np.exp(-float(gamma) * i)
-    raise ConfigError(f"unknown decay {decay!r}")
 
 
 def lambda_schedule(config: ExperimentConfig) -> np.ndarray:
@@ -374,7 +358,8 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
                    n: int) -> list[tuple[RateRow, float | None]]:
     """Each replication at grid point n as a row and its swap-inequality margin
     (None when invalid), drawn from its own (seed, n, rep) streams and fitted
-    and scored with the others as one stack.
+    and scored with the others as one stack.  The *_pop metrics score the
+    feature draw alone and draw no samples.
 
     Every estimated projector lies in the span of the kernel's T basis
     functions, where S_J is Lambda = diag(lambda) and its top-ell projector is
@@ -389,9 +374,10 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
     ell, m, r_pop = plan[n]
     measure, psi, lam = kernel.table.measure, kernel.table.values, kernel.lambdas
     reps = range(config.replications)
-    samples = np.stack([draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
-                        for rep in reps])
     metric = config.metric
+    if not metric.endswith("_pop"):
+        samples = np.stack([draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
+                            for rep in reps])
     fits = []  # per replication, the basis coordinates and eigenvalues, or None
     if metric in ("recon_hat", "proj_hat"):
         # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis coordinates

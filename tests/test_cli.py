@@ -380,6 +380,20 @@ def test_out_of_regime_configs_exit_one_before_any_cell(tmp_path, monkeypatch, c
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["out_is_a_file", "out_under_a_file"])
+def test_out_through_a_file_exits_one_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                         under):
+    seen = _spy_command(monkeypatch, lambda: "ran", True)
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept")
+    out = blocker / under if under else blocker
+    assert cli.main(["bounds", "--config", _bounds_config(tmp_path), "--out", str(out)]) == 1
+    assert seen == []
+    assert blocker.read_text() == "kept"
+    err = capsys.readouterr().err
+    assert "config error" in err and "is not a directory" in err and "Traceback" not in err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert cli.main(["bounds", "--config", str(tmp_path / "ghost.json"),

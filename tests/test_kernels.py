@@ -207,6 +207,24 @@ def test_nonuniform_measure_spectrum():
     assert np.max(np.abs(vals[:3] - lam)) < 1e-9
 
 
+def test_permuted_atoms_weight_each_position_by_its_own_atom():
+    # weights[i] belongs to atoms[i]: a rolled labelling of a non-uniform
+    # measure must still give S_J the schedule as its spectrum
+    w = np.random.default_rng(2).uniform(0.5, 1.5, size=12)
+    measure = discrete_measure(np.roll(np.arange(12), 3), w)
+    lam = np.array([1.0, 0.5, 0.25])
+    ker = make_finite_rank_kernel(measure, lam, 4)
+    vals = op_jj(ker, measure).eigenvalues
+    assert np.max(np.abs(vals - np.pad(lam, (0, 9)))) <= 1e-12
+    FunctionTable(measure=measure, values=ker.table.values)
+    # atoms that are labels, not positions, have no place in the basis table
+    labelled = discrete_measure(10 * (1 + np.arange(12)), w)
+    with pytest.raises(InvalidInput, match="permutation"):
+        make_finite_rank_kernel(labelled, lam, 4)
+    with pytest.raises(InvalidInput, match="permutation"):
+        FunctionTable(measure=labelled, values=ker.table.values)
+
+
 def _row_by_row_table(measure, count, seed):
     """The builder's basis by row-by-row modified Gram-Schmidt, the loop it replaced."""
     w, n_atoms = measure.weights, measure.size

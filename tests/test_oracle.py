@@ -67,7 +67,7 @@ def test_hs_norm_does_not_depend_on_blas_threads():
     get, put = blas
     original = get()
     rng = np.random.default_rng(20260819)
-    ops = [kpcalab.oracle.PopOperator("jj", rng.standard_normal((128, r)))
+    ops = [kpcalab.oracle.PopOperator(rng.standard_normal((128, r)))
            for r in (128,) * 40 + (24, 60, 96) * 10]
     try:
         norms = {}

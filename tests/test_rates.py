@@ -465,6 +465,18 @@ def test_cells_match_the_sample_level_route(config, invalid):
     assert np.max(np.abs(got[ok] - want[ok]) / want[ok]) <= 1e-10
 
 
+@pytest.mark.parametrize("metric", ["recon_rf_pop", "proj_rf_pop"])
+def test_pop_cells_draw_no_samples(monkeypatch, metric):
+    # a *_pop cell scores the feature draw against the population alone
+    def no_draw(*args):
+        raise AssertionError(f"a {metric} cell drew samples")
+
+    monkeypatch.setattr(rates, "draw_samples", no_draw)
+    report = run_grid(_ecfg(theta=0.2, metric=metric, tau=0.5, n_grid=_SMALL_GRID, seed=0))
+    assert len(report.rows) == len(_SMALL_GRID) * 5
+    assert all(math.isfinite(row.value) for row in report.rows)
+
+
 def _reference_count_fit(root, counts, kappa, op):
     """The one-sample-list count fit the stacked kpca._count_fit replaced."""
     n = int(counts.sum())

@@ -2,16 +2,16 @@
 oracle for the population quantities both try to estimate.
 
 The pieces, bottom up: symmetric eigensolves and spectral projectors
-(linalg), discrete ground-truth measures (measures), Gaussian and
-finite-rank kernels with exactly known spectra (kernels), random Fourier
-and finite-rank feature draws (features), the exact and feature-space
+(linalg), discrete ground-truth measures (measures), finite-rank
+kernels with exactly known spectra (kernels), random Fourier and
+finite-rank feature draws (features), the exact and feature-space
 KPCA fits (kpca), the population operators and projector metrics
 computed in closed form (oracle), perturbation and concentration bound
 checkers (bounds), and the rate-fitting experiment harness (rates).
 The kpcalab console script in cli drives all of it from JSON configs.
 
-The sample-level fits and projectors and the Gaussian / random Fourier
-path are the reference route the rate cells are cross-checked against.
+The sample-level fits and projectors and the random Fourier path are the
+reference route the rate cells are cross-checked against.
 PerturbationCase, perturb_check and make_perturbation_cases are one-case
 views of the stacked bound suite.
 

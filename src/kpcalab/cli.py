@@ -104,8 +104,8 @@ def _cmd_spectrum(config: dict, seed: int):
     rank = _count("rank", config["rank"])
     lambdas = _decay_schedule(config["decay"], rank, config.get("alpha"), config.get("gamma"))
     ells = [_count("ells", e) for e in _list(config, "ells")]
-    if not ells or any(not 1 <= e <= rank - 1 for e in ells):
-        raise ConfigError(f"ells must be nonempty and lie in 1..{rank - 1}")
+    if not ells or len(set(ells)) < len(ells) or any(not 1 <= e <= rank - 1 for e in ells):
+        raise ConfigError(f"ells must be nonempty, each once, and lie in 1..{rank - 1}")
     # S_J's spectrum is the schedule padded with zeros, so proj_pop's split checks run first.
     for ell in ells:
         try:

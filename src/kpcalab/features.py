@@ -88,8 +88,6 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int,
     mixed: recombine the basis through a seeded orthogonal matrix and
         sample indices uniformly (see module docstring).
     """
-    if kernel.kind != "finite_rank":
-        raise InvalidInput(f"sample_finite_rank: kernel kind is {kernel.kind!r}")
     m = _count("sample_finite_rank: m", m, least=1)
     t_count = kernel.table.count
     lam = kernel.lambdas

@@ -1,11 +1,10 @@
 """Kernels, Gram matrices, and the synthetic finite-rank construction.
 
-Two kernel families are supported.  Gaussian kernels live on vectors in
-R^p.  Finite-rank kernels live on the index support of a discrete
-measure: k(i, j) = sum_t lambda_t psi_t(i) psi_t(j) for a basis of
-functions orthonormal in the weighted inner product and orthogonal to
-constants.  That construction makes every population quantity exactly
-computable downstream.
+A kernel lives on the index support of a discrete measure:
+k(i, j) = sum_t lambda_t psi_t(i) psi_t(j) for a basis of functions
+orthonormal in the weighted inner product and orthogonal to constants.
+That construction makes every population quantity exactly computable
+downstream.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .rng import generator
 __all__ = [
     "FunctionTable",
     "Kernel",
-    "gaussian_kernel",
     "make_finite_rank_kernel",
     "kernel_eval",
     "gram",
@@ -85,36 +83,22 @@ class FunctionTable:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A positive-definite kernel of one of two kinds.
-
-    kind "gaussian": needs a finite bandwidth > 0; points are vectors (or scalars).
-    kind "finite_rank": needs table and strictly descending finite positive
-    lambdas; points are integer atom positions.  ``root``, the T x N
+    """The finite-rank kernel of a basis table and strictly descending finite
+    positive lambdas; points are integer atom positions.  ``root``, the T x N
     sqrt(Lambda) psi with k(i, j) = root[:, i]'root[:, j], is kept read-only.
-    kappa is the exact supremum of k(x, x) over the kernel's domain.
+    ``kappa``, the exact maximum of k(x, x) over the atoms, is derived on first read.
     """
 
-    kind: str
-    kappa: float
-    bandwidth: float | None = None
-    table: FunctionTable | None = None
-    lambdas: np.ndarray | None = None
+    table: FunctionTable
+    lambdas: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind == "gaussian":
-            if self.bandwidth is None or not 0.0 < self.bandwidth < np.inf:
-                raise InvalidInput(f"Kernel: bandwidth {self.bandwidth} is not finite and > 0")
-        elif self.kind == "finite_rank":
-            if self.table is None or self.lambdas is None:
-                raise InvalidInput("Kernel: finite_rank needs a table and lambdas")
-            lam = np.asarray(self.lambdas, dtype=float)
-            if lam.ndim != 1 or lam.shape[0] != self.table.count:
-                raise InvalidInput("Kernel: lambdas must match the table row count")
-            if not (np.all(np.isfinite(lam) & (lam > 0.0)) and np.all(np.diff(lam) < 0.0)):
-                raise InvalidInput("Kernel: lambdas must be finite, > 0 and strictly descending")
-            object.__setattr__(self, "lambdas", lam)
-        else:
-            raise InvalidInput(f"Kernel: unknown kind {self.kind!r}")
+        lam = np.asarray(self.lambdas, dtype=float)
+        if lam.ndim != 1 or lam.shape[0] != self.table.count:
+            raise InvalidInput("Kernel: lambdas must match the table row count")
+        if not (np.all(np.isfinite(lam) & (lam > 0.0)) and np.all(np.diff(lam) < 0.0)):
+            raise InvalidInput("Kernel: lambdas must be finite, > 0 and strictly descending")
+        object.__setattr__(self, "lambdas", lam)
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -122,11 +106,10 @@ class Kernel:
         root.flags.writeable = False
         return root
 
-
-def gaussian_kernel(bandwidth: float) -> Kernel:
-    """Gaussian kernel exp(-||x - y||^2 / (2 bandwidth^2)); k(x, x) = 1."""
-    return Kernel(kind="gaussian", kappa=1.0,
-                  bandwidth=_real("gaussian_kernel: bandwidth", bandwidth))
+    @cached_property
+    def kappa(self) -> float:
+        values = self.table.values
+        return float(np.max(np.einsum("t,tj,tj->j", self.lambdas, values, values)))
 
 
 def _decay_schedule(decay: str, rank: int, alpha: float | None, gamma: float | None) -> np.ndarray:
@@ -184,9 +167,7 @@ def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed:
                 f"make_finite_rank_kernel: Gram-Schmidt broke down on row {t} "
                 f"after {_GS_MAX_RETRIES} retries"
             )
-    kappa = float(np.max(np.einsum("t,tj,tj->j", lam, rows, rows)))  # max of k(x, x)
-    return Kernel(kind="finite_rank", kappa=kappa,
-                  table=FunctionTable(measure=measure, values=rows), lambdas=lam)
+    return Kernel(FunctionTable(measure=measure, values=rows), lam)
 
 
 def _as_index_points(kernel: Kernel, points: np.ndarray) -> np.ndarray:
@@ -207,26 +188,8 @@ def _as_index_points(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _as_vector_points(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        # A single flat vector is ambiguous; treat it as n scalar points
-        # only when explicitly 2-d input is not given.  Callers pass (n, p).
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2:
-        raise DomainError(f"gaussian kernel points must be (n, p), got shape {pts.shape}")
-    return pts
-
-
 def kernel_eval(kernel: Kernel, x, y) -> float:
-    """k(x, y) for a single pair of points."""
-    if kernel.kind == "gaussian":
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        d2 = float(np.sum((xv - yv) ** 2))
-        return float(np.exp(-d2 / (2.0 * kernel.bandwidth**2)))
+    """k(x, y) for a single pair of atom positions, summed over the basis."""
     xi, yi = (_as_index_points(kernel, p) for p in (x, y))
     if xi.size != 1 or yi.size != 1:
         raise DomainError(f"kernel_eval: a finite-rank point is one atom position, "
@@ -245,15 +208,8 @@ def gram(kernel: Kernel, points: np.ndarray) -> np.ndarray:
 
 
 def cross_gram(kernel: Kernel, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Rectangular kernel matrix k(a_i, b_j); shape (len(a), len(b)).  A
-    finite-rank kernel's is root[:, a]' root[:, b], with root = sqrt(Lambda) psi."""
-    if kernel.kind == "gaussian":
-        pa = _as_vector_points(points_a)
-        pb = _as_vector_points(points_b)
-        d2 = (np.sum(pa**2, axis=1)[:, None] + np.sum(pb**2, axis=1)[None, :]
-              - 2.0 * (pa @ pb.T))
-        np.maximum(d2, 0.0, out=d2)
-        return np.exp(-d2 / (2.0 * kernel.bandwidth**2))
+    """Rectangular kernel matrix k(a_i, b_j); shape (len(a), len(b)): it is
+    root[:, a]' root[:, b], with root = sqrt(Lambda) psi."""
     pa = _as_index_points(kernel, points_a)
     pb = _as_index_points(kernel, points_b)
     return kernel.root[:, pa].T @ kernel.root[:, pb]

@@ -1,18 +1,17 @@
 """Exact and random-feature kernel PCA on empirical samples.
 
-The exact route eigendecomposes the doubly centered Gram matrix H K H
-and scales by 1/n, so the i-th empirical eigenvalue is eig_i(H K H) / n.
-The dual vector gamma_i is the centered unit eigenvector rescaled so
-that gamma_i' K gamma_i = n lambda_i, which makes the i-th empirical
-eigenfunction
+Exact KPCA's i-th empirical eigenvalue is eig_i(H K H) / n for the doubly
+centered Gram matrix H K H.  The dual vector gamma_i is the centered unit
+eigenvector rescaled so that gamma_i' K gamma_i = n lambda_i, which makes
+the i-th empirical eigenfunction
 
     f_i(z) = (n lambda_i)^-1/2 sum_j gamma_ij k(z, x_j)
 
-exactly unit norm in the RKHS.  Finite-rank kernels compute the same fit
-from the samples' count vector over the atoms, never forming H K H, and build
-gamma from its T x T eigenvectors only when read.  The random-feature route
-substitutes a finite feature map and eigendecomposes the biased (V-statistic)
-sample covariance of the features.
+exactly unit norm in the RKHS.  The fit computes this from the samples'
+count vector over the atoms, never forming H K H, and builds gamma from its
+T x T eigenvectors only when read.  The random-feature route substitutes a
+finite feature map and eigendecomposes the biased (V-statistic) sample
+covariance of the features.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateModel, InvalidInput, RankError, _count
 from .features import FeatureSample, feature_matrix
-from .kernels import Kernel, _as_index_points, center_gram, cross_gram, gram
+from .kernels import Kernel, _as_index_points, cross_gram
 from .linalg import RANK_RTOL, fix_signs, sym_eig
 
 __all__ = [
@@ -43,23 +42,22 @@ _DEGENERATE_RTOL = 1e-12
 @dataclass
 class KpcaModel:
     """The result of an exact KPCA fit: a plain dataclass whose dual
-    coefficients a finite-rank fit builds on first read.
+    coefficients are built on first read.
 
-    train_points: the n training points (atom positions or vectors).
+    train_points: the n training atom positions.
     kernel: the training kernel.
     eigvals: retained empirical eigenvalues, descending, length r <= n-1.
-    basis_vectors: a finite-rank fit's retained eigenvectors V (T, r) of its
-        T x T matrix, eigenfunction i being psi' sqrt(Lambda) v_i up to sign;
-        None on a gaussian fit.
+    basis_vectors: the retained eigenvectors V (T, r) of the fit's T x T
+        matrix, eigenfunction i being psi' sqrt(Lambda) v_i up to sign.
     dual_coeffs: shape (r, n); row i is gamma_i (centered, scaled so
-        gamma_i' K gamma_i = n eigvals[i]), built from V on a finite-rank
-        fit's first read, so fits that never read them do no per-sample work.
+        gamma_i' K gamma_i = n eigvals[i]), built from V on first read, so
+        fits that never read them do no per-sample work.
     """
 
     train_points: np.ndarray
     kernel: Kernel
     eigvals: np.ndarray
-    basis_vectors: np.ndarray | None = None
+    basis_vectors: np.ndarray
     _dual_coeffs: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -76,8 +74,14 @@ class KpcaModel:
             # H K H = (R H)'(R H); centring R before R'V keeps small components' digits
             root = self.kernel.root[:, self.train_points]
             root -= root.mean(axis=1, keepdims=True)
-            self._dual_coeffs = _normalized_duals(
-                root.T @ self.basis_vectors, lambda x: root.T @ (root @ x), self.eigvals)
+            # H K H's eigenvectors R'V: centred and unit scale (no-ops up to rounding
+            # that pin the documented normalization), fix_signs, then scaled
+            # to gamma_i' K gamma_i = n eigvals[i]
+            alphas = root.T @ self.basis_vectors
+            alphas = alphas - alphas.mean(axis=0, keepdims=True)
+            alphas = fix_signs(alphas / np.linalg.norm(alphas, axis=0, keepdims=True))
+            k_quad = np.sum(alphas * (root.T @ (root @ alphas)), axis=0)
+            self._dual_coeffs = (alphas * np.sqrt(self.n * self.eigvals / k_quad)).T
         return self._dual_coeffs
 
 
@@ -115,18 +119,6 @@ def _retained_rank(vals: np.ndarray, kappa: float, n: int, op: str) -> int:
     return min(int(np.sum(vals > RANK_RTOL * vals[0])), n - 1)
 
 
-def _normalized_duals(alphas: np.ndarray, kmul, eigvals: np.ndarray) -> np.ndarray:
-    """Dual vectors gamma (r, n) from eigenvectors ``alphas`` (n, r) of H K H, kmul(x) = K x:
-    centred and unit scale (no-ops up to rounding that pin the documented
-    normalization), fix_signs, then gamma_i' K gamma_i = n eigvals[i]."""
-    n = alphas.shape[0]
-    alphas = alphas - alphas.mean(axis=0, keepdims=True)
-    alphas = alphas / np.linalg.norm(alphas, axis=0, keepdims=True)
-    alphas = fix_signs(alphas)
-    k_quad = np.sum(alphas * kmul(alphas), axis=0)
-    return (alphas * np.sqrt(n * eigvals / k_quad)).T
-
-
 def _count_fit(root: np.ndarray, counts: np.ndarray, kappa: float | np.ndarray,
                op: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per member i of counts (k, N), the eigenpairs (sigma, V) of W W' that
@@ -156,53 +148,39 @@ def _stack_counts(samples: np.ndarray, size: int) -> np.ndarray:
 
 
 def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel]:
-    """Fit exact KPCA to a sample list.
+    """Fit exact KPCA to a sample list of atom positions.
 
-    Finite-rank kernels take a count route: a sample enters only through its
-    atom, so the count fit of the root sqrt(Lambda) psi, whose columns' inner
-    products are the kernel, solves a T x T matrix with the nonzero spectrum of
-    H K H.  The fit stops at its retained eigenvectors V, sqrt(Lambda) V being
-    the eigenfunctions' basis coordinates: past one bincount it costs O(N T^2).
-    ``dual_coeffs`` maps V to the n samples on first read, in O(n T r).  Equal
-    to the H K H route within solver tolerance; off-atom points raise
-    DomainError.
+    A sample enters only through its atom, so the count fit of the root
+    sqrt(Lambda) psi, whose columns' inner products are the kernel, solves a
+    T x T matrix with the nonzero spectrum of H K H.  The fit stops at its
+    retained eigenvectors V, sqrt(Lambda) V being the eigenfunctions' basis
+    coordinates: past one bincount it costs O(N T^2).  ``dual_coeffs`` maps V
+    to the n samples on first read, in O(n T r).  Equal to the H K H route
+    within solver tolerance; off-atom points raise DomainError.
 
-    A finite-rank (k, n) array is a stack of k sample lists, fitted with one
-    eigensolve, giving k models bit-for-bit ``fit_exact(kernel, samples[i])``.
+    A (k, n) array is a stack of k sample lists, fitted with one eigensolve,
+    giving k models bit-for-bit ``fit_exact(kernel, samples[i])``.
     """
-    finite = kernel.kind == "finite_rank"
     samples = np.asarray(samples)
-    stacked = finite and samples.ndim == 2
+    stacked = samples.ndim == 2
     if stacked:
         rows = _as_index_points(kernel, samples.reshape(-1)).reshape(samples.shape)
-    elif finite:
+    else:
         rows = _as_index_points(kernel, samples)[None]
-    n = rows.shape[1] if finite else samples.shape[0]
+    n = rows.shape[1]
     if n < 2:
         raise InvalidInput(f"fit_exact: need at least two samples, got {n}")
-    if finite:
-        counts = _stack_counts(rows, kernel.table.values.shape[1])
-        models = [KpcaModel(pts, kernel, sigma / n, basis_vectors=v)
-                  for pts, (sigma, v) in zip(
-                      rows, _count_fit(kernel.root, counts, kernel.kappa, "fit_exact"))]
-        return models if stacked else models[0]
-    k = gram(kernel, samples)
-    centered = center_gram(k, np.full(n, 1.0 / n))
-    spec = sym_eig(centered)
-    lam_hat = spec.eigenvalues / n
-    r = _retained_rank(lam_hat, kernel.kappa, n, "fit_exact")
-    eigvals = lam_hat[:r].copy()
-    duals = _normalized_duals(spec.eigenvectors[:, :r], lambda x: k @ x, eigvals)
-    return KpcaModel(samples, kernel, eigvals, _dual_coeffs=duals)
+    counts = _stack_counts(rows, kernel.table.values.shape[1])
+    models = [KpcaModel(pts, kernel, sigma / n, basis_vectors=v)
+              for pts, (sigma, v) in zip(
+                  rows, _count_fit(kernel.root, counts, kernel.kappa, "fit_exact"))]
+    return models if stacked else models[0]
 
 
 def embed_exact(model: KpcaModel, kernel: Kernel, points: np.ndarray,
                 ell: int) -> np.ndarray:
-    """Score matrix (n_points, ell) of the first ell eigenfunctions, via one kernel block.
-
-    Points follow the kernel's convention: a 1-d integer array of atom
-    positions for finite-rank kernels, an (n, p) array for gaussian ones.
-    """
+    """Score matrix (n_points, ell) of the first ell eigenfunctions at a 1-d
+    integer array of atom positions, via one kernel block."""
     ell = _count("embed_exact: ell", ell, least=0)
     if ell > model.rank:
         raise RankError(f"embed_exact: ell={ell} outside [0, {model.rank}]")

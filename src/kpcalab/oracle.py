@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import InvalidInput, RankError, _count
 from .features import FeatureSample, feature_matrix
-from .kernels import Kernel, _as_index_points, gram
+from .kernels import Kernel, _as_index_points
 from .kpca import KpcaModel, RfKpcaModel, embed_exact
-from .linalg import Spectrum, fractional_power, matrix_norm, spectral_projector, sym_eig
+from .linalg import Spectrum, matrix_norm, spectral_projector, sym_eig
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -111,11 +111,8 @@ def _centred_factor(root: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def op_jj(kernel: Kernel, measure: DiscreteMeasure) -> PopOperator:
     """Covariance-side population operator S_J for a kernel and measure, whose
-    root is ``kernel.root`` on the atoms (finite-rank) or K^1/2 (gaussian)."""
-    if kernel.kind == "finite_rank":
-        root = kernel.root[:, _as_index_points(kernel, measure.atoms)]
-    else:
-        root = fractional_power(gram(kernel, measure.atoms), 0.5)
+    root is ``kernel.root`` on the atoms."""
+    root = kernel.root[:, _as_index_points(kernel, measure.atoms)]
     return PopOperator(_centred_factor(root, measure.weights))
 
 
@@ -195,8 +192,6 @@ def oracle_snapshot(kernel: Kernel, measure: DiscreteMeasure, pop: PopOperator,
     The kernel's T x N basis table is packed, lossless, as base64 of its
     row-major little-endian float64 bytes with its shape beside it.
     """
-    if kernel.kind != "finite_rank":
-        raise InvalidInput(f"oracle_snapshot: kernel kind is {kernel.kind!r}")
     values = kernel.table.values
     return {
         "atoms": np.asarray(measure.atoms).tolist(),

@@ -12,12 +12,12 @@ from kpcalab import (
     DomainError,
     FunctionTable,
     InvalidInput,
+    Kernel,
     NumericFailure,
     center_gram,
     cross_gram,
     derive_seed,
     discrete_measure,
-    gaussian_kernel,
     generator,
     gram,
     kernel_eval,
@@ -26,23 +26,8 @@ from kpcalab import (
     uniform_measure,
 )
 
-# exp(-1/2), the gaussian value at distance equal to the bandwidth
+# exp(-1/2), an off-diagonal kernel value in (0, 1)
 EXP_HALF = 0.6065306597126334
-
-
-def test_gaussian_value_at_one_bandwidth():
-    ker = gaussian_kernel(2.0)
-    assert kernel_eval(ker, 0.0, 2.0) == pytest.approx(EXP_HALF, abs=1e-15)
-    assert kernel_eval(ker, [1.0, 1.0], [1.0, 3.0]) == pytest.approx(EXP_HALF, abs=1e-15)
-    assert kernel_eval(ker, 0.5, 0.5) == 1.0
-    with pytest.raises(InvalidInput):
-        gaussian_kernel(0.0)
-
-
-@pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan, -1.0, True, "2"])
-def test_gaussian_kernel_rejects_a_non_finite_or_negative_bandwidth(bandwidth):
-    with pytest.raises(InvalidInput, match="bandwidth"):
-        gaussian_kernel(bandwidth)
 
 
 @pytest.mark.parametrize("lambdas", [[1.0, np.nan], [np.nan, 0.5], [np.inf, 1.0],
@@ -67,15 +52,17 @@ def test_finite_rank_root_is_the_read_only_gram_factor():
     assert np.max(np.abs(ker.root.T @ ker.root - gram(ker, measure.atoms))) <= 1e-14
 
 
-def test_gaussian_gram_matches_pairwise_eval():
-    ker = gaussian_kernel(1.3)
-    pts = np.random.default_rng(5).standard_normal((7, 2))
+def test_gram_matches_pairwise_eval_and_kappa_is_derived():
+    # a kernel built by hand from a table and lambdas derives kappa from them
+    built = make_finite_rank_kernel(uniform_measure(9), (1.0 + np.arange(4)) ** -1.5, seed=5)
+    ker = Kernel(built.table, built.lambdas)
+    pts = np.random.default_rng(5).integers(0, 9, size=7)
     k = gram(ker, pts)
     for i in range(7):
         for j in range(7):
             assert k[i, j] == pytest.approx(kernel_eval(ker, pts[i], pts[j]), abs=1e-12)
-    assert np.allclose(np.diag(k), 1.0)
     assert np.allclose(cross_gram(ker, pts, pts), k, atol=1e-12)
+    assert ker.kappa == pytest.approx(max(kernel_eval(ker, a, a) for a in range(9)), rel=1e-14)
 
 
 def test_two_point_centering_closed_form():

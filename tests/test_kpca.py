@@ -15,7 +15,6 @@ from kpcalab import (
     fit_exact,
     fit_rf,
     fix_signs,
-    gaussian_kernel,
     gram,
     make_finite_rank_kernel,
     op_aa,
@@ -23,8 +22,6 @@ from kpcalab import (
     sym_eig,
     uniform_measure,
 )
-
-EXP_HALF = 0.6065306597126334
 
 
 def _rank_setup(t_count=6, n_atoms=40, seed=8, n=30, sample_seed=15):
@@ -36,20 +33,8 @@ def _rank_setup(t_count=6, n_atoms=40, seed=8, n=30, sample_seed=15):
     return measure, ker, samples
 
 
-def test_two_point_gaussian_closed_form():
-    # K = [[1, b], [b, 1]]; the single component has eigenvalue (1-b)/2
-    ker = gaussian_kernel(2.0)
-    model = fit_exact(ker, np.array([0.0, 2.0]))
-    assert model.rank == 1
-    assert model.eigvals[0] == pytest.approx((1.0 - EXP_HALF) / 2.0, abs=1e-14)
-    # dual vector is antisymmetric and sums to zero
-    g = model.dual_coeffs[0]
-    assert abs(g[0] + g[1]) < 1e-12
-
-
 def test_dual_orthonormality_and_centering():
-    ker = gaussian_kernel(1.1)
-    pts = np.random.default_rng(3).standard_normal((24, 2))
+    _, ker, pts = _rank_setup(n=24, sample_seed=3)
     model = fit_exact(ker, pts)
     k = gram(ker, pts)
     g = model.dual_coeffs
@@ -168,8 +153,7 @@ def test_scores_match_classical_pca_of_exact_features():
 
 
 def test_training_score_variance_equals_eigenvalue():
-    ker = gaussian_kernel(0.8)
-    pts = np.random.default_rng(10).standard_normal((20, 3))
+    _, ker, pts = _rank_setup(n=20, sample_seed=10)
     model = fit_exact(ker, pts)
     scores = embed_exact(model, ker, pts, model.rank)
     centered = scores - scores.mean(axis=0)
@@ -192,9 +176,6 @@ def test_embed_exact_columns_and_edges():
 
 
 def test_identical_points_are_degenerate():
-    ker = gaussian_kernel(1.0)
-    with pytest.raises(DegenerateModel):
-        fit_exact(ker, np.zeros((5, 2)))
     _, rank_ker, _ = _rank_setup()
     with pytest.raises(DegenerateModel):
         fit_exact(rank_ker, np.full(50, 7))
@@ -240,11 +221,6 @@ def test_fit_exact_on_a_stack_equals_fitting_each_row_alone():
         off[5, 11] = bad
         with pytest.raises(DomainError):
             fit_exact(ker, off)
-    # on a gaussian kernel a 2-d array is one (n, p) sample list
-    points = rng.standard_normal((12, 2))
-    model = fit_exact(gaussian_kernel(1.0), points)
-    assert model.n == 12
-    assert model.dual_coeffs.shape == (model.rank, 12)
 
 
 def test_large_sample_fit_keeps_the_gram_exactly_symmetric():

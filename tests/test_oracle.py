@@ -17,7 +17,6 @@ from kpcalab import (
     draw_samples,
     fit_exact,
     fit_rf,
-    gaussian_kernel,
     gram,
     kernel_eval,
     make_finite_rank_kernel,
@@ -103,27 +102,21 @@ def test_eigenvalues_from_the_factor_match_the_full_spectrum(n_atoms, t_count):
 
 
 def test_eigenvalues_of_a_square_factor_reuse_the_spectrum():
-    # a gaussian S_J's factor is N x N, so its eigenvalues are the spectrum's own
-    rng = np.random.default_rng(4)
-    measure = discrete_measure(rng.standard_normal((15, 2)), np.full(15, 1.0))
-    pop = op_jj(gaussian_kernel(0.8), measure)
-    assert pop.factor.shape == (15, 15)
+    # 20 features on 15 atoms give an S_A factor with r >= N, so its
+    # eigenvalues are the spectrum's own
+    measure, ker = _setup(t_count=6, n_atoms=15, seed=4)
+    pop = op_aa(sample_finite_rank(ker, 20, seed=4, mixed=True), measure)
+    assert pop.factor.shape == (15, 20)
     assert pop.eigenvalues is pop.spectrum.eigenvalues
     assert recon_error(pop, proj_pop(pop, 3)) == pytest.approx(
         tail_energy(pop.eigenvalues, 3), rel=1e-10)
 
 
-@pytest.mark.parametrize("bandwidth", [None, 0.3, 1.0, 5.0])
-def test_matrix_from_the_factor_matches_the_centred_gram(bandwidth):
-    # S_J = W^1/2 (I - 1 w') K (I - w 1') W^1/2 by center_gram, on a finite-rank
-    # kernel (None) over reweighted atoms and on gaussian kernels
+def test_matrix_from_the_factor_matches_the_centred_gram():
+    # S_J = W^1/2 (I - 1 w') K (I - w 1') W^1/2 by center_gram, over reweighted atoms
     rng = np.random.default_rng(31)
-    if bandwidth is None:
-        _, ker = _setup(t_count=24, n_atoms=128)
-        measure = discrete_measure(np.arange(128), rng.uniform(0.5, 1.5, 128))
-    else:
-        ker = gaussian_kernel(bandwidth)
-        measure = discrete_measure(rng.standard_normal((120, 2)), rng.uniform(0.5, 1.5, 120))
+    _, ker = _setup(t_count=24, n_atoms=128)
+    measure = discrete_measure(np.arange(128), rng.uniform(0.5, 1.5, 128))
     root_w = np.sqrt(measure.weights)
     want = root_w[:, None] * center_gram(gram(ker, measure.atoms), measure.weights) * root_w
     pop = op_jj(ker, measure)
@@ -284,5 +277,3 @@ def test_snapshot_structure():
     assert table.shape == (3, 9)
     assert table.tobytes() == ker.table.values.tobytes()
     assert spec[3:] == [0.0] * 6
-    with pytest.raises(InvalidInput, match="kernel kind"):
-        oracle_snapshot(gaussian_kernel(1.0), measure, op_jj(ker, measure), seed=5)

@@ -57,6 +57,8 @@ _BOUND_SLACK = 1e-9
 # A generated a + b is redrawn until its least eigenvalue is at least
 # -_CASE_PSD_RTOL times a's largest, well inside PerturbationCase's PSD floor.
 _CASE_PSD_RTOL = 1e-12
+# Relative slack on a case's ||b||_HS <= delta_d / 2, for the rounding of both sides.
+_CASE_GAP_RTOL = 1e-12
 # Absolute slack of the tensor difference lemma.
 _TENSOR_ATOL = 1e-12
 # Relative slack (times 1 + ||f||^2) of the rank-one norm identity.
@@ -90,7 +92,7 @@ def _check_cases(b: np.ndarray, d: np.ndarray, spec_a: Spectrum, spec_ab: Spectr
     if np.any(vals.min(axis=-1) < -RANK_RTOL * np.maximum(vals.max(axis=-1), 1.0)):
         raise InvalidInput("PerturbationCase: a is not PSD")
     delta, b_hs = eigengaps(spec_a)[rows, d - 1], _frobenius(b)
-    for k in np.flatnonzero(b_hs > delta / 2.0 * (1.0 + 1e-12))[:1]:
+    for k in np.flatnonzero(b_hs > delta / 2.0 * (1.0 + _CASE_GAP_RTOL))[:1]:
         raise InvalidInput(
             f"PerturbationCase: ||b||_HS = {b_hs[k]:.6e} exceeds delta_d/2 = {delta[k] / 2:.6e}"
         )

@@ -41,6 +41,9 @@ from .rng import derive_seed
 
 __all__ = ["main"]
 
+# How far, relative, the population reconstruction error may sit from the tail energy.
+_TAIL_RTOL = 1e-10
+
 
 def _plain(obj):
     """``obj`` with tuples as lists and NaN or infinite floats as None (JSON null)."""
@@ -123,7 +126,7 @@ def _cmd_spectrum(config: dict, seed: int):
         tail = tail_energy(vals, ell)
         resid = recon_error(pop, proj_pop(pop, ell))
         rel = abs(resid - tail) / tail
-        agrees = rel <= 1e-10
+        agrees = rel <= _TAIL_RTOL
         all_agree = all_agree and agrees
         rows.append([ell, float(vals[ell - 1]), tail, resid, rel, agrees])
 
@@ -131,7 +134,7 @@ def _cmd_spectrum(config: dict, seed: int):
         ("population_spectrum_matches_schedule", spec_err <= RANK_RTOL,
          f"max |eig - schedule| / lambda_1 = {spec_err:.3e}"),
         ("reconstruction_matches_tail_energy", all_agree,
-         f"{len(ells)} values of ell checked at 1e-10 relative"),
+         f"{len(ells)} values of ell checked at {_TAIL_RTOL:g} relative"),
     ]
     summary = {
         "atoms": atoms,
@@ -157,6 +160,7 @@ def _rate_summary(report) -> dict:
         "predicted": report.predicted,
         "beta": report.beta,
         "slope_tolerance": report.config.slope_tolerance,
+        "band": dataclasses.asdict(report.band),
         "projector_swap_min_margin": report.swap_min_margin,
         "projector_swap_violations": report.swap_violations,
     }

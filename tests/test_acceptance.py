@@ -24,6 +24,7 @@ from kpcalab import (
     feature_matrix,
     fit_exact,
     fit_rf,
+    fixed_gap_band,
     make_finite_rank_kernel,
     mc_tail,
     op_jj,
@@ -240,51 +241,44 @@ def _slope_line(criterion, parts, elapsed, cap, extra_ok=True):
     return _line(criterion, ok, detail)
 
 
+def _in_band(label, slope, band, expected):
+    """A slope's verdict under its band, and the line that prints it."""
+    return band.holds(slope), (f"{label} slope {slope:+.3f} in [{band.low:+.3f}, "
+                               f"{band.high:+.3f}] ({band.rule} about {expected:+.3f})")
+
+
 def test_08_poly_reconstruction_rates(rate_runs):
     exact, t1 = _unwrap(rate_runs["poly_recon"])
     rf, t2 = _unwrap(rate_runs["poly_recon_rf"])
-    parts = [
-        (exact.verdict, f"exact slope {exact.slope:+.3f} vs {exact.predicted:+.3f}"),
-        (rf.verdict, f"rf slope {rf.slope:+.3f} vs {rf.predicted:+.3f} (tol 0.15)"),
-    ]
+    parts = [_in_band("exact", exact.slope, exact.band, exact.predicted),
+             _in_band("rf", rf.slope, rf.band, rf.predicted)]
     assert _slope_line(8, parts, t1 + t2, 900.0)
 
 
 def test_09_expo_reconstruction_rates(rate_runs):
     exact, t1 = _unwrap(rate_runs["expo_recon"])
     rf, t2 = _unwrap(rate_runs["expo_recon_rf"])
-    parts = [
-        (exact.verdict,
-         f"exact slope {exact.slope:+.3f} vs {exact.predicted:+.3f} (tol 0.12)"),
-        (rf.verdict, f"rf slope {rf.slope:+.3f} in [-0.65, -0.35]"),
-    ]
+    parts = [_in_band("exact", exact.slope, exact.band, exact.predicted),
+             _in_band("rf", rf.slope, rf.band, rf.predicted)]
     assert _slope_line(9, parts, t1 + t2, 900.0)
 
 
-# At a constant ell with a fixed eigengap the empirical eigenprojector
-# converges at the classical n^-1/2 rate (Zwald & Blanchard, NIPS 2006), so
-# no correct estimator decays faster; the paper's exponent is an upper bound.
-_FIXED_GAP_PROJ_SLOPE = -0.5
-
-
 def test_10_fixed_ell_projector_rate(rate_runs):
+    # the paper's exponent is an upper bound; the band's lower edge is the
+    # classical fixed-gap rate (see rates.fixed_gap_band)
     report, elapsed = _unwrap(rate_runs["expo_proj_fixed"])
-    tol = report.config.slope_tolerance
-    low, high = _FIXED_GAP_PROJ_SLOPE - tol, report.predicted + tol
-    parts = [(low <= report.slope <= high,
+    band = fixed_gap_band(report)
+    parts = [(band.holds(report.slope),
               f"slope {report.slope:+.3f} +/- {report.slope_stderr:.3f} in "
-              f"[{low:+.2f}, {high:+.2f}] (paper bound {report.predicted:+.3f})")]
+              f"[{band.low:+.2f}, {band.high:+.2f}] (paper bound {report.predicted:+.3f})")]
     assert _slope_line(10, parts, elapsed, 600.0)
 
 
 def test_11_feature_count_transition(rate_runs):
     study, elapsed = _unwrap(rate_runs["transition"])
     low, high = study.rows
-    parts = [
-        (low.matches, f"tau=0.25 slope {low.slope:+.3f} vs -0.125 (tol 0.10)"),
-        (high.matches, f"tau=0.8 slope {high.slope:+.3f} vs reference "
-         f"{study.reference_slope:+.3f} (tol 0.10)"),
-    ]
+    parts = [_in_band(f"tau={low.tau:g} {low.regime}", low.slope, low.band, low.expected),
+             _in_band(f"tau={high.tau:g} {high.regime}", high.slope, high.band, high.expected)]
     assert _slope_line(11, parts, elapsed, 900.0)
 
 

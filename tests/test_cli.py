@@ -541,12 +541,15 @@ def test_spectrum_smoke(tmp_path, capsys):
     capsys.readouterr()
 
 
+_TRANSITION_SMOKE = {
+    "decay": "expo", "gamma": 1.0, "theta": 0.0, "ell_fixed": 1,
+    "metric": "proj_rf_hat", "taus": [0.3, 0.9],
+    "n_grid": [32, 48, 64, 96], "replications": 5, "atoms": 24,
+    "rank": 6, "seed": 2, "slope_tolerance": 5.0}
+
+
 def test_transition_smoke(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "trans.json", {
-        "decay": "expo", "gamma": 1.0, "theta": 0.0, "ell_fixed": 1,
-        "metric": "proj_rf_hat", "taus": [0.3, 0.9],
-        "n_grid": [32, 48, 64, 96], "replications": 5, "atoms": 24,
-        "rank": 6, "seed": 2, "slope_tolerance": 5.0})
+    cfg = _write_config(tmp_path, "trans.json", _TRANSITION_SMOKE)
     out = tmp_path / "trans"
     assert cli.main(["transition", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
@@ -557,6 +560,31 @@ def test_transition_smoke(tmp_path, capsys):
     assert (out / "oracle_snapshot.json").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["threshold"] == pytest.approx(0.5)
+    capsys.readouterr()
+
+
+def test_summary_bands_are_the_reports_bands(tmp_path, capsys):
+    rates_out, trans_out = tmp_path / "rates", tmp_path / "trans"
+    cfg = _write_config(tmp_path, "rates.json", _RATES_PAYLOAD)
+    assert cli.main(["rates", "--config", cfg, "--out", str(rates_out)]) == 0
+    summary = json.loads((rates_out / "summary.json").read_text())
+    report = rates.run_grid(rates.ExperimentConfig(**_RATES_PAYLOAD))
+    assert rates.SlopeBand(**summary["band"]) == report.band
+    assert summary["verdicts"]["slope_within_tolerance"]["pass"] == report.band.holds(report.slope)
+
+    payload = dict(_TRANSITION_SMOKE)
+    cfg = _write_config(tmp_path, "trans.json", payload)
+    assert cli.main(["transition", "--config", cfg, "--out", str(trans_out)]) == 0
+    summary = json.loads((trans_out / "summary.json").read_text())
+    taus = payload.pop("taus")
+    study = rates.transition_study(rates.ExperimentConfig(**payload, tau=taus[0]), taus)
+    assert rates.SlopeBand(**summary["reference"]["band"]) == study.reports[0].band
+    assert len(summary["taus"]) == len(study.rows) == 2
+    for entry, row in zip(summary["taus"], study.rows):
+        band = rates.SlopeBand(**entry["band"])
+        assert band == row.band
+        verdict = summary["verdicts"][f"tau_{row.tau:.17g}_{row.regime}"]
+        assert verdict["pass"] == entry["matches"] == band.holds(row.slope)
     capsys.readouterr()
 
 

@@ -16,11 +16,11 @@ _PUBLIC = sorted("""
     InvalidInput Kernel KpcaModel MC_EXPERIMENTS METRICS McTailConfig McTailReport
     NotPositiveSemidefinite NumericFailure OperatorInequalitySuiteReport OutOfRegime
     PerturbReport PerturbationCase PerturbationSuiteReport PopOperator ProjectionLike
-    RANK_RTOL RankError RateReport RateRow RfKpcaModel Spectrum TransitionReport
+    RANK_RTOL RankError RateReport RateRow RfKpcaModel SlopeBand Spectrum TransitionReport
     TransitionRow __version__ basis_factor bernstein_bound center_gram cos_form_kernel
     cross_gram derive_seed discrete_measure draw_samples eigengaps ell_for embed_exact
-    embed_rf feature_matrix fit_exact fit_rf fit_slope fix_signs fractional_power
-    generator gram kernel_eval lambda_schedule m_for
+    embed_rf feature_matrix fit_exact fit_rf fit_slope fix_signs fixed_gap_band
+    fractional_power generator gram kernel_eval lambda_schedule m_for
     make_finite_rank_kernel make_perturbation_cases matrix_norm mc_tail op_aa op_jj
     operator_inequality_suite oracle_snapshot perturb_check perturbation_suite
     predicted_exponent proj_distance proj_hat proj_hat_rf proj_pop recon_error run_grid

@@ -12,6 +12,7 @@ from kpcalab import (
     ExperimentConfig,
     OutOfRegime,
     RankError,
+    SlopeBand,
     basis_factor,
     derive_seed,
     draw_samples,
@@ -19,6 +20,7 @@ from kpcalab import (
     fit_exact,
     fit_rf,
     fit_slope,
+    fixed_gap_band,
     lambda_schedule,
     m_for,
     op_aa,
@@ -406,6 +408,66 @@ def test_transition_study_smoke():
     assert report.threshold == pytest.approx(0.7)
     assert [row.regime for row in report.rows] == ["feature_limited", "sample_limited"]
     assert report.rows[0].expected == pytest.approx(-(0.45 / 2.0 - 0.1 * 3.0 / 2.0))
+    for row in report.rows:
+        assert row.band == SlopeBand.two_sided(row.expected, poly.slope_tolerance)
+        assert row.matches == row.band.holds(row.slope)
+    assert report.reports[0].beta == 3.0 and report.reports[1].beta == 3.0
+
+
+@pytest.mark.parametrize("expected, tolerance",
+                         [(-0.25, 0.10), (-0.4, 0.12), (-0.5, 0.15), (-0.125, 0.10)])
+def test_two_sided_band_is_the_absolute_difference_rule_bit_for_bit(expected, tolerance):
+    band = SlopeBand.two_sided(expected, tolerance)
+    assert band.rule == "two_sided"
+    edges = [expected - tolerance, expected + tolerance, band.low, band.high]
+    slopes = {expected, math.nan, math.inf, -math.inf}
+    for edge in edges:
+        slopes |= {edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf)}
+    rng = np.random.default_rng(0)  # and floats a few ulps about each edge
+    for edge in edges:
+        slopes |= set(edge + np.spacing(edge) * rng.integers(-8, 9, 200))
+    for slope in slopes:
+        assert band.holds(float(slope)) == (abs(slope - expected) <= tolerance), slope
+    # the edges are the outermost floats the rule accepts
+    assert band.holds(band.low) and band.holds(band.high)
+    assert not band.holds(np.nextafter(band.low, -math.inf))
+    assert not band.holds(np.nextafter(band.high, math.inf))
+
+
+@pytest.fixture(scope="module")
+def fixed_gap_report():
+    """A constant-ell proj_hat report at predicted -0.25 and tolerance 0.10."""
+    report = run_grid(_ecfg(theta=0.0, ell_fixed=3, metric="proj_hat", slope_tolerance=0.10))
+    assert report.predicted == -0.25
+    return report
+
+
+def test_rate_report_verdict_reads_its_two_sided_band(fixed_gap_report):
+    report = fixed_gap_report
+    assert report.band == SlopeBand.two_sided(report.predicted, 0.10)
+    assert report.verdict == report.band.holds(report.slope)
+    assert report.beta is None
+
+
+@pytest.mark.parametrize("slope, holds", [
+    (-0.65, False), (-0.601, False), (-0.149, False), (-0.10, False),
+    (-0.599, True), (-0.45, True), (-0.151, True),
+])
+def test_fixed_gap_band_cases(fixed_gap_report, slope, holds):
+    band = fixed_gap_band(dataclasses.replace(fixed_gap_report, slope=slope))
+    assert band == SlopeBand(-0.5 - 0.10, -0.25 + 0.10, "fixed_gap")
+    assert band.holds(slope) is holds
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(theta=0.2, ell_fixed=None),  # ell(n) grows with theta
+    dict(metric="recon_hat", theta=0.2, ell_fixed=None),
+])
+def test_fixed_gap_band_needs_a_constant_ell_proj_hat_report(fixed_gap_report, overrides):
+    config = dataclasses.replace(fixed_gap_report.config, **overrides)
+    predict = predicted_exponent(config)  # each is in regime
+    with pytest.raises(ConfigError, match="constant-ell proj_hat"):
+        fixed_gap_band(dataclasses.replace(fixed_gap_report, config=config, predicted=predict))
 
 
 _SMALL_GRID = (32, 48, 64, 96)

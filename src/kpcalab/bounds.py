@@ -3,9 +3,9 @@
 Each checker computes the left and right sides of one proved inequality
 on concrete matrices or vectors, so violations (beyond a fixed
 floating-point slack) are hard evidence against an implementation or a
-stated constant, never a matter of tuning.  Random cases and trials are
-drawn from their own streams and checked one stack per dimension; the
-one-case API (PerturbationCase, perturb_check) runs a stack of one.
+stated constant, never a matter of tuning.  Random cases (each its own
+stream) and trials (one stream per dimension) are checked one stack per
+dimension; the one-case API (PerturbationCase, perturb_check) runs a stack of one.
 """
 
 from __future__ import annotations
@@ -217,14 +217,17 @@ def _case_stacks(count: int, seed: int) -> Iterator[tuple]:
     for dim, members in _by_dimension([int(rng.integers(4, 21)) for rng in rngs]).items():
         group_rngs, size = [rngs[i] for i in members], len(members)
         vals, q_raw, d = np.empty((size, dim)), np.empty((size, dim, dim)), np.empty(size, int)
-        for k, rng in enumerate(group_rngs):
-            if rng.uniform() < 0.5:
-                vals[k] = 0.3 + np.cumsum(rng.uniform(0.05, 1.0, size=dim))[::-1]
+        gapped, (ratio, scale) = np.empty(size, bool), np.empty((2, size))
+        for k, rng in enumerate(group_rngs):  # the raw draws; the spectra come after
+            gapped[k] = rng.random() < 0.5
+            if gapped[k]:
+                vals[k] = rng.uniform(0.05, 1.0, size=dim)  # the gap steps
             else:
-                ratio = rng.uniform(0.35, 0.7)
-                vals[k] = rng.uniform(1.0, 4.0) * (ratio ** np.arange(dim) + 0.05)
+                ratio[k], scale[k] = rng.uniform(0.35, 0.7), rng.uniform(1.0, 4.0)
             q_raw[k] = rng.standard_normal((dim, dim))
             d[k] = rng.integers(1, dim // 2 + 1)
+        vals[gapped] = 0.3 + np.cumsum(vals[gapped], axis=1)[:, ::-1]
+        vals[~gapped] = scale[~gapped, None] * (ratio[~gapped, None] ** np.arange(dim) + 0.05)
         q, r = np.linalg.qr(q_raw)
         q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
         a = (q * vals[:, None, :]) @ q.swapaxes(1, 2)
@@ -361,36 +364,31 @@ def operator_inequality_suite(trials: int, seed: int) -> OperatorInequalitySuite
       * ||A^t - B^t||_HS <= t max(||A||_op, ||B||_op)^(t-1) ||A - B||_HS
         for t in {1.5, 2};
     plus the rank-one norm identity and the tensor difference lemma on
-    random vectors (with the g = 0 equality case).  Trials are drawn one
-    by one and checked one stack per dimension.
+    random vectors (with the g = 0 equality case).  The dimensions come
+    from one stream, and a dimension's k trials are one (k, 2 dim^2 + 2 dim)
+    normal draw keyed by (seed, dim), row r its r-th trial's A, B, f and g, so
+    a trial is the same in any longer suite.  A and B form one stack of 2k.
     """
 
-    def _psd(normals: np.ndarray, dim: int) -> np.ndarray:
-        g = normals.reshape(-1, dim, dim)
-        m = g @ g.swapaxes(-1, -2) / dim
-        return (m + m.swapaxes(-1, -2)) / 2.0
-
     trials = _count("trials", trials, least=1)
-    # Each trial draws dim, then the normals of A, B, f and g in one call, from
-    # its own stream; only dim up front.
-    rngs = [generator(seed, "op-ineq", i) for i in range(trials)]
+    dims = generator(seed, "op-ineq-dims").integers(2, 13, size=trials).tolist()
     violations = 0
-    for dim, members in _by_dimension([int(rng.integers(2, 13)) for rng in rngs]).items():
-        sq = dim * dim
-        draws = np.stack([rngs[i].standard_normal(2 * sq + 2 * dim) for i in members])
-        a, b = _psd(draws[:, :sq], dim), _psd(draws[:, sq:2 * sq], dim)
+    for dim, members in _by_dimension(dims).items():
+        sq, k = dim * dim, len(members)
+        draws = generator(seed, "op-ineq-trials", dim).standard_normal((k, 2 * sq + 2 * dim))
+        root = np.concatenate([draws[:, :sq], draws[:, sq:2 * sq]]).reshape(2 * k, dim, dim)
+        ab = root @ root.swapaxes(-1, -2) / dim  # PSD A's, then B's
+        ab = (ab + ab.swapaxes(-1, -2)) / 2.0
         f, g = draws[:, 2 * sq:2 * sq + dim], draws[:, 2 * sq + dim:]
-        spec_a, spec_b = sym_eig(a), sym_eig(b)
-        dist_hs, dist_op = matrix_norm(a - b, ("hilbert_schmidt", "operator"))
-        va, vb = spec_a.eigenvalues, spec_b.eigenvalues
+        spec, ts = sym_eig(ab), (0.25, 0.5, 0.75, 1.5, 2.0)
+        dist_hs, dist_op = matrix_norm(ab[:k] - ab[k:], ("hilbert_schmidt", "operator"))
+        va, vb = spec.eigenvalues[:k], spec.eigenvalues[k:]
         cap = np.maximum(np.abs(va).max(axis=-1), np.abs(vb).max(axis=-1))
-        sides = [(np.linalg.norm(va - vb, axis=-1), dist_hs)]
-        for t in (0.25, 0.5, 0.75, 1.5, 2.0):
-            gap = fractional_power(spec_a, t) - fractional_power(spec_b, t)
-            if t < 1.0:
-                sides.append((matrix_norm(gap, "operator"), dist_op**t))
-            else:
-                sides.append((matrix_norm(gap, "hilbert_schmidt"), t * cap ** (t - 1.0) * dist_hs))
+        gaps = [power[:k] - power[k:] for power in (fractional_power(spec, t) for t in ts)]
+        sides = [(np.linalg.norm(va - vb, axis=-1), dist_hs),  # then A^t - B^t, t < 1 first
+                 *zip(matrix_norm(np.stack(gaps[:3]), "operator"), [dist_op**t for t in ts[:3]]),
+                 *[(matrix_norm(gap, "hilbert_schmidt"), t * cap ** (t - 1.0) * dist_hs)
+                   for t, gap in zip(ts[3:], gaps[3:])]]
         violations += sum(int(np.sum(~_within_bound(lhs, rhs))) for lhs, rhs in sides)
         for other in (g, np.zeros_like(g)):
             violations += int(np.sum(_tensor_lemma(f, other)[2]))

@@ -23,6 +23,7 @@ the kernel exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +50,8 @@ class FeatureSample:
         the full index count); the feature dimension is 2m for rff, m for
         finite-rank.
     kappa_m: exact sup over the kernel's domain of ||Phi(x)||^2 (for rff,
-        1 by construction; for finite-rank, the max over atoms, computed
-        at construction).
+        1 by construction; for finite-rank, the max over atoms, derived on
+        first read, so a draw nobody asks about costs no T x N product).
     rff fields: omegas (m, p), already scaled by 1 / bandwidth.
     finite-rank fields: kernel, indices (m,) into the feature family,
         row_scale (m,) per-row weights, coeffs (T, T) mapping basis rows to
@@ -59,12 +60,19 @@ class FeatureSample:
 
     kind: str
     m: int
-    kappa_m: float
     omegas: np.ndarray | None = None
     kernel: Kernel | None = None
     indices: np.ndarray | None = None
     row_scale: np.ndarray | None = None
     coeffs: np.ndarray | None = None
+
+    @cached_property
+    def kappa_m(self) -> float:
+        if self.kind == "rff":
+            return 1.0
+        # ||Phi(x)||^2 = ||L' psi(x)||^2 over the atoms, without the N x m feature matrix.
+        root = basis_factor(self).T @ self.kernel.table.values
+        return float(np.max(np.sum(root**2, axis=0)))
 
 
 def sample_rff(bandwidth: float, point_dim: int, m: int, seed: int) -> FeatureSample:
@@ -75,11 +83,18 @@ def sample_rff(bandwidth: float, point_dim: int, m: int, seed: int) -> FeatureSa
     if bandwidth <= 0:
         raise InvalidInput(f"sample_rff: bandwidth must be positive, got {bandwidth}")
     omegas = generator(seed, "rff-omegas").standard_normal((m, point_dim)) / bandwidth
-    return FeatureSample(kind="rff", m=m, kappa_m=1.0, omegas=omegas)
+    return FeatureSample(kind="rff", m=m, omegas=omegas)
 
 
-def sample_finite_rank(kernel: Kernel, m: int, seed: int,
-                       deterministic: bool = False, mixed: bool = False) -> FeatureSample:
+def _mixed_coeffs(kernel: Kernel, seed: int) -> np.ndarray:
+    """The mixed family's coeffs sqrt(T) Q diag(sqrt(lambda)), Q seeded orthogonal."""
+    t_count = kernel.table.count
+    q, r = np.linalg.qr(generator(seed, "feature-mix").standard_normal((t_count, t_count)))
+    return np.sqrt(t_count) * (q * np.sign(np.diag(r))) * np.sqrt(kernel.lambdas)[None, :]
+
+
+def sample_finite_rank(kernel: Kernel, m: int, seed: int, deterministic: bool = False,
+                       mixed: bool = False, coeffs: np.ndarray | None = None) -> FeatureSample:
     """Draw m feature indices for a finite-rank kernel.
 
     deterministic: take every index exactly once with weight sqrt(prob)
@@ -87,16 +102,13 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int,
         approximate kernel is exact.
     mixed: recombine the basis through a seeded orthogonal matrix and
         sample indices uniformly (see module docstring).
+    coeffs: a mixed draw's coeffs under the same seed, reused; implies mixed.
     """
     m = _count("sample_finite_rank: m", m, least=1)
     t_count = kernel.table.count
     lam = kernel.lambdas
-    if mixed:
-        rng = generator(seed, "feature-mix")
-        raw = rng.standard_normal((t_count, t_count))
-        q, r = np.linalg.qr(raw)
-        q = q * np.sign(np.diag(r))
-        coeffs = np.sqrt(t_count) * q * np.sqrt(lam)[None, :]
+    if mixed or coeffs is not None:
+        coeffs = _mixed_coeffs(kernel, seed) if coeffs is None else coeffs
         probs = np.full(t_count, 1.0 / t_count)
     else:
         coeffs = np.sqrt(np.sum(lam)) * np.eye(t_count)
@@ -109,15 +121,10 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int,
         indices = np.arange(t_count)
         row_scale = np.sqrt(probs)
     else:
-        rng = generator(seed, "feature-indices")
-        indices = rng.choice(t_count, size=m, p=probs)
+        indices = generator(seed, "feature-indices").choice(t_count, size=m, p=probs)
         row_scale = np.full(m, 1.0 / np.sqrt(m))
-    sample = FeatureSample(kind="finite_rank", m=m, kappa_m=0.0, kernel=kernel,
-                           indices=indices, row_scale=row_scale, coeffs=coeffs)
-    # ||Phi(x)||^2 = ||L' psi(x)||^2 over the atoms, without the N x m feature matrix.
-    root = basis_factor(sample).T @ kernel.table.values
-    object.__setattr__(sample, "kappa_m", float(np.max(np.sum(root**2, axis=0))))
-    return sample
+    return FeatureSample(kind="finite_rank", m=m, kernel=kernel, indices=indices,
+                         row_scale=row_scale, coeffs=coeffs)
 
 
 def basis_factor(sample: FeatureSample) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, EigengapError, OutOfRegime, RankError, _count, _real
-from .features import basis_factor, sample_finite_rank
+from .features import _mixed_coeffs, basis_factor, sample_finite_rank
 from .kernels import Kernel, _decay_schedule, make_finite_rank_kernel
 from .kpca import _count_fit, _stack_counts, fit_exact
 from .linalg import RANK_RTOL, _check_split, matrix_norm, sym_eig
@@ -426,12 +426,24 @@ def _empirical_guard_ok(eigvals: np.ndarray, ell: int) -> bool:
     return eigvals[ell - 1] >= _GUARD_FACTOR * RANK_RTOL * eigvals[0]
 
 
+def _point_draws(config: ExperimentConfig, kernel: Kernel, n: int) -> tuple:
+    """Grid point n's tau-free (seed, n, rep) draws that the metric reads: the sample
+    stack, its counts, and each replication's feature seed and mixed coeffs."""
+    reps, metric, seed = range(config.replications), config.metric, config.seed
+    samples = None if metric.endswith("_pop") else np.stack([
+        draw_samples(kernel.table.measure, n, derive_seed(seed, "samples", n, r)) for r in reps])
+    counts = (_stack_counts(samples, kernel.table.measure.size)
+              if metric.endswith("_rf_hat") else None)
+    seeds = [derive_seed(seed, "features", n, r) for r in reps] if metric in _RF_METRICS else []
+    return samples, counts, [(s, _mixed_coeffs(kernel, s)) for s in seeds]
+
+
 def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: dict,
-                   n: int) -> list[tuple[RateRow, float | None]]:
+                   n: int, shared: tuple | None = None) -> list[tuple[RateRow, float | None]]:
     """Each replication at grid point n as a row and its swap-inequality margin
-    (None when invalid), drawn from its own (seed, n, rep) streams and fitted
-    and scored with the others as one stack.  The *_pop metrics score the
-    feature draw alone and draw no samples.
+    (None when invalid), from the point's ``_point_draws`` (drawn here unless
+    ``shared``) and its own m(n) feature indices, fitted and scored with the others
+    as one stack.  The *_pop metrics score the feature draw alone.
 
     Every estimated projector lies in the span of the kernel's T basis
     functions, where S_J is Lambda = diag(lambda) and its top-ell projector is
@@ -444,12 +456,9 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
     before any scoring.
     """
     ell, m, r_pop = plan[n]
-    measure, psi, lam = kernel.table.measure, kernel.table.values, kernel.lambdas
-    reps = range(config.replications)
-    metric = config.metric
-    if not metric.endswith("_pop"):
-        samples = np.stack([draw_samples(measure, n, derive_seed(config.seed, "samples", n, rep))
-                            for rep in reps])
+    psi, lam = kernel.table.values, kernel.lambdas
+    reps, metric = range(config.replications), config.metric
+    samples, counts, features = shared or _point_draws(config, kernel, n)
     fits = []  # per replication, the basis coordinates and eigenvalues, or None
     if metric in ("recon_hat", "proj_hat"):
         # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis coordinates
@@ -457,8 +466,7 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
         fits = [(np.sqrt(lam)[:, None] * model.basis_vectors, model.eigvals)
                 for model in fit_exact(kernel, samples)]
     else:
-        draws = [sample_finite_rank(kernel, m, derive_seed(config.seed, "features", n, rep),
-                                    mixed=True) for rep in reps]
+        draws = [sample_finite_rank(kernel, m, seed, coeffs=coeffs) for seed, coeffs in features]
         factors = np.stack([basis_factor(fs) for fs in draws])
         if metric in ("recon_rf_pop", "proj_rf_pop"):
             spec = sym_eig(factors @ factors.swapaxes(-1, -2))
@@ -472,7 +480,6 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
             # fit_rf's m x m covariance G' Sigma G (G G' = L L') shares its nonzero
             # spectrum with L' Sigma L, the count fit of the root L' psi, whose
             # eigenvector y is the component with basis coordinates L y.
-            counts = _stack_counts(samples, psi.shape[1])
             fitted = _count_fit(factors.swapaxes(-1, -2) @ psi, counts,
                                 np.array([fs.kappa_m for fs in draws]), "fit_rf")
             fits = [(factor @ v, sigma / samples.shape[1])
@@ -538,11 +545,12 @@ def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOper
     return kernel, op_jj(kernel, measure)
 
 
-def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> RateReport:
+def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
+                  outcomes: list | None = None) -> RateReport:
     predicted = predicted_exponent(config)  # an out-of-regime config fails before any cell
     plan = _grid_plan(config, kernel, pop)
-    outcomes = [out for n in config.n_grid
-                for out in _measure_point(config, kernel, pop, plan, n)]
+    outcomes = outcomes or [out for n in config.n_grid
+                            for out in _measure_point(config, kernel, pop, plan, n)]
     rows = tuple(row for row, _ in outcomes)
     margins = [mar for _, mar in outcomes if mar is not None]
     medians = {}
@@ -604,7 +612,8 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     the configured tolerance; below the threshold the feature error
     dominates and the slope must match the feature-driven exponent
     -(tau/2 - theta beta/alpha), resp. -(tau/2 - theta).  Each row carries
-    that two-sided band, and ``matches`` is whether it holds.
+    that two-sided band, and ``matches`` is whether it holds.  The runs share
+    each point's tau-free draws, so each report equals its run_grid alone.
     """
     if base.metric != "proj_rf_hat":
         raise ConfigError(f"transition_study needs metric proj_rf_hat, got {base.metric}")
@@ -613,13 +622,17 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
         predicted_exponent(config)
     # The oracle depends on seed, atoms and schedule only, so every run shares it.
     oracle = _oracle(base.atoms, lambda_schedule(base), base.seed)
-    reference = _measure_grid(replace(base, tau=None, metric="proj_hat"), *oracle)
-    threshold = _tau_threshold(base)
+    runs = [replace(base, tau=None, metric="proj_hat"), *configs]
+    plans = [_grid_plan(config, *oracle) for config in runs]  # before any draw
+    outcomes = [[] for _ in runs]
+    for n in base.n_grid:  # one point's tau-free draws at a time, shared by every run
+        draws = _point_draws(base, oracle[0], n)
+        for config, plan, out in zip(runs, plans, outcomes):
+            out += _measure_point(config, *oracle, plan, n, draws)
+    reports = [_measure_grid(config, *oracle, out) for config, out in zip(runs, outcomes)]
+    reference = reports[0]
     rows = []
-    reports = [reference]
-    for config in configs:
-        rep = _measure_grid(config, *oracle)
-        reports.append(rep)
+    for config, rep in zip(configs, reports[1:]):
         regime = _regime(config)
         # below the threshold, predicted_exponent's feature-driven branch
         expected = reference.slope if regime == "sample_limited" else rep.predicted
@@ -636,7 +649,7 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     return TransitionReport(
         reference_slope=reference.slope,
         reference_stderr=reference.slope_stderr,
-        threshold=threshold,
+        threshold=_tau_threshold(base),
         rows=tuple(rows),
         reports=tuple(reports),
     )

@@ -268,20 +268,30 @@ def test_stack_check_rejects_one_bad_member_like_the_constructor(bad_a, bad_b, b
         PerturbationCase(a=bad_a, b=bad_b, d=bad_d)
 
 
-def _psd_draw(rng, dim):
-    g = rng.standard_normal((dim, dim))
-    m = g @ g.T / dim
+def _psd_draw(normals, dim):
+    g = normals.reshape(dim, dim)
+    m = g @ g.T / dim  # a 2-D product, which numpy may route through syrk
     return (m + m.T) / 2.0
+
+
+def _operator_trials(trials, seed):
+    """Each trial's (A, B, f, g) under operator_inequality_suite's stream contract,
+    one trial at a time: its dimension is entry i of the one dimension stream, and
+    the r-th trial of a dimension takes the r-th row drawn from that dimension's
+    stream, a row of 2 dim^2 + 2 dim normals."""
+    dims = generator(seed, "op-ineq-dims").integers(2, 13, size=trials).tolist()
+    rngs = {dim: generator(seed, "op-ineq-trials", dim) for dim in set(dims)}
+    for dim in dims:
+        sq = dim * dim
+        row = rngs[dim].standard_normal(2 * sq + 2 * dim)
+        yield (_psd_draw(row[:sq], dim), _psd_draw(row[sq:2 * sq], dim),
+               row[2 * sq:2 * sq + dim], row[2 * sq + dim:])
 
 
 def _operator_violations_trial_by_trial(trials, seed):
     """operator_inequality_suite's tally, one trial at a time through the scalar API."""
     violations = 0
-    for i in range(trials):
-        rng = generator(seed, "op-ineq", i)
-        dim = int(rng.integers(2, 13))
-        a = _psd_draw(rng, dim)
-        b = _psd_draw(rng, dim)
+    for a, b, f, g in _operator_trials(trials, seed):
         spec_a, spec_b = sym_eig(a), sym_eig(b)
         dist_hs = matrix_norm(a - b, "hilbert_schmidt")
         dist_op = matrix_norm(a - b, "operator")
@@ -296,9 +306,7 @@ def _operator_violations_trial_by_trial(trials, seed):
                 rhs = t * cap ** (t - 1.0) * dist_hs
                 reports.append(BoundReport("power", matrix_norm(gap, "hilbert_schmidt"), rhs))
         violations += sum(not r.holds for r in reports)
-        f = rng.standard_normal(dim)
-        g = rng.standard_normal(dim)
-        for other in (g, np.zeros(dim)):  # one vector pair at a time
+        for other in (g, np.zeros_like(g)):  # one vector pair at a time
             violations += int(kpcalab.bounds._tensor_lemma(f, other)[2])
         violations += int(any(kpcalab.bounds._rank_one_norms(f)[2].values()))
     return violations
@@ -374,49 +382,63 @@ def test_bound_suites_reject_a_bad_count_before_any_draw(monkeypatch, suite, cou
 def test_operator_inequality_suite_counts(monkeypatch):
     calls = _count_sym_eig(monkeypatch)
     report = operator_inequality_suite(25, seed=4)
-    dims = {int(generator(4, "op-ineq", i).integers(2, 13)) for i in range(25)}
-    assert len(calls) == 2 * len(dims)  # A and B, one stack per dimension
-    assert sum(shape[0] for shape in calls) == 2 * 25
+    dims = generator(4, "op-ineq-dims").integers(2, 13, size=25).tolist()
+    # one call per dimension, on its k A's and k B's as one stack of 2k
+    assert sorted(calls) == sorted((2 * dims.count(dim), dim, dim) for dim in set(dims))
     assert report.trials == 25
     assert report.checks == 25 * 9
     assert report.violations == 0
 
 
-@pytest.mark.parametrize("seed", [4, 20260819])
-def test_operator_inequality_stacks_match_per_trial_draws(monkeypatch, seed):
-    """One draw per trial gives the A, B, f, g that separate 2-D draws give, bit for bit."""
+def _suite_trials(monkeypatch, trials, seed):
+    """Each trial's (A, B, f, g) as operator_inequality_suite checks them, in
+    trial order, read off its one A-and-B stack and tensor-lemma pair per dimension."""
     stacks, pairs = [], []
-    real_eig, real_lemma = kpcalab.bounds.sym_eig, kpcalab.bounds._tensor_lemma
+    real_lemma = kpcalab.bounds._tensor_lemma
 
     def eig_spy(a):
         stacks.append(a)
-        return real_eig(a)
+        return kpcalab.linalg.sym_eig(a)
 
     def lemma_spy(f, g):
         pairs.append((f, g))
         return real_lemma(f, g)
 
-    monkeypatch.setattr(kpcalab.bounds, "sym_eig", eig_spy)
-    monkeypatch.setattr(kpcalab.bounds, "_tensor_lemma", lemma_spy)
+    with monkeypatch.context() as patch:
+        patch.setattr(kpcalab.bounds, "sym_eig", eig_spy)
+        patch.setattr(kpcalab.bounds, "_tensor_lemma", lemma_spy)
+        operator_inequality_suite(trials, seed)
+    dims = generator(seed, "op-ineq-dims").integers(2, 13, size=trials)
+    assert len(stacks) == len(set(dims.tolist())) and len(pairs) == 2 * len(stacks)
+    out = [None] * trials
+    for ab, (f, g) in zip(stacks, pairs[::2]):
+        members = np.flatnonzero(dims == ab.shape[-1])
+        k = len(members)
+        assert ab.shape[0] == 2 * k
+        for r, i in enumerate(members):
+            out[i] = (ab[r], ab[k + r], f[r], g[r])
+    assert all(trial is not None for trial in out)
+    return out
+
+
+@pytest.mark.parametrize("seed", [4, 20260819])
+def test_operator_inequality_stacks_match_per_trial_draws(monkeypatch, seed):
+    """The dimension stacks hold the A, B, f, g that one-trial-at-a-time draws and
+    2-D products give, bit for bit."""
     trials = 40
-    operator_inequality_suite(trials, seed)
+    for got, want in zip(_suite_trials(monkeypatch, trials, seed),
+                         _operator_trials(trials, seed), strict=True):
+        for part, ref in zip(got, want):
+            assert np.array_equal(part, ref)
 
-    def psd(rng, dim):
-        g = rng.standard_normal((dim, dim))
-        m = g @ g.T / dim  # a 2-D product, which numpy may route through syrk
-        return (m + m.T) / 2.0
 
-    reference = {}
-    for i in range(trials):
-        rng = generator(seed, "op-ineq", i)
-        dim = int(rng.integers(2, 13))
-        reference.setdefault(dim, []).append(
-            (psd(rng, dim), psd(rng, dim), rng.standard_normal(dim), rng.standard_normal(dim)))
-    assert len(stacks) == 2 * len(reference) and len(pairs) == 2 * len(reference)
-    for a, b, (f, g), _ in zip(stacks[::2], stacks[1::2], pairs[::2], pairs[1::2]):
-        want = reference[a.shape[-1]]
-        for got, part in zip((a, b, f, g), zip(*want)):
-            assert np.array_equal(got, np.stack(part))
+@pytest.mark.parametrize("k", [1, 7, 25])
+def test_operator_inequality_suite_prefix(monkeypatch, k):
+    """The first k trials of a 40-trial suite are a k-trial suite."""
+    longer = _suite_trials(monkeypatch, 40, 20260819)
+    for got, want in zip(longer[:k], _suite_trials(monkeypatch, k, 20260819), strict=True):
+        for part, ref in zip(got, want):
+            assert np.array_equal(part, ref)
 
 
 def test_bernstein_frozen_values():

@@ -15,6 +15,7 @@ from kpcalab import (
     sample_rff,
     uniform_measure,
 )
+from kpcalab.features import _mixed_coeffs
 
 
 def _pairs(count, dim, seed):
@@ -124,6 +125,27 @@ def test_feature_draw_reproducibility_and_kappa():
             assert np.max(np.abs(approx - phi @ phi.T)) < 1e-12
     with pytest.raises(InvalidInput):
         basis_factor(sample_rff(1.0, 2, 4, seed=0))
+
+
+def test_kappa_m_is_derived_on_first_read():
+    _, ker = _rank_kernel()
+    fs = sample_finite_rank(ker, 6, seed=4, mixed=True)
+    assert "kappa_m" not in vars(fs)  # a draw nobody asks about pays no T x N product
+    kappa = fs.kappa_m
+    assert vars(fs)["kappa_m"] == kappa > 0.0
+
+
+@pytest.mark.parametrize("m", [1, 6, 40])
+def test_shared_mixed_coeffs_draw_what_mixed_draws(m):
+    _, ker = _rank_kernel()
+    shared = _mixed_coeffs(ker, 9)
+    got = sample_finite_rank(ker, m, seed=9, coeffs=shared)
+    want = sample_finite_rank(ker, m, seed=9, mixed=True)
+    assert got.coeffs is shared
+    assert sample_finite_rank(ker, 3, seed=9, coeffs=want.coeffs).coeffs is want.coeffs
+    for name in ("indices", "row_scale", "coeffs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert (got.m, got.kappa_m) == (want.m, want.kappa_m)
 
 
 def test_kind_mismatch_errors():

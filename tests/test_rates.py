@@ -414,6 +414,41 @@ def test_transition_study_smoke():
     assert report.reports[0].beta == 3.0 and report.reports[1].beta == 3.0
 
 
+# acceptance 11's transition base, cut from 60 replications to 6
+_ACCEPTANCE_TRANSITION = ExperimentConfig(
+    decay="expo", gamma=1.3, theta=0.0, ell_fixed=1,
+    n_grid=(362, 575, 912, 1448, 2299, 3650, 5793), replications=6, atoms=96, rank=48,
+    seed=20260819, metric="proj_rf_hat", tau=0.25, slope_tolerance=0.10)
+
+
+@pytest.mark.parametrize("base, taus", [
+    (_ecfg(theta=0.0, gamma=1.0, metric="proj_rf_hat", tau=0.5, ell_fixed=1,
+           n_grid=(32, 48, 64, 96), atoms=24, rank=6, slope_tolerance=5.0), (0.3, 0.9)),
+    (_ACCEPTANCE_TRANSITION, (0.25, 0.8)),
+], ids=["smoke", "acceptance_11"])
+def test_transition_runs_share_their_draws_and_equal_their_grids_alone(monkeypatch, base,
+                                                                       taus):
+    calls = {"draw_samples": 0, "_mixed_coeffs": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(rates, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(rates, name, counted)
+    study = transition_study(base, taus)
+    # each (n, rep) sample stack row and rotation is drawn once for all three runs
+    points = len(base.n_grid) * base.replications
+    assert calls == {"draw_samples": points, "_mixed_coeffs": points}
+    monkeypatch.undo()
+    alone = [run_grid(dataclasses.replace(base, tau=None, metric="proj_hat"))]
+    alone += [run_grid(dataclasses.replace(base, tau=tau)) for tau in taus]
+    assert len(study.reports) == len(alone)
+    for got, want in zip(study.reports, alone):
+        # repr tells every float apart and reads NaN equal to NaN
+        assert [repr(row) for row in got.rows] == [repr(row) for row in want.rows]
+        assert repr(got.swap_min_margin) == repr(want.swap_min_margin)
+        assert got.swap_violations == want.swap_violations
+
+
 @pytest.mark.parametrize("expected, tolerance",
                          [(-0.25, 0.10), (-0.4, 0.12), (-0.5, 0.15), (-0.125, 0.10)])
 def test_two_sided_band_is_the_absolute_difference_rule_bit_for_bit(expected, tolerance):

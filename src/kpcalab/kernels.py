@@ -113,15 +113,20 @@ class Kernel:
 
 
 def _decay_schedule(decay: str, rank: int, alpha: float | None, gamma: float | None) -> np.ndarray:
-    """i^-alpha (poly) or e^-gamma*i (expo) for i = 1..rank; ConfigError if invalid."""
+    """i^-alpha (poly) or e^-gamma*i (expo) for i = 1..rank; ConfigError if invalid,
+    or if the other family's parameter is given, since it would be ignored."""
     i = 1.0 + np.arange(rank)
     if decay == "poly":
         if alpha is None or not _real("alpha", alpha) > 1.0:
             raise ConfigError(f"poly decay needs alpha > 1, got {alpha}")
+        if gamma is not None:
+            raise ConfigError("poly decay takes no gamma")
         return i ** -float(alpha)
     if decay == "expo":
         if gamma is None or not _real("gamma", gamma) > 0.0:
             raise ConfigError(f"expo decay needs gamma > 0, got {gamma}")
+        if alpha is not None:
+            raise ConfigError("expo decay takes no alpha")
         return np.exp(-float(gamma) * i)
     raise ConfigError(f"unknown decay {decay!r}")
 

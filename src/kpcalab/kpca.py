@@ -177,17 +177,16 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
     return models if stacked else models[0]
 
 
-def embed_exact(model: KpcaModel, kernel: Kernel, points: np.ndarray,
-                ell: int) -> np.ndarray:
+def embed_exact(model: KpcaModel, points: np.ndarray, ell: int) -> np.ndarray:
     """Score matrix (n_points, ell) of the first ell eigenfunctions at a 1-d
-    integer array of atom positions, via one kernel block."""
+    integer array of atom positions, via one block of the model's kernel."""
     ell = _count("embed_exact: ell", ell, least=0)
     if ell > model.rank:
         raise RankError(f"embed_exact: ell={ell} outside [0, {model.rank}]")
     points = np.atleast_1d(np.asarray(points))
     if ell == 0:
         return np.empty((points.shape[0], 0))
-    kc = cross_gram(kernel, points, model.train_points)
+    kc = cross_gram(model.kernel, points, model.train_points)
     scale = 1.0 / np.sqrt(model.n * model.eigvals[:ell])
     return (kc @ model.dual_coeffs[:ell].T) * scale[None, :]
 

@@ -141,8 +141,7 @@ def proj_pop(op: PopOperator, ell: int) -> ProjectionLike:
     return ProjectionLike(matrix=spectral_projector(op.spectrum, ell), orthogonal=True)
 
 
-def proj_hat(model: KpcaModel, kernel: Kernel, measure: DiscreteMeasure,
-             ell: int) -> ProjectionLike:
+def proj_hat(model: KpcaModel, measure: DiscreteMeasure, ell: int) -> ProjectionLike:
     """Plug-in projector of exact KPCA, embedded against the measure.
 
     Each empirical eigenfunction is evaluated on the atoms, centered
@@ -153,7 +152,7 @@ def proj_hat(model: KpcaModel, kernel: Kernel, measure: DiscreteMeasure,
     ell = _count("proj_hat: ell", ell, least=1)
     if ell > model.rank:
         raise RankError(f"proj_hat: ell={ell} outside retained rank {model.rank}")
-    v = embed_exact(model, kernel, measure.atoms, ell)
+    v = embed_exact(model, measure.atoms, ell)
     vbar = v - measure.weights @ v
     u = np.sqrt(measure.weights)[:, None] * vbar
     p = (u / model.eigvals[:ell]) @ u.T

@@ -7,6 +7,9 @@ exponents theta and tau, measures a reconstruction error or projector
 distance per replication against exactly computed population values,
 and fits a log-log slope of the per-n medians.  The fitted slope is
 compared with the exponent the theory predicts for that exact coupling.
+run_grid and transition_study share one grid walk: it predicts each run's
+slope before it builds the oracle, plans each run's grid before any draw,
+and draws one grid point's tau-free inputs at a time for every run.
 
 Every rate verdict reads a SlopeBand, the slopes it accepts.  There are
 two rules.  ``SlopeBand.two_sided`` accepts |slope - expected| <= tolerance
@@ -134,9 +137,6 @@ class ExperimentConfig:
         for key, value in fields.items():
             object.__setattr__(self, key, value)
         _decay_schedule(self.decay, self.rank, self.alpha, self.gamma)
-        unused = "gamma" if self.decay == "poly" else "alpha"
-        if getattr(self, unused) is not None:
-            raise ConfigError(f"{self.decay} decay takes no {unused}")
         if self.theta < 0.0:
             raise ConfigError(f"theta must be >= 0, got {self.theta}")
         if self.metric not in METRICS:
@@ -426,24 +426,26 @@ def _empirical_guard_ok(eigvals: np.ndarray, ell: int) -> bool:
     return eigvals[ell - 1] >= _GUARD_FACTOR * RANK_RTOL * eigvals[0]
 
 
-def _point_draws(config: ExperimentConfig, kernel: Kernel, n: int) -> tuple:
-    """Grid point n's tau-free (seed, n, rep) draws that the metric reads: the sample
-    stack, its counts, and each replication's feature seed and mixed coeffs."""
-    reps, metric, seed = range(config.replications), config.metric, config.seed
-    samples = None if metric.endswith("_pop") else np.stack([
+def _point_draws(configs: list[ExperimentConfig], kernel: Kernel, n: int) -> tuple:
+    """Grid point n's tau-free (seed, n, rep) draws that any of the configs' metrics
+    reads: the sample stack, its counts, and each replication's feature seed and mixed
+    coeffs.  The configs share seed and replications."""
+    metrics = {config.metric for config in configs}
+    reps, seed = range(configs[0].replications), configs[0].seed
+    samples = None if all(m.endswith("_pop") for m in metrics) else np.stack([
         draw_samples(kernel.table.measure, n, derive_seed(seed, "samples", n, r)) for r in reps])
     counts = (_stack_counts(samples, kernel.table.measure.size)
-              if metric.endswith("_rf_hat") else None)
-    seeds = [derive_seed(seed, "features", n, r) for r in reps] if metric in _RF_METRICS else []
+              if any(m.endswith("_rf_hat") for m in metrics) else None)
+    seeds = [derive_seed(seed, "features", n, r) for r in reps] if metrics & {*_RF_METRICS} else []
     return samples, counts, [(s, _mixed_coeffs(kernel, s)) for s in seeds]
 
 
 def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, plan: dict,
-                   n: int, shared: tuple | None = None) -> list[tuple[RateRow, float | None]]:
+                   n: int, draws: tuple) -> list[tuple[RateRow, float | None]]:
     """Each replication at grid point n as a row and its swap-inequality margin
-    (None when invalid), from the point's ``_point_draws`` (drawn here unless
-    ``shared``) and its own m(n) feature indices, fitted and scored with the others
-    as one stack.  The *_pop metrics score the feature draw alone.
+    (None when invalid), from the point's ``_point_draws`` and its own m(n) feature
+    indices, fitted and scored with the others as one stack.  The *_pop metrics
+    score the feature draw alone.
 
     Every estimated projector lies in the span of the kernel's T basis
     functions, where S_J is Lambda = diag(lambda) and its top-ell projector is
@@ -458,7 +460,7 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
     ell, m, r_pop = plan[n]
     psi, lam = kernel.table.values, kernel.lambdas
     reps, metric = range(config.replications), config.metric
-    samples, counts, features = shared or _point_draws(config, kernel, n)
+    samples, counts, features = draws
     fits = []  # per replication, the basis coordinates and eigenvalues, or None
     if metric in ("recon_hat", "proj_hat"):
         # f_i = (n lambda_i)^-1/2 sum_j gamma_ij k(., x_j) has basis coordinates
@@ -466,8 +468,8 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
         fits = [(np.sqrt(lam)[:, None] * model.basis_vectors, model.eigvals)
                 for model in fit_exact(kernel, samples)]
     else:
-        draws = [sample_finite_rank(kernel, m, seed, coeffs=coeffs) for seed, coeffs in features]
-        factors = np.stack([basis_factor(fs) for fs in draws])
+        drawn = [sample_finite_rank(kernel, m, seed, coeffs=coeffs) for seed, coeffs in features]
+        factors = np.stack([basis_factor(fs) for fs in drawn])
         if metric in ("recon_rf_pop", "proj_rf_pop"):
             spec = sym_eig(factors @ factors.swapaxes(-1, -2))
             for vals, vecs in zip(spec.eigenvalues, spec.eigenvectors):
@@ -481,7 +483,7 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
             # spectrum with L' Sigma L, the count fit of the root L' psi, whose
             # eigenvector y is the component with basis coordinates L y.
             fitted = _count_fit(factors.swapaxes(-1, -2) @ psi, counts,
-                                np.array([fs.kappa_m for fs in draws]), "fit_rf")
+                                np.array([fs.kappa_m for fs in drawn]), "fit_rf")
             fits = [(factor @ v, sigma / samples.shape[1])
                     for factor, (sigma, v) in zip(factors, fitted)]
     # A draw too degenerate to carry ell components is excluded by the theory's
@@ -526,16 +528,14 @@ def run_grid(config: ExperimentConfig) -> RateReport:
     Fully deterministic for a given config: every cell derives its own
     random streams from (seed, n, rep), so neither the order of the grid
     points nor the replication count, each point's replications being fitted
-    and scored as one stack, changes a number.  An out-of-regime config
-    fails before the oracle is built.
+    and scored as one stack, changes a number.  It is the grid walk with one
+    run, so an out-of-regime config fails before the oracle is built.
 
     Alongside the metric, every valid cell checks the projector-swap
     inequality |sqrt(R_emp) - sqrt(R_pop)| <= ||S||_HS * dist with 1e-8
     slack; the report carries the minimum margin and violation count.
     """
-    predicted_exponent(config)
-    oracle = _oracle(config.atoms, lambda_schedule(config), config.seed)
-    return _measure_grid(config, *oracle)
+    return _run_grids([config])[0]
 
 
 def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOperator]:
@@ -545,40 +545,48 @@ def _oracle(atoms: int, lambdas: np.ndarray, seed: int) -> tuple[Kernel, PopOper
     return kernel, op_jj(kernel, measure)
 
 
-def _measure_grid(config: ExperimentConfig, kernel: Kernel, pop: PopOperator,
-                  outcomes: list | None = None) -> RateReport:
-    predicted = predicted_exponent(config)  # an out-of-regime config fails before any cell
-    plan = _grid_plan(config, kernel, pop)
-    outcomes = outcomes or [out for n in config.n_grid
-                            for out in _measure_point(config, kernel, pop, plan, n)]
-    rows = tuple(row for row, _ in outcomes)
-    margins = [mar for _, mar in outcomes if mar is not None]
-    medians = {}
-    invalid = {}
-    for n in config.n_grid:
-        vals = [r.value for r in rows if r.n == n and not math.isnan(r.value)]
-        bad = config.replications - len(vals)
-        invalid[n] = bad
-        if bad * 2 >= config.replications:
-            raise ConfigError(
-                f"{bad}/{config.replications} replications invalid at n={n} "
-                f"(ell={plan[n][0]}); too few of its draws carry ell components"
-            )
-        medians[n] = float(np.median(vals))
-    slope, stderr = fit_slope(list(config.n_grid), [medians[n] for n in config.n_grid])
-    return RateReport(
-        config=config,
-        rows=rows,
-        medians=medians,
-        invalid=invalid,
-        slope=slope,
-        slope_stderr=stderr,
-        predicted=predicted,
-        swap_min_margin=min(margins) if margins else math.nan,
-        swap_violations=sum(mar < 0.0 for mar in margins),
-        kernel=kernel,
-        pop=pop,
-    )
+def _run_grids(configs: list[ExperimentConfig]) -> list[RateReport]:
+    """The grid walk (module docstring): one report per config, for configs that differ
+    only in metric and tau, so they share the oracle and each point's tau-free draws."""
+    predicted = [predicted_exponent(config) for config in configs]
+    base = configs[0]
+    kernel, pop = _oracle(base.atoms, lambda_schedule(base), base.seed)
+    plans = [_grid_plan(config, kernel, pop) for config in configs]
+    outcomes = [[] for _ in configs]
+    for n in base.n_grid:
+        draws = _point_draws(configs, kernel, n)
+        for config, plan, out in zip(configs, plans, outcomes):
+            out += _measure_point(config, kernel, pop, plan, n, draws)
+    reports = []
+    for config, plan, out, slope_predicted in zip(configs, plans, outcomes, predicted):
+        rows = tuple(row for row, _ in out)
+        margins = [mar for _, mar in out if mar is not None]
+        medians, invalid = {}, {}
+        for n in config.n_grid:
+            vals = [r.value for r in rows if r.n == n and not math.isnan(r.value)]
+            bad = config.replications - len(vals)
+            invalid[n] = bad
+            if bad * 2 >= config.replications:
+                raise ConfigError(
+                    f"{bad}/{config.replications} replications invalid at n={n} "
+                    f"(ell={plan[n][0]}); too few of its draws carry ell components"
+                )
+            medians[n] = float(np.median(vals))
+        slope, stderr = fit_slope(list(config.n_grid), [medians[n] for n in config.n_grid])
+        reports.append(RateReport(
+            config=config,
+            rows=rows,
+            medians=medians,
+            invalid=invalid,
+            slope=slope,
+            slope_stderr=stderr,
+            predicted=slope_predicted,
+            swap_min_margin=min(margins) if margins else math.nan,
+            swap_violations=sum(mar < 0.0 for mar in margins),
+            kernel=kernel,
+            pop=pop,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -612,27 +620,16 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     the configured tolerance; below the threshold the feature error
     dominates and the slope must match the feature-driven exponent
     -(tau/2 - theta beta/alpha), resp. -(tau/2 - theta).  Each row carries
-    that two-sided band, and ``matches`` is whether it holds.  The runs share
+    that two-sided band, and ``matches`` is whether it holds.  The reference
+    and every tau run go through run_grid's one grid walk together, sharing
     each point's tau-free draws, so each report equals its run_grid alone.
     """
     if base.metric != "proj_rf_hat":
         raise ConfigError(f"transition_study needs metric proj_rf_hat, got {base.metric}")
     configs = [replace(base, tau=tau) for tau in _taus(taus)]
-    for config in configs:  # an out-of-regime tau fails before the reference grid runs
-        predicted_exponent(config)
-    # The oracle depends on seed, atoms and schedule only, so every run shares it.
-    oracle = _oracle(base.atoms, lambda_schedule(base), base.seed)
-    runs = [replace(base, tau=None, metric="proj_hat"), *configs]
-    plans = [_grid_plan(config, *oracle) for config in runs]  # before any draw
-    outcomes = [[] for _ in runs]
-    for n in base.n_grid:  # one point's tau-free draws at a time, shared by every run
-        draws = _point_draws(base, oracle[0], n)
-        for config, plan, out in zip(runs, plans, outcomes):
-            out += _measure_point(config, *oracle, plan, n, draws)
-    reports = [_measure_grid(config, *oracle, out) for config, out in zip(runs, outcomes)]
-    reference = reports[0]
+    reference, *runs = _run_grids([replace(base, tau=None, metric="proj_hat"), *configs])
     rows = []
-    for config, rep in zip(configs, reports[1:]):
+    for config, rep in zip(configs, runs):
         regime = _regime(config)
         # below the threshold, predicted_exponent's feature-driven branch
         expected = reference.slope if regime == "sample_limited" else rep.predicted
@@ -651,5 +648,5 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
         reference_stderr=reference.slope_stderr,
         threshold=_tau_threshold(base),
         rows=tuple(rows),
-        reports=tuple(reports),
+        reports=(reference, *runs),
     )

@@ -191,7 +191,7 @@ def test_04_deterministic_features_reproduce_exact_kpca():
         r = min(exact.eigvals.size, rf.eigvals.size, 4)
         worst_spec = max(worst_spec, float(np.max(
             np.abs(exact.eigvals[:r] - rf.eigvals[:r]) / exact.eigvals[:r])))
-        a = embed_exact(exact, kernel, measure.atoms, r)
+        a = embed_exact(exact, measure.atoms, r)
         b = embed_rf(rf, measure.atoms, r)
         for j in range(r):
             sign = 1.0 if np.linalg.norm(a[:, j] - b[:, j]) <= \

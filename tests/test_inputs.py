@@ -66,9 +66,9 @@ _ENTRIES = {
     "sample_rff.point_dim": lambda v: sample_rff(1.0, v, 4, 1).omegas,
     "spectral_projector.ell": lambda v: spectral_projector(sym_eig(np.diag(_EIGENVALUES)), v),
     "tail_energy.ell": lambda v: tail_energy(_EIGENVALUES, v),
-    "embed_exact.ell": lambda v: embed_exact(_FIT, _KERNEL5, _MEASURE.atoms, v),
+    "embed_exact.ell": lambda v: embed_exact(_FIT, _MEASURE.atoms, v),
     "embed_rf.ell": lambda v: embed_rf(_RF_FIT, _MEASURE.atoms, v),
-    "proj_hat.ell": lambda v: proj_hat(_FIT, _KERNEL5, _MEASURE, v).matrix,
+    "proj_hat.ell": lambda v: proj_hat(_FIT, _MEASURE, v).matrix,
     "proj_hat_rf.ell": lambda v: proj_hat_rf(_RF_FIT, _MEASURE, v).matrix,
     "oracle_snapshot.seed": lambda v: oracle_snapshot(
         _KERNEL, _MEASURE, op_jj(_KERNEL, _MEASURE), v)["seed"],

@@ -142,7 +142,7 @@ def test_scores_match_classical_pca_of_exact_features():
     nu_c = nu - nu.mean(axis=0)
     spec = sym_eig(nu_c.T @ nu_c / nu.shape[0])
     pca_scores = nu_c @ spec.eigenvectors[:, :model.rank]
-    kpca_scores = embed_exact(model, ker, samples, model.rank)
+    kpca_scores = embed_exact(model, samples, model.rank)
     kpca_scores = kpca_scores - kpca_scores.mean(axis=0)
     for i in range(model.rank):
         diff = np.min([
@@ -155,7 +155,7 @@ def test_scores_match_classical_pca_of_exact_features():
 def test_training_score_variance_equals_eigenvalue():
     _, ker, pts = _rank_setup(n=20, sample_seed=10)
     model = fit_exact(ker, pts)
-    scores = embed_exact(model, ker, pts, model.rank)
+    scores = embed_exact(model, pts, model.rank)
     centered = scores - scores.mean(axis=0)
     var = (centered**2).mean(axis=0)
     assert np.max(np.abs(var - model.eigvals)) < 1e-7
@@ -164,15 +164,15 @@ def test_training_score_variance_equals_eigenvalue():
 def test_embed_exact_columns_and_edges():
     measure, ker, samples = _rank_setup(t_count=3, n=12)
     model = fit_exact(ker, samples)
-    full = embed_exact(model, ker, measure.atoms, model.rank)
+    full = embed_exact(model, measure.atoms, model.rank)
     assert full.shape == (measure.size, model.rank)
     for ell in range(1, model.rank + 1):  # column i is f_i, whatever ell takes it
-        assert np.allclose(embed_exact(model, ker, measure.atoms, ell), full[:, :ell])
-    assert embed_exact(model, ker, samples, 0).shape == (12, 0)
+        assert np.allclose(embed_exact(model, measure.atoms, ell), full[:, :ell])
+    assert embed_exact(model, samples, 0).shape == (12, 0)
     with pytest.raises(ConfigError, match="must be >= 0"):
-        embed_exact(model, ker, samples, -1)
+        embed_exact(model, samples, -1)
     with pytest.raises(RankError):
-        embed_exact(model, ker, samples, model.rank + 1)
+        embed_exact(model, samples, model.rank + 1)
 
 
 def test_identical_points_are_degenerate():

@@ -167,7 +167,7 @@ def test_empirical_projector_with_full_support_is_population():
     model = fit_exact(ker, measure.atoms)
     for ell in (1, 3):
         p = proj_pop(pop, ell)
-        q = proj_hat(model, ker, measure, ell)
+        q = proj_hat(model, measure, ell)
         assert proj_distance(p, q) < 1e-8
         assert recon_error(pop, q) == pytest.approx(
             tail_energy(pop.spectrum, ell), abs=1e-10)

@@ -35,7 +35,7 @@ from kpcalab import (
     transition_study,
 )
 from kpcalab import kpca, linalg, rates
-from kpcalab.rates import _empirical_guard_ok, _measure_grid, _oracle
+from kpcalab.rates import _empirical_guard_ok, _oracle
 
 
 def _cfg(**kw):
@@ -414,6 +414,22 @@ def test_transition_study_smoke():
     assert report.reports[0].beta == 3.0 and report.reports[1].beta == 3.0
 
 
+def test_each_run_predicts_and_plans_its_grid_once(monkeypatch):
+    calls = {"predicted_exponent": 0, "_grid_plan": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(rates, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(rates, name, counted)
+    run_grid(_ecfg(theta=0.2, n_grid=_SMALL_GRID))
+    assert calls == {"predicted_exponent": 1, "_grid_plan": 1}
+    calls.update(predicted_exponent=0, _grid_plan=0)
+    base = _ecfg(theta=0.0, gamma=1.0, metric="proj_rf_hat", tau=0.5, ell_fixed=1,
+                 n_grid=_SMALL_GRID, rank=6, slope_tolerance=5.0)
+    transition_study(base, (0.3, 0.9))  # the reference and two tau runs
+    assert calls == {"predicted_exponent": 3, "_grid_plan": 3}
+
+
 # acceptance 11's transition base, cut from 60 replications to 6
 _ACCEPTANCE_TRANSITION = ExperimentConfig(
     decay="expo", gamma=1.3, theta=0.0, ell_fixed=1,
@@ -519,7 +535,7 @@ def _sample_level_cell(config, report, n, rep):
             model = fit_exact(kernel, samples)
             if not _empirical_guard_ok(model.eigvals, ell):
                 return math.nan
-            q = proj_hat(model, kernel, measure, ell)
+            q = proj_hat(model, measure, ell)
         else:
             fs = sample_finite_rank(kernel, m_for(config, n),
                                     derive_seed(config.seed, "features", n, rep), mixed=True)
@@ -650,7 +666,8 @@ def test_stacked_points_match_the_one_cell_reference(config, invalid, full_suppo
     exact = config.tau is None
     nans = 0
     for n in config.n_grid:
-        point = rates._measure_point(config, kernel, pop, plan, n)
+        point = rates._measure_point(config, kernel, pop, plan, n,
+                                     rates._point_draws([config], kernel, n))
         assert [row.rep for row, _ in point] == list(range(config.replications))
         for row, margin in point:
             value, want = _reference_run_cell(config, kernel, pop, plan, n, row.rep,
@@ -676,8 +693,10 @@ def test_a_replication_does_not_depend_on_how_many_are_stacked(config):
     longer = dataclasses.replace(config, replications=10)
     plan = rates._grid_plan(config, kernel, pop)
     for n in config.n_grid:
-        five = rates._measure_point(config, kernel, pop, plan, n)
-        ten = rates._measure_point(longer, kernel, pop, plan, n)
+        five = rates._measure_point(config, kernel, pop, plan, n,
+                                    rates._point_draws([config], kernel, n))
+        ten = rates._measure_point(longer, kernel, pop, plan, n,
+                                   rates._point_draws([longer], kernel, n))
         assert len(ten) == 10
         for (row, margin), (row10, margin10) in zip(five, ten[:5]):
             # repr tells every float apart and reads NaN equal to NaN
@@ -808,7 +827,7 @@ def test_grid_rejects_an_operator_off_the_kernel_schedule():
     for scale in (1.01, 1.0 + 1e-9):
         _, other = _oracle(config.atoms, scale * lambda_schedule(config), config.seed)
         with pytest.raises(ConfigError, match="oracle self-check failed"):
-            _measure_grid(config, kernel, other)
+            rates._grid_plan(config, kernel, other)
         assert not {"matrix", "spectrum"} & vars(other).keys()
 
 

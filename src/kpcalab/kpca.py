@@ -16,7 +16,8 @@ covariance of the features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,6 @@ class KpcaModel:
     kernel: Kernel
     eigvals: np.ndarray
     basis_vectors: np.ndarray
-    _dual_coeffs: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -68,21 +68,19 @@ class KpcaModel:
     def rank(self) -> int:
         return int(self.eigvals.shape[0])
 
-    @property
+    @cached_property
     def dual_coeffs(self) -> np.ndarray:
-        if self._dual_coeffs is None:
-            # H K H = (R H)'(R H); centring R before R'V keeps small components' digits
-            root = self.kernel.root[:, self.train_points]
-            root -= root.mean(axis=1, keepdims=True)
-            # H K H's eigenvectors R'V: centred and unit scale (no-ops up to rounding
-            # that pin the documented normalization), fix_signs, then scaled
-            # to gamma_i' K gamma_i = n eigvals[i]
-            alphas = root.T @ self.basis_vectors
-            alphas = alphas - alphas.mean(axis=0, keepdims=True)
-            alphas = fix_signs(alphas / np.linalg.norm(alphas, axis=0, keepdims=True))
-            k_quad = np.sum(alphas * (root.T @ (root @ alphas)), axis=0)
-            self._dual_coeffs = (alphas * np.sqrt(self.n * self.eigvals / k_quad)).T
-        return self._dual_coeffs
+        # H K H = (R H)'(R H); centring R before R'V keeps small components' digits
+        root = self.kernel.root[:, self.train_points]
+        root -= root.mean(axis=1, keepdims=True)
+        # H K H's eigenvectors R'V: centred and unit scale (no-ops up to rounding
+        # that pin the documented normalization), fix_signs, then scaled
+        # to gamma_i' K gamma_i = n eigvals[i]
+        alphas = root.T @ self.basis_vectors
+        alphas = alphas - alphas.mean(axis=0, keepdims=True)
+        alphas = fix_signs(alphas / np.linalg.norm(alphas, axis=0, keepdims=True))
+        k_quad = np.sum(alphas * (root.T @ (root @ alphas)), axis=0)
+        return (alphas * np.sqrt(self.n * self.eigvals / k_quad)).T
 
 
 @dataclass

@@ -111,15 +111,12 @@ def sym_eig(a: np.ndarray) -> Spectrum:
     """
     a = _require_symmetric(a, "sym_eig")
     vals, vecs = _eig_solve(np.linalg.eigh, a, "sym_eig")
-    n = a.shape[-1]
-    flat = vals.reshape(math.prod(a.shape[:-2]), n)
-    member = np.arange(len(flat))[:, None]
-    order = np.argsort(flat, axis=-1)[:, ::-1]
-    # Columns are gathered as rows of the transpose, which leaves each member
+    # eigh's eigenvalues ascend, so reversing them sorts them descending.
+    # Columns are reversed as rows of the transpose, which leaves each member
     # in the memory layout a 2-D column gather gives, so products downstream
     # round the same way for a stack member as for the matrix alone.
-    cols = vecs.reshape(flat.shape + (n,)).swapaxes(1, 2)[member, order].swapaxes(1, 2)
-    return Spectrum(flat[member, order].reshape(vals.shape), fix_signs(cols).reshape(vecs.shape))
+    cols = np.ascontiguousarray(vecs.swapaxes(-1, -2)[..., ::-1, :]).swapaxes(-1, -2)
+    return Spectrum(np.ascontiguousarray(vals[..., ::-1]), fix_signs(cols))
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:

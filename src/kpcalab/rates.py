@@ -8,8 +8,9 @@ distance per replication against exactly computed population values,
 and fits a log-log slope of the per-n medians.  The fitted slope is
 compared with the exponent the theory predicts for that exact coupling.
 run_grid and transition_study share one grid walk: it predicts each run's
-slope before it builds the oracle, plans each run's grid before any draw,
-and draws one grid point's tau-free inputs at a time for every run.
+slope and plans its grid from the config alone, so a config out of regime or
+with an ell(n) the schedule cannot carry fails before the oracle is built,
+and it draws one grid point's tau-free inputs at a time for every run.
 
 Every rate verdict reads a SlopeBand, the slopes it accepts.  There are
 two rules.  ``SlopeBand.two_sided`` accepts |slope - expected| <= tolerance
@@ -391,26 +392,21 @@ def fixed_gap_band(report: RateReport) -> SlopeBand:
     return SlopeBand(_FIXED_GAP_SLOPE - tol, report.predicted + tol, "fixed_gap")
 
 
-def _grid_plan(config: ExperimentConfig, kernel: Kernel, pop: PopOperator) -> dict:
-    """Per-n precomputation: ell, m and the bias."""
+def _grid_plan(config: ExperimentConfig) -> dict:
+    """Per-n ell and m, from the config alone.  The cells' own guard and split
+    rules are applied to the schedule, so a split they would reject fails
+    before the oracle is built."""
     plan = {}
-    vals = pop.eigenvalues
-    # The cells score in the kernel's basis, where S_J is diag(lambda); that
-    # needs S_J's spectrum to be the schedule padded with zeros.
-    spec_err = _schedule_error(pop, kernel.lambdas)
-    if spec_err > RANK_RTOL:
-        raise ConfigError(f"oracle self-check failed: S_J spectrum is off the schedule "
-                          f"by {spec_err:.3e} of lambda_1")
+    vals = lambda_schedule(config)
     for n in config.n_grid:
         ell = ell_for(config, n)
-        try:  # the cells' own rules, so a split they reject fails before any draw
+        try:
             if not _empirical_guard_ok(vals, ell):
                 raise RankError(f"eigenvalue {ell} sits below the division guard")
             _check_split(vals, ell)
         except (RankError, EigengapError) as err:
             raise ConfigError(f"population spectrum at n={n}: {err}") from None
-        m = m_for(config, n) if config.tau is not None else None
-        plan[n] = (ell, m, tail_energy(vals, ell))
+        plan[n] = (ell, m_for(config, n) if config.tau is not None else None)
     return plan
 
 
@@ -457,7 +453,8 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
     a feature operator with no gap at ell, makes the replication invalid (NaN)
     before any scoring.
     """
-    ell, m, r_pop = plan[n]
+    ell, m = plan[n]
+    r_pop = tail_energy(pop.eigenvalues, ell)
     psi, lam = kernel.table.values, kernel.lambdas
     reps, metric = range(config.replications), config.metric
     samples, counts, features = draws
@@ -549,9 +546,15 @@ def _run_grids(configs: list[ExperimentConfig]) -> list[RateReport]:
     """The grid walk (module docstring): one report per config, for configs that differ
     only in metric and tau, so they share the oracle and each point's tau-free draws."""
     predicted = [predicted_exponent(config) for config in configs]
+    plans = [_grid_plan(config) for config in configs]
     base = configs[0]
     kernel, pop = _oracle(base.atoms, lambda_schedule(base), base.seed)
-    plans = [_grid_plan(config, kernel, pop) for config in configs]
+    # The cells score in the kernel's basis, where S_J is diag(lambda); that
+    # needs S_J's spectrum to be the schedule padded with zeros.
+    spec_err = _schedule_error(pop, kernel.lambdas)
+    if spec_err > RANK_RTOL:
+        raise ConfigError(f"oracle self-check failed: S_J spectrum is off the schedule "
+                          f"by {spec_err:.3e} of lambda_1")
     outcomes = [[] for _ in configs]
     for n in base.n_grid:
         draws = _point_draws(configs, kernel, n)

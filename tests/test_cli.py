@@ -362,7 +362,18 @@ _POLY_PAYLOAD = {**{k: v for k, v in _RATES_PAYLOAD.items() if k != "gamma"},
     # beta = 3: 2 theta beta / alpha = 0.3, so tau = 0.2 is out of regime
     ("transition", {**_POLY_PAYLOAD, "theta": 0.1, "metric": "proj_rf_hat",
                     "taus": [0.5, 0.2]}),
-], ids=["poly_recon_theta_zero", "transition_second_tau"])
+    # ell(10^6) = round(0.86 ln 10^6) = 12 exceeds rank - 1 = 7
+    ("rates", {**_RATES_PAYLOAD, "theta": 0.43, "n_grid": [32, 48, 64, 1000000]}),
+    # exp(-1.3 i): lambda_20 / lambda_1 = 1.9e-11 sits below the division guard
+    ("rates", {**_RATES_PAYLOAD, "gamma": 1.3, "theta": 0.0, "ell_fixed": 20, "atoms": 96,
+               "rank": 48, "metric": "proj_hat"}),
+    ("transition", {**_TRANSITION_PAYLOAD, "gamma": 1.3, "ell_fixed": 20, "atoms": 96,
+                    "rank": 48}),
+    # lambda_2 - lambda_3 is about 1e-13, below GAP_TOL
+    ("rates", {**_RATES_PAYLOAD, "gamma": 1e-13, "theta": 0.0, "ell_fixed": 2,
+               "metric": "proj_hat"}),
+], ids=["poly_recon_theta_zero", "transition_second_tau", "ell_past_rank",
+        "rates_ell_below_guard", "transition_ell_below_guard", "tied_gap"])
 def test_out_of_regime_configs_exit_one_before_any_cell(tmp_path, monkeypatch, capsys,
                                                        command, payload):
     calls = {"_measure_point": [], "_oracle": []}

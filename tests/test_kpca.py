@@ -81,7 +81,7 @@ def test_dual_coeffs_are_built_from_the_basis_vectors_on_first_read():
     for setup in ({}, {"t_count": 12, "n": 1000}, {"t_count": 12, "n": 9}):
         _, ker, samples = _rank_setup(**setup)
         model = fit_exact(ker, samples)
-        assert model._dual_coeffs is None
+        assert "dual_coeffs" not in vars(model)
         assert model.basis_vectors.shape == (ker.lambdas.size, model.rank)
         g = model.dual_coeffs
         assert g is model.dual_coeffs

@@ -32,6 +32,7 @@ from kpcalab import (
     recon_error,
     run_grid,
     sample_finite_rank,
+    tail_energy,
     transition_study,
 )
 from kpcalab import kpca, linalg, rates
@@ -615,7 +616,8 @@ def _reference_span_distance(ell, coords, eigvals):
 def _reference_run_cell(config, kernel, pop, plan, n, rep, full_support):
     """One (n, rep) cell on its own, as the grid measured it before replications
     were stacked; fit_exact's count route is inlined."""
-    ell, m, r_pop = plan[n]
+    ell, m = plan[n]
+    r_pop = tail_energy(pop.eigenvalues, ell)
     measure = kernel.table.measure
     psi = kernel.table.values
     lam = kernel.lambdas
@@ -662,7 +664,7 @@ def test_stacked_points_match_the_one_cell_reference(config, invalid, full_suppo
     kernel, pop = _oracle(config.atoms, lambda_schedule(config), config.seed)
     if full_support:
         _draw_full_support(monkeypatch)
-    plan = rates._grid_plan(config, kernel, pop)
+    plan = rates._grid_plan(config)
     exact = config.tau is None
     nans = 0
     for n in config.n_grid:
@@ -691,7 +693,7 @@ def test_stacked_points_match_the_one_cell_reference(config, invalid, full_suppo
 def test_a_replication_does_not_depend_on_how_many_are_stacked(config):
     kernel, pop = _oracle(config.atoms, lambda_schedule(config), config.seed)
     longer = dataclasses.replace(config, replications=10)
-    plan = rates._grid_plan(config, kernel, pop)
+    plan = rates._grid_plan(config)
     for n in config.n_grid:
         five = rates._measure_point(config, kernel, pop, plan, n,
                                     rates._point_draws([config], kernel, n))
@@ -721,9 +723,8 @@ def test_exact_cells_on_too_few_atoms_are_invalid_not_fatal():
 def test_grid_plan_rejects_a_degenerate_population_gap():
     # lambda_2 - lambda_3 is about 1e-13, below GAP_TOL
     config = _ecfg(gamma=1e-13, theta=0.0, ell_fixed=2, metric="proj_hat", n_grid=_SMALL_GRID)
-    kernel, pop = _oracle(config.atoms, lambda_schedule(config), config.seed)
     with pytest.raises(ConfigError, match="gap at ell=2"):
-        rates._grid_plan(config, kernel, pop)
+        rates._grid_plan(config)
 
 
 def test_rf_hat_grid_solves_no_matrix_of_n_or_m_per_cell(monkeypatch):
@@ -754,7 +755,7 @@ def test_exact_grid_fits_every_cell_but_never_gathers_dual_coeffs(monkeypatch):
 
     def recording_gather(model):
         gathers.append(model.n)
-        return gather.fget(model)
+        return gather.func(model)
 
     monkeypatch.setattr(rates, "fit_exact", recording_fit)
     monkeypatch.setattr(kpca.KpcaModel, "dual_coeffs", property(recording_gather))
@@ -819,16 +820,20 @@ def test_span_distance_matches_the_dense_operator_norm():
             assert rates._span_distance(ell, coords, np.ones(ell)) <= 1e-14
 
 
-def test_grid_rejects_an_operator_off_the_kernel_schedule():
+def test_grid_rejects_an_operator_off_the_kernel_schedule(monkeypatch):
     config = _ecfg(theta=0.2, n_grid=_SMALL_GRID)
     kernel, _ = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    measured = []
+    monkeypatch.setattr(rates, "_measure_point", lambda *args: measured.append(args))
     # 1 + 1e-9 is ten times RANK_RTOL: the self-check reads S_J's eigenvalues
     # off its T x T factor and must still see it
     for scale in (1.01, 1.0 + 1e-9):
         _, other = _oracle(config.atoms, scale * lambda_schedule(config), config.seed)
+        monkeypatch.setattr(rates, "_oracle", lambda *args: (kernel, other))
         with pytest.raises(ConfigError, match="oracle self-check failed"):
-            rates._grid_plan(config, kernel, other)
+            run_grid(config)
         assert not {"matrix", "spectrum"} & vars(other).keys()
+    assert measured == []
 
 
 def test_grids_and_transitions_never_solve_the_n_by_n_spectrum():

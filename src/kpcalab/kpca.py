@@ -101,10 +101,6 @@ class RfKpcaModel:
     components: np.ndarray
 
     @property
-    def n(self) -> int:
-        return int(self.train_points.shape[0])
-
-    @property
     def rank(self) -> int:
         return int(self.eigvals.shape[0])
 
@@ -175,15 +171,19 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
     return models if stacked else models[0]
 
 
+def _components(model: KpcaModel | RfKpcaModel, ell: int, op: str, least: int = 0) -> int:
+    """``ell`` as a count of the model's components, in [least, model.rank];
+    ``op`` names the public function in the error."""
+    ell = _count(f"{op}: ell", ell, least=least)
+    if ell > model.rank:
+        raise RankError(f"{op}: ell={ell} outside [{least}, {model.rank}]")
+    return ell
+
+
 def embed_exact(model: KpcaModel, points: np.ndarray, ell: int) -> np.ndarray:
     """Score matrix (n_points, ell) of the first ell eigenfunctions at a 1-d
     integer array of atom positions, via one block of the model's kernel."""
-    ell = _count("embed_exact: ell", ell, least=0)
-    if ell > model.rank:
-        raise RankError(f"embed_exact: ell={ell} outside [0, {model.rank}]")
-    points = np.atleast_1d(np.asarray(points))
-    if ell == 0:
-        return np.empty((points.shape[0], 0))
+    ell = _components(model, ell, "embed_exact")
     kc = cross_gram(model.kernel, points, model.train_points)
     scale = 1.0 / np.sqrt(model.n * model.eigvals[:ell])
     return (kc @ model.dual_coeffs[:ell].T) * scale[None, :]
@@ -215,11 +215,7 @@ def fit_rf(features: FeatureSample, samples: np.ndarray) -> RfKpcaModel:
 def embed_rf(model: RfKpcaModel, points: np.ndarray, ell: int) -> np.ndarray:
     """Scores <Phi(x), w_i> for i < ell of the uncentered feature vector;
     shape (n_points, ell)."""
-    ell = _count("embed_rf: ell", ell, least=0)
-    if ell > model.rank:
-        raise RankError(f"embed_rf: ell={ell} outside [0, {model.rank}]")
+    ell = _components(model, ell, "embed_rf")
     points = np.atleast_1d(np.asarray(points))
-    if ell == 0:
-        return np.empty((points.shape[0], 0))
     return feature_matrix(model.features, points) @ model.components[:, :ell]
 

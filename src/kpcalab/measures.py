@@ -45,7 +45,7 @@ class DiscreteMeasure:
             raise InvalidInput("DiscreteMeasure: weights must be finite and strictly positive")
         if abs(weights.sum() - 1.0) > _WEIGHT_SUM_ATOL:
             raise InvalidInput(
-                f"DiscreteMeasure: weights sum to {weights.sum()!r}, not 1 within "
+                f"DiscreteMeasure: weights sum to {float(weights.sum())!r}, not 1 within "
                 f"{_WEIGHT_SUM_ATOL:g}"
             )
         flat = atoms.reshape(atoms.shape[0], -1)

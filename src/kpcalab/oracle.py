@@ -22,10 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, RankError, _count
+from .errors import InvalidInput, _count
 from .features import FeatureSample, feature_matrix
 from .kernels import Kernel, _as_index_points
-from .kpca import KpcaModel, RfKpcaModel, embed_exact
+from .kpca import KpcaModel, RfKpcaModel, _components, embed_exact, embed_rf
 from .linalg import Spectrum, matrix_norm, spectral_projector, sym_eig
 from .measures import DiscreteMeasure
 
@@ -109,6 +109,13 @@ def _centred_factor(root: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)[:, None] * (root - (root @ w)[:, None]).T
 
 
+def _plug_in(coords: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
+    """sum_i c_i c_i' / lambda_i over the columns c_i of ``coords``, per member
+    of a stack."""
+    q = (coords / eigvals[..., None, :]) @ coords.swapaxes(-1, -2)
+    return (q + q.swapaxes(-1, -2)) / 2.0
+
+
 def op_jj(kernel: Kernel, measure: DiscreteMeasure) -> PopOperator:
     """Covariance-side population operator S_J for a kernel and measure, whose
     root is ``kernel.root`` on the atoms."""
@@ -149,26 +156,17 @@ def proj_hat(model: KpcaModel, measure: DiscreteMeasure, ell: int) -> Projection
     eigenvalue: P = sum_i u_i u_i' / lambda_i.  Components are already
     restricted to the retained rank, so the eigenvalue divisions are safe.
     """
-    ell = _count("proj_hat: ell", ell, least=1)
-    if ell > model.rank:
-        raise RankError(f"proj_hat: ell={ell} outside retained rank {model.rank}")
-    v = embed_exact(model, measure.atoms, ell)
-    vbar = v - measure.weights @ v
-    u = np.sqrt(measure.weights)[:, None] * vbar
-    p = (u / model.eigvals[:ell]) @ u.T
-    return ProjectionLike(matrix=(p + p.T) / 2.0, orthogonal=False)
+    ell = _components(model, ell, "proj_hat", least=1)
+    u = _centred_factor(embed_exact(model, measure.atoms, ell).T, measure.weights)
+    return ProjectionLike(_plug_in(u, model.eigvals[:ell]), orthogonal=False)
 
 
 def proj_hat_rf(model: RfKpcaModel, measure: DiscreteMeasure, ell: int) -> ProjectionLike:
-    """Plug-in projector of random-feature KPCA against the measure."""
-    ell = _count("proj_hat_rf: ell", ell, least=1)
-    if ell > model.rank:
-        raise RankError(f"proj_hat_rf: ell={ell} outside retained rank {model.rank}")
-    f = feature_matrix(model.features, measure.atoms)
-    fbar = f - measure.weights @ f
-    b = (np.sqrt(measure.weights)[:, None] * fbar) @ model.components[:, :ell]
-    p = (b / model.eigvals[:ell]) @ b.T
-    return ProjectionLike(matrix=(p + p.T) / 2.0, orthogonal=False)
+    """Plug-in projector of random-feature KPCA against the measure, from the
+    scores of ``embed_rf`` as ``proj_hat`` builds it from ``embed_exact``'s."""
+    ell = _components(model, ell, "proj_hat_rf", least=1)
+    u = _centred_factor(embed_rf(model, measure.atoms, ell).T, measure.weights)
+    return ProjectionLike(_plug_in(u, model.eigvals[:ell]), orthogonal=False)
 
 
 def recon_error(pop: PopOperator, proj: ProjectionLike) -> float:

@@ -47,7 +47,7 @@ from .kernels import Kernel, _decay_schedule, make_finite_rank_kernel
 from .kpca import _count_fit, _stack_counts, fit_exact
 from .linalg import RANK_RTOL, _check_split, matrix_norm, sym_eig
 from .measures import draw_samples, uniform_measure
-from .oracle import PopOperator, op_jj, tail_energy
+from .oracle import PopOperator, _plug_in, op_jj, tail_energy
 from .rng import derive_seed
 
 __all__ = [
@@ -130,7 +130,7 @@ class ExperimentConfig:
         # TypeError after the grid has run.
         if not isinstance(self.n_grid, (list, tuple, np.ndarray)):
             raise ConfigError(f"n_grid must be a list of sample sizes, got {self.n_grid!r}")
-        fields = {"n_grid": tuple(_count("n_grid", n) for n in self.n_grid)}
+        fields = {"n_grid": tuple(_count("n_grid", n, least=2) for n in self.n_grid)}
         for key in ("replications", "atoms", "rank", "seed", "ell_fixed"):
             fields[key] = _count(key, getattr(self, key), optional=key == "ell_fixed")
         for key in ("theta", "alpha", "gamma", "tau", "slope_tolerance"):
@@ -152,8 +152,6 @@ class ExperimentConfig:
         if len(self.n_grid) < _MIN_SLOPE_POINTS:
             raise ConfigError(f"n_grid needs at least {_MIN_SLOPE_POINTS} sample sizes "
                               f"for the slope fit, got {len(self.n_grid)}")
-        if any(n < 2 for n in self.n_grid):
-            raise ConfigError("n_grid must hold sample sizes >= 2")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
         if self.replications < 5:
@@ -499,13 +497,6 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
                                                                    - math.sqrt(r_pop))
     return [(RateRow(n=n, m=m, ell=ell, rep=rep, metric=metric, value=float(values[rep])),
              float(margins[rep]) if rep in valid else None) for rep in reps]
-
-
-def _plug_in(coords: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
-    """sum_i c_i c_i' / lambda_i over the columns c_i of ``coords``, per member
-    of a stack."""
-    q = (coords / eigvals[..., None, :]) @ coords.swapaxes(-1, -2)
-    return (q + q.swapaxes(-1, -2)) / 2.0
 
 
 def _span_distance(ell: int, coords: np.ndarray, eigvals: np.ndarray) -> float | np.ndarray:

@@ -325,6 +325,8 @@ def test_config_schema_rejections(tmp_path, capsys):
     # each decay family takes only its own parameter, which the schedule would ignore
     ("spectrum", {**_SPECTRUM_PAYLOAD, "gamma": 0.5}),
     ("spectrum", {**_SPECTRUM_PAYLOAD, "decay": "expo", "gamma": 0.5}),
+    ("rates", {**_RATES_PAYLOAD, "n_grid": [1, 48, 64, 96]}),
+    ("spectrum", {**_SPECTRUM_PAYLOAD, "decay": "cubic"}),
 ], ids=["cases_str", "cases_null", "cases_fraction", "cases_bool", "trials_fraction",
         "seed_str", "seed_fraction", "seed_bool", "count_fraction", "tau_str", "tau_nan",
         "tau_bool", "replications_fraction", "atoms_fraction", "experiments_key_unknown",
@@ -335,7 +337,7 @@ def test_config_schema_rejections(tmp_path, capsys):
         "seed_str_under_override", "n_grid_scalar", "slope_tolerance_negative",
         "spectrum_ell_past_retained_rank", "transition_tau_key", "taus_repeated",
         "trials_zero", "spectrum_ells_repeated", "spectrum_poly_with_gamma",
-        "spectrum_expo_with_alpha"])
+        "spectrum_expo_with_alpha", "n_grid_below_two", "spectrum_decay_unknown"])
 def test_bad_config_values_fail_before_any_compute(tmp_path, monkeypatch, capsys,
                                                    command, payload):
     def no_compute(*args, **kwargs):

@@ -1,19 +1,29 @@
 """Every count and seed that enters a sampling path, and every component
 count a spectral routine splits at, passes one rule: an integral number (an
-integral float included), never a bool, a string or NaN."""
+integral float included), never a bool, a string or NaN.  Every other input
+check raises its documented error and message."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kpcalab import (
     ConfigError,
+    DiscreteMeasure,
+    DomainError,
     ExperimentConfig,
+    FunctionTable,
     InvalidInput,
+    Kernel,
     PerturbationCase,
+    ProjectionLike,
+    RankError,
     basis_factor,
+    center_gram,
     derive_seed,
+    discrete_measure,
     draw_samples,
     embed_exact,
     embed_rf,
@@ -22,6 +32,7 @@ from kpcalab import (
     fit_rf,
     fractional_power,
     generator,
+    gram,
     m_for,
     make_finite_rank_kernel,
     op_jj,
@@ -117,3 +128,103 @@ def test_a_fractional_power_exponent_must_be_a_finite_number(bad):
     # A NaN or infinite exponent would return a NaN or infinite matrix.
     with pytest.raises(ConfigError, match="fractional_power: t"):
         fractional_power(np.diag([2.0, 1.0]), bad)
+
+
+def _non_finite_gram(value):
+    k = np.eye(3)
+    k[0, 1] = k[1, 0] = value
+    return k
+
+
+# Each input check, as (call, error type, the start of its message); a
+# message names the function it comes from, except the shared atom check's.
+_REFUSALS = {
+    "measure_lengths": (
+        lambda: DiscreteMeasure(np.arange(3), np.full(2, 0.5)),
+        InvalidInput, "DiscreteMeasure: 3 atoms but (2,) weights"),
+    "measure_empty": (
+        lambda: DiscreteMeasure(np.arange(0), np.zeros(0)),
+        InvalidInput, "DiscreteMeasure: empty support"),
+    "measure_sum": (
+        lambda: DiscreteMeasure(np.arange(2), np.array([0.6, 0.5])),
+        InvalidInput, "DiscreteMeasure: weights sum to 1.1, not 1 within 1e-12"),
+    "measure_repeated_atom": (
+        lambda: DiscreteMeasure(np.array([1, 1]), np.full(2, 0.5)),
+        InvalidInput, "DiscreteMeasure: atoms must be pairwise distinct"),
+    "discrete_measure_lengths": (
+        lambda: discrete_measure(np.arange(3), np.ones(2)),
+        InvalidInput, "discrete_measure: atoms and weights lengths differ"),
+    "discrete_measure_negative": (
+        lambda: discrete_measure(np.arange(2), np.array([1.0, -1.0])),
+        InvalidInput, "discrete_measure: weights must be finite and nonnegative"),
+    "discrete_measure_all_zero": (
+        lambda: discrete_measure(np.arange(2), np.zeros(2)),
+        InvalidInput, "discrete_measure: all weights are zero"),
+    "table_shape": (
+        lambda: FunctionTable(_MEASURE, np.ones((2, 9))),
+        InvalidInput, "FunctionTable: values shape (2, 9) does not match 10 atoms"),
+    # a constant row has weighted norm one but is not orthogonal to constants
+    "table_constant_row": (
+        lambda: FunctionTable(_MEASURE, np.ones((1, 10))),
+        InvalidInput, "FunctionTable: rows are not orthogonal to constants"),
+    "kernel_lambda_count": (
+        lambda: Kernel(_KERNEL.table, np.array([1.0, 0.5])),
+        InvalidInput, "Kernel: lambdas must match the table row count"),
+    "gram_no_points": (
+        lambda: gram(_KERNEL, np.zeros(0, dtype=int)),
+        InvalidInput, "gram: need at least one point"),
+    "center_gram_nan": (
+        lambda: center_gram(_non_finite_gram(math.nan), np.full(3, 1 / 3)),
+        InvalidInput, "center_gram: matrix contains non-finite entries"),
+    "center_gram_inf": (
+        lambda: center_gram(_non_finite_gram(math.inf), np.full(3, 1 / 3)),
+        InvalidInput, "center_gram: matrix contains non-finite entries"),
+    "center_gram_sum": (
+        lambda: center_gram(np.eye(2), np.array([0.7, 0.7])),
+        InvalidInput, "center_gram: weights sum to 1.4, not 1 within 1e-12"),
+    "fit_exact_one_sample": (
+        lambda: fit_exact(_KERNEL, np.array([3])),
+        InvalidInput, "fit_exact: need at least two samples, got 1"),
+    "fit_rf_one_sample": (
+        lambda: fit_rf(_RF_FIT.features, np.array([3])),
+        InvalidInput, "fit_rf: need at least two samples, got 1"),
+    "fractional_power_negative": (
+        lambda: fractional_power(np.eye(2), -0.5),
+        InvalidInput, "fractional_power: exponent must be >= 0, got -0.5"),
+    "projector_asymmetric": (
+        lambda: ProjectionLike(np.array([[1.0, 1.0], [0.0, 0.0]]), orthogonal=True),
+        InvalidInput, "ProjectionLike: orthogonal projector is not symmetric"),
+    # idempotent within the tolerance, with trace 5e-8
+    "projector_trace": (
+        lambda: ProjectionLike(5e-9 * np.eye(10), orthogonal=True),
+        InvalidInput, "ProjectionLike: orthogonal projector trace is not integral"),
+    # ell = 0 embeds no component but still checks the points
+    "embed_exact_fraction_at_ell_0": (
+        lambda: embed_exact(_FIT, [0.5], 0),
+        DomainError, "finite-rank kernel points must be integer"),
+    "embed_exact_off_support_at_ell_0": (
+        lambda: embed_exact(_FIT, [0, 10], 0),
+        DomainError, "finite-rank kernel point out of support"),
+    "embed_rf_off_support_at_ell_0": (
+        lambda: embed_rf(_RF_FIT, [0, 10], 0),
+        DomainError, "finite-rank kernel point out of support"),
+    "embed_exact_past_rank": (
+        lambda: embed_exact(_FIT, _MEASURE.atoms, _FIT.rank + 1),
+        RankError, f"embed_exact: ell={_FIT.rank + 1} outside [0, {_FIT.rank}]"),
+    "embed_rf_past_rank": (
+        lambda: embed_rf(_RF_FIT, _MEASURE.atoms, _RF_FIT.rank + 1),
+        RankError, f"embed_rf: ell={_RF_FIT.rank + 1} outside [0, {_RF_FIT.rank}]"),
+    "proj_hat_past_rank": (
+        lambda: proj_hat(_FIT, _MEASURE, _FIT.rank + 1),
+        RankError, f"proj_hat: ell={_FIT.rank + 1} outside [1, {_FIT.rank}]"),
+    "proj_hat_rf_past_rank": (
+        lambda: proj_hat_rf(_RF_FIT, _MEASURE, _RF_FIT.rank + 1),
+        RankError, f"proj_hat_rf: ell={_RF_FIT.rank + 1} outside [1, {_RF_FIT.rank}]"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_an_input_check_raises_its_error_and_message(case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInput, NumericFailure, _count, _real
 from .features import basis_factor, sample_finite_rank
 from .kernels import Kernel, _decay_schedule, make_finite_rank_kernel
+from .kpca import _count_gram
 from .linalg import (
     RANK_RTOL,
     Spectrum,
@@ -510,36 +511,31 @@ def mc_tail(experiment: str, config: McTailConfig) -> McTailReport:
     """Empirical exceedance frequency of a concentration bound.
 
     experiment "cov_deviation": deviation of the V-statistic covariance
-    of exact feature vectors from its exactly known population value,
-    against the centered-mean radius.  experiment "feature_op_deviation":
-    deviation of the feature-side population operator from the
-    covariance-side one over fresh feature draws, against the
-    feature-operator radius.
+    of exact feature vectors (the count fit's ``_count_gram``) from its exactly
+    known population value, against the centered-mean radius.  experiment
+    "feature_op_deviation": deviation of the feature-side population operator
+    L L' from the covariance-side one over fresh feature draws, against the
+    feature-operator radius.  Each replication draws its own stream; all are
+    scored by one Hilbert-Schmidt norm in basis coordinates (S_J = diag(lambda)).
     """
     if experiment not in MC_EXPERIMENTS:
         raise InvalidInput(f"mc_tail: unknown experiment {experiment!r}")
     kernel = config.kernel
     measure = kernel.table.measure
-    deviations = np.empty(config.replications)
-    # Both experiments' population operator in the kernel's basis coordinates.
-    pop = np.diag(kernel.lambdas)
+    reps = range(config.replications)
     if experiment == "cov_deviation":
         radius = bernstein_bound("cov_centered_mean", kernel.kappa, config.tau, config.count)
-        for rep in range(config.replications):
-            idx = draw_samples(measure, config.count, derive_seed(config.seed, "mc-cov", rep))
-            v = kernel.root[:, idx]
-            vbar = v.mean(axis=1)
-            c_hat = v @ v.T / config.count - np.outer(vbar, vbar)
-            deviations[rep] = np.linalg.norm(c_hat - pop)
+        ops = np.stack([_count_gram(kernel.root, np.bincount(
+            draw_samples(measure, config.count, derive_seed(config.seed, "mc-cov", rep)),
+            minlength=measure.size)) for rep in reps])
+        ops /= config.count
     else:
         radius = bernstein_bound("feature_op", kernel.kappa, config.tau, config.count)
-        for rep in range(config.replications):
-            fs = sample_finite_rank(
-                kernel, config.count, derive_seed(config.seed, "mc-feat", rep)
-            )
-            # ||S_A - S_J||_HS in basis coordinates: S_A is L L', S_J is diag(lambda).
-            factor = basis_factor(fs)
-            deviations[rep] = np.linalg.norm(factor @ factor.T - pop)
+        factors = np.stack([basis_factor(sample_finite_rank(
+            kernel, config.count, derive_seed(config.seed, "mc-feat", rep))) for rep in reps])
+        ops = factors @ factors.swapaxes(-1, -2)
+    ops -= np.diag(kernel.lambdas)  # in place, as the division: no second stack at the peak
+    deviations = _frobenius(ops)
     exceed = int(np.sum(deviations > radius.bound))
     return McTailReport(
         experiment=experiment,

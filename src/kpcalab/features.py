@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, _count, _real
-from .kernels import Kernel, _as_index_points
+from .kernels import Kernel, _as_index_points, _root_kappa
 from .rng import generator
 
 __all__ = [
@@ -50,8 +50,8 @@ class FeatureSample:
         the full index count); the feature dimension is 2m for rff, m for
         finite-rank.
     kappa_m: exact sup over the kernel's domain of ||Phi(x)||^2 (for rff,
-        1 by construction; for finite-rank, the max over atoms, derived on
-        first read, so a draw nobody asks about costs no T x N product).
+        1 by construction; for finite-rank, ``_root_kappa`` of the root L' psi,
+        not of the N x m features, derived on first read so an unread draw costs nothing).
     rff fields: omegas (m, p), already scaled by 1 / bandwidth.
     finite-rank fields: kernel, indices (m,) into the feature family,
         row_scale (m,) per-row weights, coeffs (T, T) mapping basis rows to
@@ -70,9 +70,7 @@ class FeatureSample:
     def kappa_m(self) -> float:
         if self.kind == "rff":
             return 1.0
-        # ||Phi(x)||^2 = ||L' psi(x)||^2 over the atoms, without the N x m feature matrix.
-        root = basis_factor(self).T @ self.kernel.table.values
-        return float(np.max(np.sum(root**2, axis=0)))
+        return float(_root_kappa(basis_factor(self).T @ self.kernel.table.values))
 
 
 def sample_rff(bandwidth: float, point_dim: int, m: int, seed: int) -> FeatureSample:

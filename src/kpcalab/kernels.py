@@ -86,7 +86,7 @@ class Kernel:
     """The finite-rank kernel of a basis table and strictly descending finite
     positive lambdas; points are integer atom positions.  ``root``, the T x N
     sqrt(Lambda) psi with k(i, j) = root[:, i]'root[:, j], is kept read-only.
-    ``kappa``, the exact maximum of k(x, x) over the atoms, is derived on first read.
+    ``kappa``, the largest k(x, x) over the atoms, ``_root_kappa(root)``, is derived on first read.
     """
 
     table: FunctionTable
@@ -108,8 +108,12 @@ class Kernel:
 
     @cached_property
     def kappa(self) -> float:
-        values = self.table.values
-        return float(np.max(np.einsum("t,tj,tj->j", self.lambdas, values, values)))
+        return float(_root_kappa(self.root))
+
+
+def _root_kappa(root: np.ndarray) -> float | np.ndarray:
+    """Largest squared column norm of a root (d, N), sup of its k(x, x); per member of a stack."""
+    return np.max(np.sum(root**2, axis=-2), axis=-1)
 
 
 def _decay_schedule(decay: str, rank: int, alpha: float | None, gamma: float | None) -> np.ndarray:

@@ -9,9 +9,10 @@ the i-th empirical eigenfunction
 
 exactly unit norm in the RKHS.  The fit computes this from the samples'
 count vector over the atoms, never forming H K H, and builds gamma from its
-T x T eigenvectors only when read.  The random-feature route substitutes a
-finite feature map and eigendecomposes the biased (V-statistic) sample
-covariance of the features.
+T x T eigenvectors only when read.  The count fit reads only a root and the
+counts; its noise floor is the root's kappa, its covariance ``_count_gram``.
+The random-feature route substitutes a finite feature map and
+eigendecomposes the biased (V-statistic) sample covariance of the features.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateModel, InvalidInput, RankError, _count
 from .features import FeatureSample, feature_matrix
-from .kernels import Kernel, _as_index_points, cross_gram
+from .kernels import Kernel, _as_index_points, _root_kappa, cross_gram
 from .linalg import RANK_RTOL, fix_signs, sym_eig
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 # Top eigenvalue below kappa times this means the centered Gram carries
-# no signal at all (e.g. a constant kernel).
+# no signal at all (e.g. a constant kernel, or every sample on one atom).
 _DEGENERATE_RTOL = 1e-12
 
 
@@ -105,32 +106,34 @@ class RfKpcaModel:
         return int(self.eigvals.shape[0])
 
 
-def _retained_rank(vals: np.ndarray, kappa: float, n: int, op: str) -> int:
+def _retained_rank(vals: np.ndarray, kappa: float, n: int) -> int:
     """Count of descending ``vals`` above RANK_RTOL times the top one, at most
-    n - 1.  Raises DegenerateModel when the top one sits at kappa's noise floor."""
+    n - 1; 0 when the top one sits at kappa's noise floor."""
     if vals.size == 0 or vals[0] <= _DEGENERATE_RTOL * kappa:
-        raise DegenerateModel(f"{op}: no component above the noise floor")
+        return 0
     return min(int(np.sum(vals > RANK_RTOL * vals[0])), n - 1)
 
 
-def _count_fit(root: np.ndarray, counts: np.ndarray, kappa: float | np.ndarray,
-               op: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per member i of counts (k, N), the eigenpairs (sigma, V) of W W' that
-    _retained_rank keeps for sigma / n, from one eigensolve of the k matrices.
+def _count_gram(root: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """W W' for the root (d, N), shared or one per member (k, d, N), centred with
+    the counts (N,) or (k, N) as weights and scaled by their square roots: one
+    exactly symmetric X X' per member, W W' / n the samples' V-statistic covariance."""
+    n = counts.sum(axis=-1, keepdims=True)
+    centred = root - np.matmul(root, counts[..., None]) / n[..., None]
+    centred *= np.sqrt(counts)[..., None, :]
+    return centred @ centred.swapaxes(-1, -2)
 
-    W is the per-atom root (d, N), shared or one per member (k, d, N), centred
-    with counts[i] as weights and scaled by sqrt(counts[i]), so W W' / n is the
-    covariance of the n samples' root columns and W W' has the nonzero spectrum
-    of their centred n x n Gram matrix; kappa is a scalar or (k,)."""
+
+def _count_fit(root: np.ndarray, counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per member i of counts (k, N), the eigenpairs (sigma, V) of ``_count_gram``
+    (the nonzero spectrum of the samples' centred Gram matrix) that _retained_rank
+    keeps for sigma / n under its root's kappa, from one eigensolve of the k matrices."""
+    spec = sym_eig(_count_gram(root, counts))
     n = counts.sum(axis=-1)
-    centred = root - np.matmul(root, counts[..., None]) / n[:, None, None]
-    # W W' through one X X' product per member, which is exactly symmetric.
-    centred *= np.sqrt(counts)[:, None, :]
-    spec = sym_eig(centred @ centred.swapaxes(-1, -2))
     fits = []
-    for sigma, vecs, size, floor in zip(spec.eigenvalues, spec.eigenvectors, n,
-                                        np.broadcast_to(kappa, n.shape)):
-        r = _retained_rank(sigma / size, floor, int(size), op)
+    for sigma, vecs, size, kappa in zip(spec.eigenvalues, spec.eigenvectors, n,
+                                        np.broadcast_to(_root_kappa(root), n.shape)):
+        r = _retained_rank(sigma / size, kappa, int(size))
         fits.append((sigma[:r], vecs[:, :r]))
     return fits
 
@@ -153,7 +156,8 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
     within solver tolerance; off-atom points raise DomainError.
 
     A (k, n) array is a stack of k sample lists, fitted with one eigensolve,
-    giving k models bit-for-bit ``fit_exact(kernel, samples[i])``.
+    giving k models bit-for-bit ``fit_exact(kernel, samples[i])``; a list that
+    alone raises DegenerateModel (all on one atom, say) gives a rank-0 model.
     """
     samples = np.asarray(samples)
     stacked = samples.ndim == 2
@@ -166,8 +170,9 @@ def fit_exact(kernel: Kernel, samples: np.ndarray) -> KpcaModel | list[KpcaModel
         raise InvalidInput(f"fit_exact: need at least two samples, got {n}")
     counts = _stack_counts(rows, kernel.table.values.shape[1])
     models = [KpcaModel(pts, kernel, sigma / n, basis_vectors=v)
-              for pts, (sigma, v) in zip(
-                  rows, _count_fit(kernel.root, counts, kernel.kappa, "fit_exact"))]
+              for pts, (sigma, v) in zip(rows, _count_fit(kernel.root, counts))]
+    if not stacked and models[0].rank == 0:
+        raise DegenerateModel("fit_exact: no component above the noise floor")
     return models if stacked else models[0]
 
 
@@ -205,7 +210,9 @@ def fit_rf(features: FeatureSample, samples: np.ndarray) -> RfKpcaModel:
     cov = (cov + cov.T) / 2.0
     spec = sym_eig(cov)
     lam = spec.eigenvalues
-    r = _retained_rank(lam, features.kappa_m, n, "fit_rf")
+    r = _retained_rank(lam, features.kappa_m, n)
+    if r == 0:
+        raise DegenerateModel("fit_rf: no component above the noise floor")
     return RfKpcaModel(
         features=features, train_points=samples, mean=mean,
         eigvals=lam[:r].copy(), components=spec.eigenvectors[:, :r].copy(),

@@ -130,15 +130,10 @@ def op_aa(features: FeatureSample, measure: DiscreteMeasure) -> PopOperator:
     return PopOperator(_centred_factor(root, measure.weights))
 
 
-def tail_energy(eigenvalues: np.ndarray | Spectrum, ell: int) -> float:
-    """Sum of squared eigenvalues beyond the leading ell (the exact bias).
-
-    Takes descending eigenvalues, such as ``PopOperator.eigenvalues``, or a
-    Spectrum.
-    """
+def tail_energy(eigenvalues: np.ndarray, ell: int) -> float:
+    """Sum of squared eigenvalues beyond the leading ell (the exact bias), from
+    descending eigenvalues such as ``PopOperator.eigenvalues``."""
     ell = _count("tail_energy: ell", ell, least=0)
-    if isinstance(eigenvalues, Spectrum):
-        eigenvalues = eigenvalues.eigenvalues
     vals = np.maximum(eigenvalues, 0.0)
     return float(np.sum(vals[ell:] ** 2))
 

@@ -447,9 +447,9 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
     mu of Q = C diag(1/mu) C', scored in that basis and, for ||P - Q||_op, in
     the span of P and C: the same numbers as proj_hat / proj_hat_rf /
     proj_pop(op_aa) scored by recon_error and proj_distance, free of N and m.
-    A spectrum that cannot carry ell components past the division guard, or
-    a feature operator with no gap at ell, makes the replication invalid (NaN)
-    before any scoring.
+    A draw at the count fit's noise floor (a rank-0 fit), a spectrum that cannot
+    carry ell components past the division guard, or a feature operator with no
+    gap at ell makes the replication invalid (NaN) before any scoring.
     """
     ell, m = plan[n]
     r_pop = tail_energy(pop.eigenvalues, ell)
@@ -463,8 +463,8 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
         fits = [(np.sqrt(lam)[:, None] * model.basis_vectors, model.eigvals)
                 for model in fit_exact(kernel, samples)]
     else:
-        drawn = [sample_finite_rank(kernel, m, seed, coeffs=coeffs) for seed, coeffs in features]
-        factors = np.stack([basis_factor(fs) for fs in drawn])
+        factors = np.stack([basis_factor(sample_finite_rank(kernel, m, seed, coeffs=coeffs))
+                            for seed, coeffs in features])
         if metric in ("recon_rf_pop", "proj_rf_pop"):
             spec = sym_eig(factors @ factors.swapaxes(-1, -2))
             for vals, vecs in zip(spec.eigenvalues, spec.eigenvectors):
@@ -477,8 +477,7 @@ def _measure_point(config: ExperimentConfig, kernel: Kernel, pop: PopOperator, p
             # fit_rf's m x m covariance G' Sigma G (G G' = L L') shares its nonzero
             # spectrum with L' Sigma L, the count fit of the root L' psi, whose
             # eigenvector y is the component with basis coordinates L y.
-            fitted = _count_fit(factors.swapaxes(-1, -2) @ psi, counts,
-                                np.array([fs.kappa_m for fs in drawn]), "fit_rf")
+            fitted = _count_fit(factors.swapaxes(-1, -2) @ psi, counts)
             fits = [(factor @ v, sigma / samples.shape[1])
                     for factor, (sigma, v) in zip(factors, fitted)]
     # A draw too degenerate to carry ell components is excluded by the theory's

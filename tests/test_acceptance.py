@@ -113,7 +113,7 @@ def test_01_population_reconstruction_identity():
     pop = op_jj(make_finite_rank_kernel(measure, lam, seed=_SEED), measure)
     worst = 0.0
     for ell in range(1, 21):
-        tail = tail_energy(pop.spectrum, ell)
+        tail = tail_energy(pop.spectrum.eigenvalues, ell)
         resid = recon_error(pop, proj_pop(pop, ell))
         worst = max(worst, abs(resid - tail) / tail)
     elapsed = time.perf_counter() - t0

@@ -14,8 +14,10 @@ from kpcalab import (
     McTailConfig,
     PerturbationCase,
     Spectrum,
+    basis_factor,
     bernstein_bound,
     derive_seed,
+    draw_samples,
     eigengaps,
     fix_signs,
     fractional_power,
@@ -505,6 +507,53 @@ def test_feature_op_deviation_matches_the_atom_level_operators():
     assert report.max_deviation == pytest.approx(deviations.max(), rel=1e-12)
     assert report.median_deviation == pytest.approx(np.median(deviations), rel=1e-12)
     assert report.exceed_count == int(np.sum(deviations > report.bound))
+
+
+def _per_replication_deviations(experiment, config):
+    """Each replication's deviation and the radius by the formulas mc_tail used
+    before its tails were stacked: the covariance v v' / count - vbar vbar' of the
+    drawn root columns, L L' of each feature draw, one norm each, and kappa as
+    the max over the atoms of sum_t lambda_t psi_t(x)^2."""
+    kernel, pop = config.kernel, np.diag(config.kernel.lambdas)
+    values = kernel.table.values
+    kappa = float(np.max(np.einsum("t,tj,tj->j", kernel.lambdas, values, values)))
+    deviations = np.empty(config.replications)
+    for rep in range(config.replications):
+        if experiment == "cov_deviation":
+            idx = draw_samples(kernel.table.measure, config.count,
+                               derive_seed(config.seed, "mc-cov", rep))
+            v = kernel.root[:, idx]
+            vbar = v.mean(axis=1)
+            op = v @ v.T / config.count - np.outer(vbar, vbar)
+        else:
+            factor = basis_factor(sample_finite_rank(
+                kernel, config.count, derive_seed(config.seed, "mc-feat", rep)))
+            op = factor @ factor.T
+        deviations[rep] = np.linalg.norm(op - pop)
+    kind = "cov_centered_mean" if experiment == "cov_deviation" else "feature_op"
+    return deviations, bernstein_bound(kind, kappa, config.tau, config.count).bound
+
+
+@pytest.mark.parametrize("seed", [20260819, 5])
+@pytest.mark.parametrize("experiment", ["cov_deviation", "feature_op_deviation"])
+def test_stacked_tails_match_the_per_replication_formulas(monkeypatch, experiment, seed):
+    # the README concentration config; the stacked deviations are read off the
+    # one _frobenius call mc_tail makes
+    stacks = []
+    frobenius = kpcalab.bounds._frobenius
+    monkeypatch.setattr(kpcalab.bounds, "_frobenius", lambda a: stacks.append(frobenius(a))
+                        or stacks[-1])
+    config = McTailConfig(tau=2.0, count=400, replications=200, seed=seed, atoms=128, rank=20)
+    report = mc_tail(experiment, config)
+    want, radius = _per_replication_deviations(experiment, config)
+    [got] = stacks
+    if experiment == "cov_deviation":
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+    else:
+        assert got.tobytes() == want.tobytes()
+    assert report.bound == pytest.approx(radius, rel=1e-15)
+    assert report.exceed_count == int(np.sum(want > radius))
+    assert (report.max_deviation, report.median_deviation) == (got.max(), np.median(got))
 
 
 def test_mc_tail_rejects_a_bad_setup_before_building_a_kernel(monkeypatch):

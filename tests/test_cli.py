@@ -398,6 +398,31 @@ def test_out_of_regime_configs_exit_one_before_any_cell(tmp_path, monkeypatch, c
     assert "config error" in capsys.readouterr().err
 
 
+_DEGENERATE = {"decay": "expo", "n_grid": [2, 3, 4, 5], "replications": 5, "seed": 1,
+               "slope_tolerance": 5.0}
+_DEGENERATE_RF = {**_DEGENERATE, "gamma": 1.3, "theta": 0.0, "ell_fixed": 1, "atoms": 4,
+                  "rank": 3, "metric": "proj_rf_hat"}
+
+
+@pytest.mark.parametrize("command, payload, nans", [
+    ("rates", {**_DEGENERATE, "gamma": 0.5, "theta": 0.2, "atoms": 3, "rank": 2,
+               "metric": "recon_hat"}, 1),
+    ("rates", {**_DEGENERATE_RF, "tau": 0.5}, 1),
+    ("transition", {**_DEGENERATE_RF, "taus": [0.3, 0.9]}, 3),
+], ids=["recon_hat", "proj_rf_hat", "transition"])
+def test_a_degenerate_draw_is_an_invalid_cell(tmp_path, capsys, command, payload, nans):
+    # one replication's fit at n = 2 sits at the noise floor (a rank-0 fit in the
+    # stack): the run writes its cell as NaN and goes on rather than exiting 1
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, "degenerate.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    invalid = (summary["reference"] if command == "transition" else summary)["invalid_cells"]
+    assert invalid == {"2": 1, "3": 0, "4": 0, "5": 0}
+    assert sum(row[-1] == "nan" for row in _rows(out)) == nans
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("under", ["", "sub"], ids=["out_is_a_file", "out_under_a_file"])
 def test_out_through_a_file_exits_one_before_any_compute(tmp_path, monkeypatch, capsys,
                                                          under):

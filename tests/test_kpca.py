@@ -177,8 +177,27 @@ def test_embed_exact_columns_and_edges():
 
 def test_identical_points_are_degenerate():
     _, rank_ker, _ = _rank_setup()
-    with pytest.raises(DegenerateModel):
+    with pytest.raises(DegenerateModel, match="^fit_exact: no component above the noise floor$"):
         fit_exact(rank_ker, np.full(50, 7))
+    fs = sample_finite_rank(rank_ker, 10, seed=33, mixed=True)
+    with pytest.raises(DegenerateModel, match="^fit_rf: no component above the noise floor$"):
+        fit_rf(fs, np.full(50, 7))
+
+
+def test_a_stacked_fit_gives_a_one_atom_row_rank_zero():
+    # the row fit_exact alone refuses is a rank-0 model in a stack, so a rate
+    # grid can score it as an invalid cell; the other rows are untouched
+    _, ker, _ = _rank_setup()
+    stack = np.random.default_rng(22).integers(0, 40, size=(4, 30))
+    stack[2] = 7
+    models = fit_exact(ker, stack)
+    assert models[2].rank == 0 and models[2].basis_vectors.shape == (6, 0)
+    for row, got in zip(stack[[0, 1, 3]], [models[0], models[1], models[3]]):
+        want = fit_exact(ker, row)
+        assert want.rank > 0
+        for name in ("train_points", "eigvals", "basis_vectors", "dual_coeffs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("points", [[0, 1, 2, -1, 3], [0, 1, 40, 3], [0.0, 1.0, 2.0]],

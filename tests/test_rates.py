@@ -35,7 +35,7 @@ from kpcalab import (
     tail_energy,
     transition_study,
 )
-from kpcalab import kpca, linalg, rates
+from kpcalab import kernels, kpca, linalg, rates
 from kpcalab.rates import _empirical_guard_ok, _oracle
 
 
@@ -591,14 +591,34 @@ def test_pop_cells_draw_no_samples(monkeypatch, metric):
     assert all(math.isfinite(row.value) for row in report.rows)
 
 
-def _reference_count_fit(root, counts, kappa, op):
-    """The one-sample-list count fit the stacked kpca._count_fit replaced."""
+def test_a_rate_cell_reads_kappa_from_its_own_root(monkeypatch):
+    # one kappa rule: the stacked root a proj_rf_hat point fits has, per member,
+    # the kappa_m of that replication's feature draw, bit for bit, so the cell
+    # and the fit_rf reference share one degeneracy floor
+    roots = []
+    count_fit = rates._count_fit
+    monkeypatch.setattr(rates, "_count_fit",
+                        lambda root, counts: roots.append(root) or count_fit(root, counts))
+    config = _ecfg(theta=0.2, metric="proj_rf_hat", tau=0.5, n_grid=_SMALL_GRID, seed=0)
+    kernel, pop = _oracle(config.atoms, lambda_schedule(config), config.seed)
+    plan, n = rates._grid_plan(config), _SMALL_GRID[1]
+    rates._measure_point(config, kernel, pop, plan, n, rates._point_draws([config], kernel, n))
+    [root] = roots
+    drawn = [sample_finite_rank(kernel, plan[n][1], derive_seed(config.seed, "features", n, rep),
+                                mixed=True) for rep in range(config.replications)]
+    assert kernels._root_kappa(root).tolist() == [fs.kappa_m for fs in drawn]
+    assert kernels._root_kappa(kernel.root) == kernel.kappa
+
+
+def _reference_count_fit(root, counts, kappa):
+    """The one-sample-list count fit the stacked kpca._count_fit replaced, with
+    the caller's kappa; rank 0 at the noise floor."""
     n = int(counts.sum())
     centred = root - (root @ counts / n)[:, None]
     w = centred * np.sqrt(counts)[None, :]
     spec = linalg.sym_eig(w @ w.T)
     sigma = spec.eigenvalues
-    r = kpca._retained_rank(sigma / n, kappa, n, op)
+    r = kpca._retained_rank(sigma / n, kappa, n)
     return sigma[:r], spec.eigenvectors[:, :r]
 
 
@@ -629,8 +649,7 @@ def _reference_run_cell(config, kernel, pop, plan, n, rep, full_support):
     counts = np.bincount(samples, minlength=psi.shape[1])
     try:
         if metric in ("recon_hat", "proj_hat"):
-            sigma, v = _reference_count_fit(np.sqrt(lam)[:, None] * psi, counts, kernel.kappa,
-                                            "fit_exact")
+            sigma, v = _reference_count_fit(np.sqrt(lam)[:, None] * psi, counts, kernel.kappa)
             coords, eigvals = np.sqrt(lam)[:, None] * v, sigma / samples.shape[0]
         else:
             fs = sample_finite_rank(
@@ -642,7 +661,7 @@ def _reference_run_cell(config, kernel, pop, plan, n, rep, full_support):
                 linalg._check_split(spec.eigenvalues, ell)
                 coords, eigvals = spec.eigenvectors, np.ones(factor.shape[0])
             else:
-                sigma, v = _reference_count_fit(factor.T @ psi, counts, fs.kappa_m, "fit_rf")
+                sigma, v = _reference_count_fit(factor.T @ psi, counts, fs.kappa_m)
                 coords, eigvals = factor @ v, sigma / samples.shape[0]
         if not _empirical_guard_ok(eigvals, ell):
             raise RankError(f"eigenvalue {ell} sits below the division guard")

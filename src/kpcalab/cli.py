@@ -158,6 +158,8 @@ def _rate_summary(report) -> dict:
         "slope": report.slope,
         "slope_stderr": report.slope_stderr,
         "predicted": report.predicted,
+        "expected": report.expected,
+        "regime": report.regime,
         "beta": report.beta,
         "slope_tolerance": report.config.slope_tolerance,
         "band": dataclasses.asdict(report.band),
@@ -193,26 +195,21 @@ def _cmd_transition(config: dict, seed: int):
     study = transition_study(base, taus)
 
     header = ["tau", "n", "m", "ell", "rep", "metric", "value"]
+    runs = list(zip(taus, study.reports[1:]))
     rows = _rate_rows(study.reports[0], None)
-    for tau, rep in zip(taus, study.reports[1:]):
+    for tau, rep in runs:
         rows.extend(_rate_rows(rep, tau))
 
-    verdicts = []
-    all_swap_ok = all(r.swap_violations == 0 for r in study.reports)
-    for row in study.rows:
-        verdicts.append((
-            f"tau_{row.tau:.17g}_{row.regime}", row.matches,
-            f"slope {row.slope:.4f} vs expected {row.expected:.4f} "
-            f"(threshold {study.threshold:g})",
-        ))
-    verdicts.append(("projector_swap_inequality", all_swap_ok,
+    verdicts = [(f"tau_{tau:.17g}_{rep.regime}", rep.verdict,
+                 f"slope {rep.slope:.4f} vs expected {rep.expected:.4f} "
+                 f"(threshold {study.threshold:g})") for tau, rep in runs]
+    verdicts.append(("projector_swap_inequality",
+                     all(r.swap_violations == 0 for r in study.reports),
                      "checked on the reference run and every tau"))
     summary = {
         "threshold": study.threshold,
-        "reference_slope": study.reference_slope,
-        "reference_stderr": study.reference_stderr,
         "reference": _rate_summary(study.reports[0]),
-        "taus": [dataclasses.asdict(row) for row in study.rows],
+        "taus": [{"tau": tau, **_rate_summary(rep)} for tau, rep in runs],
     }
     return header, rows, summary, verdicts, _snapshot(study.reports[0])
 

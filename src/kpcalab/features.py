@@ -142,12 +142,15 @@ def basis_factor(sample: FeatureSample) -> np.ndarray:
 def feature_matrix(sample: FeatureSample, points: np.ndarray) -> np.ndarray:
     """Rows Phi(x_i) for each point; shape (n, d).
 
-    Finite-rank points are atom positions of the kernel's measure, checked as
-    the kernel checks them (DomainError off the atoms)."""
+    Rff points are rows in R^p, p = omegas.shape[1] (1-d: points in R^1).  Finite-rank
+    points are atoms, checked as the kernel checks them (DomainError off the atoms)."""
     if sample.kind == "rff":
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
+        if pts.shape[1:] != sample.omegas.shape[1:]:
+            raise InvalidInput(f"feature_matrix: points of shape {pts.shape} are not rows "
+                               f"in R^{sample.omegas.shape[1]}")
         proj = pts @ sample.omegas.T
         scale = 1.0 / np.sqrt(sample.m)
         return scale * np.concatenate([np.cos(proj), np.sin(proj)], axis=1)
@@ -157,8 +160,11 @@ def feature_matrix(sample: FeatureSample, points: np.ndarray) -> np.ndarray:
 
 
 def cos_form_kernel(sample: FeatureSample, x, y) -> float:
-    """(1/m) sum_i cos<x - y, omega_i>; rff only."""
+    """(1/m) sum_i cos<x - y, omega_i> for points x, y in R^p; rff only."""
     if sample.kind != "rff":
         raise InvalidInput("cos_form_kernel: only defined for rff samples")
-    diff = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(np.asarray(y, dtype=float))
-    return float(np.mean(np.cos(sample.omegas @ diff)))
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    if not x.shape == y.shape == sample.omegas.shape[1:]:
+        raise InvalidInput(f"cos_form_kernel: x and y of shapes {x.shape} and {y.shape} are "
+                           f"not points in R^{sample.omegas.shape[1]}")
+    return float(np.mean(np.cos(sample.omegas @ (x - y))))

@@ -200,7 +200,7 @@ def fit_rf(features: FeatureSample, samples: np.ndarray) -> RfKpcaModel:
     Eigendecomposes the V-statistic sample covariance
     (1/n) sum Phi(x_j) Phi(x_j)' - mean mean'.
     """
-    samples = np.asarray(samples)
+    samples = np.atleast_1d(np.asarray(samples))  # a 0-d sample is one point
     n = samples.shape[0]
     if n < 2:
         raise InvalidInput(f"fit_rf: need at least two samples, got {n}")

@@ -14,11 +14,11 @@ and it draws one grid point's tau-free inputs at a time for every run.
 
 Every rate verdict reads a SlopeBand, the slopes it accepts.  There are
 two rules.  ``SlopeBand.two_sided`` accepts |slope - expected| <= tolerance
-and backs RateReport.verdict and every TransitionRow.  The projection
-exponents are the paper's upper bounds, not tight rates: at a constant ell
-with a fixed eigengap the measured ``proj_hat`` slope is about -1/2, the
-classical eigenprojector rate (Zwald & Blanchard, 2006), faster than the
-predicted -1/4, so the two-sided verdict fails although the estimator
+and backs RateReport.verdict: every rates and transition verdict.  The
+projection exponents are the paper's upper bounds, not tight rates: at a
+constant ell with a fixed eigengap the measured ``proj_hat`` slope is about
+-1/2, the classical eigenprojector rate (Zwald & Blanchard, 2006), faster
+than the predicted -1/4, so the two-sided verdict fails although the estimator
 converges correctly.  ``fixed_gap_band`` is the second rule, for that run:
 from -1/2 - tolerance up to the paper's bound + tolerance.
 
@@ -56,7 +56,6 @@ __all__ = [
     "RateRow",
     "RateReport",
     "SlopeBand",
-    "TransitionRow",
     "TransitionReport",
     "lambda_schedule",
     "ell_for",
@@ -350,7 +349,8 @@ class RateRow:
 
 @dataclass(frozen=True)
 class RateReport:
-    """A measured grid and its fitted rate, with the kernel and S_J it used."""
+    """A measured grid and its fitted rate, with the kernel and S_J it used;
+    ``band`` is centred on ``expected``, ``predicted`` but in transition_study."""
 
     config: ExperimentConfig
     rows: tuple[RateRow, ...]
@@ -359,6 +359,7 @@ class RateReport:
     slope: float
     slope_stderr: float
     predicted: float
+    expected: float
     swap_min_margin: float
     swap_violations: int
     kernel: Kernel = field(repr=False, compare=False)
@@ -370,8 +371,13 @@ class RateReport:
         return _beta(self.config) if self.config.metric.startswith("proj") else None
 
     @property
+    def regime(self) -> str | None:
+        """A proj_rf_hat run's regime (see predicted_exponent); None otherwise."""
+        return _regime(self.config) if self.config.metric == "proj_rf_hat" else None
+
+    @property
     def band(self) -> SlopeBand:
-        return SlopeBand.two_sided(self.predicted, self.config.slope_tolerance)
+        return SlopeBand.two_sided(self.expected, self.config.slope_tolerance)
 
     @property
     def verdict(self) -> bool:
@@ -574,6 +580,7 @@ def _run_grids(configs: list[ExperimentConfig]) -> list[RateReport]:
             slope=slope,
             slope_stderr=stderr,
             predicted=slope_predicted,
+            expected=slope_predicted,
             swap_min_margin=min(margins) if margins else math.nan,
             swap_violations=sum(mar < 0.0 for mar in margins),
             kernel=kernel,
@@ -583,22 +590,10 @@ def _run_grids(configs: list[ExperimentConfig]) -> list[RateReport]:
 
 
 @dataclass(frozen=True)
-class TransitionRow:
-    tau: float
-    regime: str
-    slope: float
-    slope_stderr: float
-    expected: float
-    matches: bool
-    band: SlopeBand
-
-
-@dataclass(frozen=True)
 class TransitionReport:
-    reference_slope: float
-    reference_stderr: float
+    """The regime threshold, the exact reference's report, then each tau's."""
+
     threshold: float
-    rows: tuple[TransitionRow, ...]
     reports: tuple[RateReport, ...]
 
 
@@ -609,37 +604,18 @@ def transition_study(base: ExperimentConfig, taus) -> TransitionReport:
     The base config must use the proj_rf_hat metric.  A tau at or above
     the threshold (1/2 + theta for exponential decay, 1/2 + theta
     (2 beta - alpha)/alpha for polynomial) leaves the sample-size error
-    dominant, so its slope must match an exact-KPCA reference run within
-    the configured tolerance; below the threshold the feature error
-    dominates and the slope must match the feature-driven exponent
-    -(tau/2 - theta beta/alpha), resp. -(tau/2 - theta).  Each row carries
-    that two-sided band, and ``matches`` is whether it holds.  The reference
-    and every tau run go through run_grid's one grid walk together, sharing
-    each point's tau-free draws, so each report equals its run_grid alone.
+    dominant, so its report's ``expected`` slope, which its band and verdict
+    read, is the measured slope of an exact-KPCA reference run; below it the
+    feature error dominates and ``expected`` stays ``predicted``, the feature
+    exponent -(tau/2 - theta beta/alpha), resp. -(tau/2 - theta).  The reference
+    and every tau run go through run_grid's one grid walk together, sharing each
+    point's tau-free draws, so each report equals its run_grid alone but for a
+    sample-limited ``expected``.
     """
     if base.metric != "proj_rf_hat":
         raise ConfigError(f"transition_study needs metric proj_rf_hat, got {base.metric}")
     configs = [replace(base, tau=tau) for tau in _taus(taus)]
     reference, *runs = _run_grids([replace(base, tau=None, metric="proj_hat"), *configs])
-    rows = []
-    for config, rep in zip(configs, runs):
-        regime = _regime(config)
-        # below the threshold, predicted_exponent's feature-driven branch
-        expected = reference.slope if regime == "sample_limited" else rep.predicted
-        band = SlopeBand.two_sided(expected, base.slope_tolerance)
-        rows.append(TransitionRow(
-            tau=config.tau,
-            regime=regime,
-            slope=rep.slope,
-            slope_stderr=rep.slope_stderr,
-            expected=expected,
-            matches=band.holds(rep.slope),
-            band=band,
-        ))
-    return TransitionReport(
-        reference_slope=reference.slope,
-        reference_stderr=reference.slope_stderr,
-        threshold=_tau_threshold(base),
-        rows=tuple(rows),
-        reports=(reference, *runs),
-    )
+    runs = [replace(rep, expected=reference.slope) if rep.regime == "sample_limited" else rep
+            for rep in runs]
+    return TransitionReport(threshold=_tau_threshold(base), reports=(reference, *runs))

@@ -276,9 +276,10 @@ def test_10_fixed_ell_projector_rate(rate_runs):
 
 def test_11_feature_count_transition(rate_runs):
     study, elapsed = _unwrap(rate_runs["transition"])
-    low, high = study.rows
-    parts = [_in_band(f"tau={low.tau:g} {low.regime}", low.slope, low.band, low.expected),
-             _in_band(f"tau={high.tau:g} {high.regime}", high.slope, high.band, high.expected)]
+    low, high = study.reports[1:]
+    parts = [_in_band(f"tau={low.config.tau:g} {low.regime}", low.slope, low.band, low.expected),
+             _in_band(f"tau={high.config.tau:g} {high.regime}", high.slope, high.band,
+                      high.expected)]
     assert _slope_line(11, parts, elapsed, 900.0)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -423,6 +424,39 @@ def test_a_degenerate_draw_is_an_invalid_cell(tmp_path, capsys, command, payload
     capsys.readouterr()
 
 
+def test_each_tau_entry_is_its_runs_rate_summary(tmp_path, capsys):
+    # every tau run reports as `rates` does, invalid cells included; only a
+    # sample-limited run's expected slope and band differ, centred on the reference
+    payload = {**_DEGENERATE_RF, "taus": [0.3, 0.9]}
+    out = tmp_path / "o"
+    assert cli.main(["transition", "--config", _write_config(tmp_path, "d.json", payload),
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    base = rates.ExperimentConfig(**{**_DEGENERATE_RF, "tau": 0.3})
+    study = rates.transition_study(base, payload["taus"])
+    reference = study.reports[0]
+    assert [entry.pop("tau") for entry in summary["taus"]] == payload["taus"]
+    assert [entry["regime"] for entry in summary["taus"]] == ["feature_limited",
+                                                             "sample_limited"]
+    for entry, report, tau in zip(summary["taus"], study.reports[1:], payload["taus"]):
+        assert entry["invalid_cells"] == {"2": 1, "3": 0, "4": 0, "5": 0}
+        nans = [row[1] for row in _rows(out) if row[0] == repr(tau) and row[-1] == "nan"]
+        assert nans == ["2"]
+        assert entry["medians"] == {str(n): report.medians[n] for n in base.n_grid}
+        assert entry["projector_swap_violations"] == report.swap_violations
+        alone = rates.run_grid(dataclasses.replace(base, tau=tau))
+        if entry["regime"] == "sample_limited":
+            assert entry["expected"] == reference.slope
+            alone = dataclasses.replace(alone, expected=reference.slope)
+        assert entry == json.loads(json.dumps(cli._plain(cli._rate_summary(alone))))
+        verdict = summary["verdicts"][f"tau_{tau:.17g}_{entry['regime']}"]
+        assert verdict["pass"] == rates.SlopeBand(**entry["band"]).holds(entry["slope"])
+    assert "reference_slope" not in summary and "reference_stderr" not in summary
+    assert summary["reference"]["slope"] == reference.slope
+    assert summary["reference"]["slope_stderr"] == reference.slope_stderr
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("under", ["", "sub"], ids=["out_is_a_file", "out_under_a_file"])
 def test_out_through_a_file_exits_one_before_any_compute(tmp_path, monkeypatch, capsys,
                                                          under):
@@ -621,12 +655,12 @@ def test_summary_bands_are_the_reports_bands(tmp_path, capsys):
     taus = payload.pop("taus")
     study = rates.transition_study(rates.ExperimentConfig(**payload, tau=taus[0]), taus)
     assert rates.SlopeBand(**summary["reference"]["band"]) == study.reports[0].band
-    assert len(summary["taus"]) == len(study.rows) == 2
-    for entry, row in zip(summary["taus"], study.rows):
+    assert len(summary["taus"]) == len(study.reports) - 1 == 2
+    for entry, report in zip(summary["taus"], study.reports[1:]):
         band = rates.SlopeBand(**entry["band"])
-        assert band == row.band
-        verdict = summary["verdicts"][f"tau_{row.tau:.17g}_{row.regime}"]
-        assert verdict["pass"] == entry["matches"] == band.holds(row.slope)
+        assert band == report.band
+        verdict = summary["verdicts"][f"tau_{entry['tau']:.17g}_{entry['regime']}"]
+        assert verdict["pass"] == report.verdict == band.holds(report.slope)
     capsys.readouterr()
 
 

@@ -17,7 +17,7 @@ _PUBLIC = sorted("""
     NotPositiveSemidefinite NumericFailure OperatorInequalitySuiteReport OutOfRegime
     PerturbReport PerturbationCase PerturbationSuiteReport PopOperator ProjectionLike
     RANK_RTOL RankError RateReport RateRow RfKpcaModel SlopeBand Spectrum TransitionReport
-    TransitionRow __version__ basis_factor bernstein_bound center_gram cos_form_kernel
+    __version__ basis_factor bernstein_bound center_gram cos_form_kernel
     cross_gram derive_seed discrete_measure draw_samples eigengaps ell_for embed_exact
     embed_rf feature_matrix fit_exact fit_rf fit_slope fix_signs fixed_gap_band
     fractional_power generator gram kernel_eval lambda_schedule m_for
@@ -50,7 +50,7 @@ def test_each_export_is_its_modules_object(layer):
 @pytest.mark.parametrize("layer, names", [
     ("linalg", ["GAP_TOL", "RANK_RTOL"]),
     ("bounds", ["PerturbationSuiteReport", "OperatorInequalitySuiteReport"]),
-    ("rates", ["TransitionRow"]),
+    ("rates", ["TransitionReport"]),
     ("errors", ["InvalidInput", "ConfigError", "RankError", "EigengapError", "DomainError",
                 "CapacityError", "DegenerateModel", "OutOfRegime", "NotPositiveSemidefinite",
                 "NumericFailure"]),

@@ -22,12 +22,14 @@ from kpcalab import (
     RankError,
     basis_factor,
     center_gram,
+    cos_form_kernel,
     derive_seed,
     discrete_measure,
     draw_samples,
     embed_exact,
     embed_rf,
     ell_for,
+    feature_matrix,
     fit_exact,
     fit_rf,
     fractional_power,
@@ -54,6 +56,7 @@ _EIGENVALUES = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
 _KERNEL5 = make_finite_rank_kernel(_MEASURE, 0.5 ** np.arange(5), 3)
 _FIT = fit_exact(_KERNEL5, _MEASURE.atoms)
 _RF_FIT = fit_rf(sample_finite_rank(_KERNEL5, 40, 2, mixed=True), _MEASURE.atoms)
+_RFF = sample_rff(1.0, 3, 4, 1)  # a draw on R^3
 _RF_CONFIG = ExperimentConfig(decay="poly", theta=0.2, n_grid=(64, 128, 256, 512),
                               replications=5, atoms=24, rank=8, seed=0,
                               metric="recon_rf_hat", alpha=2.0, tau=0.5)
@@ -188,6 +191,25 @@ _REFUSALS = {
     "fit_rf_one_sample": (
         lambda: fit_rf(_RF_FIT.features, np.array([3])),
         InvalidInput, "fit_rf: need at least two samples, got 1"),
+    "fit_rf_0d_sample": (
+        lambda: fit_rf(_RF_FIT.features, 5),
+        InvalidInput, "fit_rf: need at least two samples, got 1"),
+    "feature_matrix_rff_2d_points": (
+        lambda: feature_matrix(_RFF, np.ones((5, 2))),
+        InvalidInput, "feature_matrix: points of shape (5, 2) are not rows in R^3"),
+    # a 1-d array is points in R^1, so [x, y, z] is three points, not one
+    "feature_matrix_rff_1d_points": (
+        lambda: feature_matrix(_RFF, [1.0, 2.0, 3.0]),
+        InvalidInput, "feature_matrix: points of shape (3, 1) are not rows in R^3"),
+    "fit_rf_rff_2d_points": (
+        lambda: fit_rf(_RFF, np.ones((5, 2))),
+        InvalidInput, "feature_matrix: points of shape (5, 2) are not rows in R^3"),
+    "cos_form_kernel_rff_2d_points": (
+        lambda: cos_form_kernel(_RFF, [1.0, 2.0], [0.0, 0.0]),
+        InvalidInput, "cos_form_kernel: x and y of shapes (2,) and (2,) are not points in R^3"),
+    "cos_form_kernel_rff_scalar_y": (
+        lambda: cos_form_kernel(_RFF, [1.0, 2.0, 3.0], 0.0),
+        InvalidInput, "cos_form_kernel: x and y of shapes (3,) and (1,) are not points in R^3"),
     "fractional_power_negative": (
         lambda: fractional_power(np.eye(2), -0.5),
         InvalidInput, "fractional_power: exponent must be >= 0, got -0.5"),

@@ -390,12 +390,14 @@ def test_transition_study_smoke():
     report = transition_study(base, (0.3, 0.9))
     assert report.threshold == pytest.approx(0.5)
     assert len(report.reports) == 3
-    assert [row.tau for row in report.rows] == [0.3, 0.9]
-    assert report.rows[0].regime == "feature_limited"
-    assert report.rows[0].expected == pytest.approx(-0.15)
-    assert report.rows[1].regime == "sample_limited"
-    assert report.rows[1].expected == pytest.approx(report.reference_slope)
-    assert all(row.matches for row in report.rows)
+    reference, *rows = report.reports
+    assert reference.regime is None and reference.expected == reference.predicted
+    assert [row.config.tau for row in rows] == [0.3, 0.9]
+    assert rows[0].regime == "feature_limited"
+    assert rows[0].expected == pytest.approx(-0.15) == rows[0].predicted
+    assert rows[1].regime == "sample_limited"
+    assert rows[1].expected == reference.slope
+    assert all(row.verdict for row in rows)
     with pytest.raises(ConfigError):
         transition_study(dataclasses.replace(base, metric="proj_hat", tau=None),
                          (0.3, 0.9))
@@ -407,11 +409,13 @@ def test_transition_study_smoke():
                 atoms=40, rank=12, seed=3, slope_tolerance=5.0)
     report = transition_study(poly, (0.45, 0.9))
     assert report.threshold == pytest.approx(0.7)
-    assert [row.regime for row in report.rows] == ["feature_limited", "sample_limited"]
-    assert report.rows[0].expected == pytest.approx(-(0.45 / 2.0 - 0.1 * 3.0 / 2.0))
-    for row in report.rows:
+    rows = report.reports[1:]
+    assert [row.regime for row in rows] == ["feature_limited", "sample_limited"]
+    assert rows[0].expected == pytest.approx(-(0.45 / 2.0 - 0.1 * 3.0 / 2.0))
+    assert rows[1].expected == report.reports[0].slope
+    for row in rows:
         assert row.band == SlopeBand.two_sided(row.expected, poly.slope_tolerance)
-        assert row.matches == row.band.holds(row.slope)
+        assert row.verdict == row.band.holds(row.slope)
     assert report.reports[0].beta == 3.0 and report.reports[1].beta == 3.0
 
 

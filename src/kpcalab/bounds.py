@@ -25,6 +25,7 @@ from .linalg import (
     RANK_RTOL,
     Spectrum,
     _frobenius,
+    _positive_qr,
     eigengaps,
     fix_signs,
     fractional_power,
@@ -229,8 +230,7 @@ def _case_stacks(count: int, seed: int) -> Iterator[tuple]:
             d[k] = rng.integers(1, dim // 2 + 1)
         vals[gapped] = 0.3 + np.cumsum(vals[gapped], axis=1)[:, ::-1]
         vals[~gapped] = scale[~gapped, None] * (ratio[~gapped, None] ** np.arange(dim) + 0.05)
-        q, r = np.linalg.qr(q_raw)
-        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        q, _ = _positive_qr(q_raw)
         a = (q * vals[:, None, :]) @ q.swapaxes(1, 2)
         a = (a + a.swapaxes(1, 2)) / 2.0
         spec_a = Spectrum(vals, fix_signs(q))

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import InvalidInput, _count, _real
 from .kernels import Kernel, _as_index_points, _root_kappa
+from .linalg import _positive_qr
 from .rng import generator
 
 __all__ = [
@@ -87,8 +88,8 @@ def sample_rff(bandwidth: float, point_dim: int, m: int, seed: int) -> FeatureSa
 def _mixed_coeffs(kernel: Kernel, seed: int) -> np.ndarray:
     """The mixed family's coeffs sqrt(T) Q diag(sqrt(lambda)), Q seeded orthogonal."""
     t_count = kernel.table.count
-    q, r = np.linalg.qr(generator(seed, "feature-mix").standard_normal((t_count, t_count)))
-    return np.sqrt(t_count) * (q * np.sign(np.diag(r))) * np.sqrt(kernel.lambdas)[None, :]
+    q, _ = _positive_qr(generator(seed, "feature-mix").standard_normal((t_count, t_count)))
+    return np.sqrt(t_count) * q * np.sqrt(kernel.lambdas)[None, :]
 
 
 def sample_finite_rank(kernel: Kernel, m: int, seed: int, deterministic: bool = False,

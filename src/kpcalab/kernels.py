@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError, InvalidInput, NumericFailure, _real
-from .linalg import _require_symmetric
+from .linalg import _positive_qr, _require_symmetric
 from .measures import _WEIGHT_SUM_ATOL, DiscreteMeasure
 from .rng import generator
 
@@ -31,7 +31,6 @@ __all__ = [
 
 _ORTHO_ATOL = 1e-10
 _GS_BREAKDOWN = 1e-10
-_GS_MAX_RETRIES = 100
 
 
 def _position_weights(measure: DiscreteMeasure) -> np.ndarray:
@@ -139,11 +138,11 @@ def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed:
     """Seeded synthetic kernel whose population spectrum is exactly ``lambdas``.
 
     The measure's atoms must be a permutation of the positions 0..N-1; each
-    position is weighted by its own atom's weight.  Basis rows come from two
-    passes of block classical Gram-Schmidt of standard normal draws against
-    the constant function and all previous rows at once, in the
-    measure-weighted inner product.  A draw whose residual norm falls below
-    1e-10 is redrawn, up to 100 times per row.
+    position is weighted by its own atom's weight.  The basis is one QR of the
+    constant function and a (T, N) block of standard normal draws, as columns
+    scaled by sqrt(w): row t is Q's column t + 1 over sqrt(w), draw t's Gram-Schmidt
+    residual against the constant and the earlier rows in the weighted inner product.
+    A residual norm |R_tt| below 1e-10 raises NumericFailure naming row t, no redraw.
     """
     lam = np.asarray(lambdas, dtype=float)
     n_atoms = measure.size
@@ -155,27 +154,14 @@ def make_finite_rank_kernel(measure: DiscreteMeasure, lambdas: np.ndarray, seed:
             f"make_finite_rank_kernel: {lam.shape[0]} components need at least "
             f"{lam.shape[0] + 1} atoms, measure has {n_atoms}"
         )
-    w = _position_weights(measure)
-    rng = generator(seed, "finite-rank-basis")
-    rows = np.empty((lam.shape[0], n_atoms))
-    # The constant function has weighted norm one already.
-    ones = np.ones(n_atoms)
-    for t in range(lam.shape[0]):
-        for attempt in range(_GS_MAX_RETRIES + 1):
-            v = rng.standard_normal(n_atoms)
-            # Two Gram-Schmidt passes; the second mops up cancellation.
-            for _ in range(2):
-                v = v - (w @ v) * ones
-                v = v - ((rows[:t] * w) @ v) @ rows[:t]
-            norm = float(np.sqrt(w @ (v * v)))
-            if norm >= _GS_BREAKDOWN:
-                rows[t] = v / norm
-                break
-        else:
-            raise NumericFailure(
-                f"make_finite_rank_kernel: Gram-Schmidt broke down on row {t} "
-                f"after {_GS_MAX_RETRIES} retries"
-            )
+    root_w = np.sqrt(_position_weights(measure))
+    draws = generator(seed, "finite-rank-basis").standard_normal((lam.shape[0], n_atoms))
+    q, norms = _positive_qr(root_w[:, None] * np.vstack([np.ones(n_atoms), draws]).T)
+    broken = np.flatnonzero(norms[1:] < _GS_BREAKDOWN)
+    if broken.size:
+        raise NumericFailure(f"make_finite_rank_kernel: Gram-Schmidt broke down on row "
+                             f"{broken[0]} (residual norm below {_GS_BREAKDOWN:g})")
+    rows = np.ascontiguousarray(q[:, 1:].T / root_w)
     return Kernel(FunctionTable(measure=measure, values=rows), lam)
 
 

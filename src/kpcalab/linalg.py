@@ -94,6 +94,16 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return (members * signs[:, None, :]).reshape(vectors.shape)
 
 
+def _positive_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, |diag R|) of ``np.linalg.qr(a)`` for a matrix or a stack, Q's columns signed
+    so R's diagonal is positive.  The one home of that rule, read by the kernel basis
+    (make_finite_rank_kernel), the mixed rotation (_mixed_coeffs) and the bound cases'
+    frames (_case_stacks)."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.sign(diag)[..., None, :], np.abs(diag)
+
+
 def _eig_solve(solver, a: np.ndarray, op: str):
     try:
         return solver(a)

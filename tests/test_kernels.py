@@ -25,6 +25,7 @@ from kpcalab import (
     op_jj,
     uniform_measure,
 )
+from kpcalab.linalg import RANK_RTOL
 
 # exp(-1/2), an off-diagonal kernel value in (0, 1)
 EXP_HALF = 0.6065306597126334
@@ -213,7 +214,7 @@ def test_permuted_atoms_weight_each_position_by_its_own_atom():
 
 
 def _row_by_row_table(measure, count, seed):
-    """The builder's basis by row-by-row modified Gram-Schmidt, the loop it replaced."""
+    """The builder's basis by row-by-row modified Gram-Schmidt, the reference its QR matches."""
     w, n_atoms = measure.weights, measure.size
     rng = generator(seed, "finite-rank-basis")
     rows, ones = np.empty((count, n_atoms)), np.ones(n_atoms)
@@ -239,49 +240,46 @@ def _weighted_measure(n_atoms):
     (uniform_measure(192), 60), (uniform_measure(128), 24), (uniform_measure(96), 48),
     (_weighted_measure(80), 30),
 ], ids=["192x60", "128x24", "96x48", "weighted_80x30"])
-def test_block_gram_schmidt_matches_the_row_by_row_loop(measure, count):
+def test_positive_diagonal_qr_matches_the_row_by_row_loop(measure, count):
     seed = derive_seed(20260819, "kernel")
     table = make_finite_rank_kernel(measure, (1.0 + np.arange(count)) ** -2.0, seed).table.values
     assert np.max(np.abs(table - _row_by_row_table(measure, count, seed))) <= 1e-13
 
 
 class _Draws:
-    """Stands in for the builder's generator: the given draws first, then the fallback's."""
+    """Stands in for the builder's generator: returns the given (T, N) block."""
 
-    def __init__(self, draws, fallback):
-        self.draws, self.fallback, self.calls = list(draws), fallback, 0
+    def __init__(self, block):
+        self.block = block
 
     def standard_normal(self, size):
-        self.calls += 1
-        return self.draws.pop(0) if self.draws else self.fallback.standard_normal(size)
+        assert size == self.block.shape
+        return self.block
 
 
-def _build_from(monkeypatch, stream, measure, count):
-    monkeypatch.setattr(kpcalab.kernels, "generator", lambda *_: stream)
-    return make_finite_rank_kernel(measure, (1.0 + np.arange(count)) ** -1.0, 0).table.values
+def test_builder_raises_on_a_draw_in_the_span_of_earlier_rows(monkeypatch):
+    measure, count = _weighted_measure(40), 6
+    block = np.random.default_rng(11).standard_normal((count, 40))
+    block[2] = 3.0 + 2.0 * block[0] - block[1]  # in span{1, rows 0 and 1}
+    monkeypatch.setattr(kpcalab.kernels, "generator", lambda *_: _Draws(block))
+    with pytest.raises(NumericFailure, match="broke down on row 2 "):
+        make_finite_rank_kernel(measure, (1.0 + np.arange(count)) ** -1.0, 0)
 
 
-def test_builder_redraws_a_draw_in_the_span_of_earlier_rows(monkeypatch):
-    measure, count = uniform_measure(40), 6
-    first = np.random.default_rng(11).standard_normal((2, 40))
-    bad = 3.0 + 2.0 * first[0] - first[1]  # in span{1, rows 0 and 1}
-    clean = _build_from(monkeypatch, _Draws(first, np.random.default_rng(12)), measure, count)
-    stream = _Draws([*first, bad], np.random.default_rng(12))
-    redrawn = _build_from(monkeypatch, stream, measure, count)
-    assert stream.calls == count + 1
-    assert np.array_equal(redrawn, clean)
-
-
-class _Constant:
-    def standard_normal(self, size):
-        return np.full(size, 2.5)
-
-
-def test_builder_gives_up_after_100_redraws(monkeypatch):
-    stream = _Draws([], _Constant())
-    with pytest.raises(NumericFailure, match="broke down on row 0 after 100 retries"):
-        _build_from(monkeypatch, stream, uniform_measure(10), 3)
-    assert stream.calls == 101
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 64).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n - 1) | st.just(n - 1), st.integers(0, 2**32 - 1))))
+def test_builder_table_is_orthonormal_and_s_j_has_the_schedule(case):
+    n_atoms, count, seed = case
+    weights = np.random.default_rng(seed).uniform(0.05, 3.0, n_atoms)
+    measure = discrete_measure(np.arange(n_atoms), weights)
+    lam = (1.0 + np.arange(count)) ** -1.5
+    ker = make_finite_rank_kernel(measure, lam, seed)
+    vals, w = ker.table.values, measure.weights
+    assert np.max(np.abs((vals * w) @ vals.T - np.eye(count))) <= 1e-12
+    assert np.max(np.abs(vals @ w)) <= 1e-12
+    spectrum = op_jj(ker, measure).eigenvalues
+    assert np.max(np.abs(spectrum - np.pad(lam, (0, n_atoms - count)))) <= RANK_RTOL * lam[0]
 
 
 def test_builder_table_does_not_depend_on_blas_threads():

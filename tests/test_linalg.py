@@ -23,6 +23,7 @@ from kpcalab import (
     spectral_projector,
     sym_eig,
 )
+from kpcalab.linalg import _positive_qr
 
 
 def _rand_sym(seed, dim):
@@ -314,3 +315,18 @@ def test_stack_psd_floor_is_per_member():
     with pytest.raises(NotPositiveSemidefinite):
         fractional_power(sym_eig(np.stack([np.eye(3), np.diag([1.0, -0.5, 0.2])])), 0.5)
 
+
+def test_positive_qr_is_the_sign_rule_and_stacks_member_by_member():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((5, 9, 9))
+    for a in (stack[0], rng.standard_normal((40, 7)), stack):
+        q, r = np.linalg.qr(a)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        got, norms = _positive_qr(a)
+        assert np.array_equal(got, q * np.sign(diag)[..., None, :])
+        assert np.array_equal(norms, np.abs(diag))
+        assert np.all(np.diagonal(np.swapaxes(got, -1, -2) @ a, axis1=-2, axis2=-1) > 0.0)
+    q, norms = _positive_qr(stack)
+    for k, a in enumerate(stack):
+        alone = _positive_qr(a)
+        assert np.array_equal(q[k], alone[0]) and np.array_equal(norms[k], alone[1])

@@ -176,16 +176,13 @@ def _score_cases(a: np.ndarray, b: np.ndarray, d: np.ndarray, spec_a: Spectrum,
     weighted: ||a^1/2 (P_d(a) - P_d(a+b)) a^1/2||_HS
                   <= ||b||_HS * d * lambda_d / delta_d
     with the operator-norm fallback ||a||_op ||b||_HS / delta_d reported
-    alongside for comparison.  Returns delta_d, ||b||_HS and a report with
-    arrays over the members, member k bit-for-bit what its case scores alone.
+    alongside for comparison.  One spectral_projector call per side, each member's d
+    its ell.  Returns delta_d, ||b||_HS and a report with arrays over the members,
+    member k bit-for-bit what its case scores alone.
     """
     vals, rows = spec_a.eigenvalues, np.arange(len(d))
     delta, b_hs = eigengaps(spec_a)[rows, d - 1], _frobenius(b)
-    diff = np.empty_like(a)
-    for ell in np.unique(d).tolist():  # one projector stack per cut index
-        group = np.flatnonzero(d == ell)
-        diff[group] = (spectral_projector(spec_a[group], ell)
-                       - spectral_projector(spec_ab[group], ell))
+    diff = spectral_projector(spec_a, d) - spectral_projector(spec_ab, d)
     root_a = fractional_power(spec_a, 0.5)
     return delta, b_hs, PerturbReport(
         plain=BoundReport("projector_perturbation", _frobenius(diff), b_hs / delta),

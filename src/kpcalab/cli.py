@@ -110,11 +110,10 @@ def _cmd_spectrum(config: dict, seed: int):
     if not ells or len(set(ells)) < len(ells) or any(not 1 <= e <= rank - 1 for e in ells):
         raise ConfigError(f"ells must be nonempty, each once, and lie in 1..{rank - 1}")
     # S_J's spectrum is the schedule padded with zeros, so proj_pop's split checks run first.
-    for ell in ells:
-        try:
-            _check_split(lambdas, ell)
-        except (RankError, EigengapError) as err:
-            raise ConfigError(f"population spectrum: {err}") from None
+    try:
+        _check_split(np.broadcast_to(lambdas, (len(ells), rank)), ells)
+    except (RankError, EigengapError) as err:
+        raise ConfigError(f"population spectrum: {err}") from None
     _, pop = _oracle(atoms, lambdas, seed)
     vals = pop.eigenvalues
     spec_err = _schedule_error(pop, lambdas)

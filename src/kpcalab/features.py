@@ -67,6 +67,11 @@ class FeatureSample:
     row_scale: np.ndarray | None = None
     coeffs: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("rff", "finite_rank"):
+            raise InvalidInput(f"FeatureSample: kind must be 'rff' or 'finite_rank', "
+                               f"got {self.kind!r}")
+
     @cached_property
     def kappa_m(self) -> float:
         if self.kind == "rff":
@@ -102,10 +107,16 @@ def sample_finite_rank(kernel: Kernel, m: int, seed: int, deterministic: bool = 
     mixed: recombine the basis through a seeded orthogonal matrix and
         sample indices uniformly (see module docstring).
     coeffs: a mixed draw's coeffs under the same seed, reused; implies mixed.
+        InvalidInput unless a finite T x T array for the kernel's T basis rows.
     """
     m = _count("sample_finite_rank: m", m, least=1)
     t_count = kernel.table.count
     lam = kernel.lambdas
+    if coeffs is not None:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (t_count, t_count) or not np.isfinite(coeffs).all():
+            raise InvalidInput(f"sample_finite_rank: coeffs of shape {coeffs.shape} are not "
+                               f"a finite {t_count} x {t_count} array")
     if mixed or coeffs is not None:
         coeffs = _mixed_coeffs(kernel, seed) if coeffs is None else coeffs
         probs = np.full(t_count, 1.0 / t_count)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EigengapError, InvalidInput, NotPositiveSemidefinite, NumericFailure,
-                     RankError, _count, _real)
+from .errors import (ConfigError, EigengapError, InvalidInput, NotPositiveSemidefinite,
+                     NumericFailure, RankError, _count, _real)
 
 __all__ = [
     "RANK_RTOL",
@@ -46,14 +46,26 @@ class Spectrum:
     For a stack of matrices both carry the stack's leading axes, shapes
     (..., n) and (..., n, n), and member k is exactly the Spectrum of
     matrix k decomposed alone.
+    Construction raises InvalidInput unless the shapes pair that way and the
+    eigenvalues are finite and descending (ties allowed); the eigenvectors are
+    not checked, so building one from sym_eig or by indexing stays cheap.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-        object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=float))
+        vals = np.asarray(self.eigenvalues, dtype=float)
+        vecs = np.asarray(self.eigenvectors, dtype=float)
+        if vals.ndim < 1 or vecs.shape != vals.shape + vals.shape[-1:]:
+            raise InvalidInput(f"Spectrum: eigenvalues of shape {vals.shape} do not pair "
+                               f"with eigenvectors of shape {vecs.shape}")
+        if not np.isfinite(vals).all():
+            raise InvalidInput("Spectrum: eigenvalues must be finite")
+        if np.any(vals[..., 1:] > vals[..., :-1]):
+            raise InvalidInput("Spectrum: eigenvalues must be in descending order")
+        object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "eigenvectors", vecs)
 
     def __getitem__(self, k) -> "Spectrum":
         """Index the stack axes: member k, a sub-stack, or (with None) a stack of one."""
@@ -186,38 +198,42 @@ def fractional_power(a: np.ndarray | Spectrum, t: float) -> np.ndarray:
     return (out + out.swapaxes(-1, -2)) / 2.0
 
 
-def spectral_projector(spectrum: Spectrum, ell: int) -> np.ndarray:
+def spectral_projector(spectrum: Spectrum, ell) -> np.ndarray:
     """Orthogonal projector onto the span of the top ``ell`` eigenvectors.
 
     Requires ell to stay within the numerically retained rank and the gap
     eigenvalue[ell-1] - eigenvalue[ell] to exceed GAP_TOL, so a projector
-    never splits a degenerate cluster.  A stacked Spectrum gives one
-    projector per member, each checked and bit-for-bit the member's alone.
+    never splits a degenerate cluster.  A stacked Spectrum gives one projector per
+    member, at one ``ell`` or an int array of one per member; each member's columns
+    past its ell are zeroed at full width, so it is bit-for-bit its projector alone.
     """
     ell = _check_split(spectrum.eigenvalues, ell)
-    v = spectrum.eigenvectors[..., :ell]
+    v = spectrum.eigenvectors * (np.arange(spectrum.eigenvalues.shape[-1]) < ell[..., None, None])
     p = v @ v.swapaxes(-1, -2)
     return (p + p.swapaxes(-1, -2)) / 2.0
 
 
-def _check_split(vals: np.ndarray, ell: int) -> int:
-    """spectral_projector's rank and gap checks on descending eigenvalues
-    ``vals``; returns ``ell`` as an int."""
-    ell = _count("spectral_projector: ell", ell, least=1)
+def _check_split(vals: np.ndarray, ell) -> np.ndarray:
+    """spectral_projector's rank and gap checks on descending eigenvalues ``vals`` at one
+    ell, or at an array of one per member over the stack axes, each entry a count by
+    ``_count``.  Returns the ells as ints over the stack axes.  Rank is checked over the
+    whole stack before any gap; an error names the first failing member's ell."""
+    key, axes = "spectral_projector: ell", vals.shape[:-1]
+    items = np.asarray(ell, dtype=object)  # keeps a bool a bool for _count
+    if items.shape not in ((), axes):
+        raise ConfigError(f"{key} has shape {items.shape}, not () or the stack axes {axes}")
+    ell = np.array([_count(key, v, least=1) for v in items.flat], dtype=int)
+    ell = np.broadcast_to(ell.reshape(items.shape), axes)
     top = vals[..., :1]
     retained = np.sum((vals > RANK_RTOL * top) & (top > 0), axis=-1)
-    if np.any(ell > retained):
-        raise RankError(
-            f"spectral_projector: ell={ell} exceeds numerically retained rank "
-            f"{retained.flat[np.argmax(ell > retained)]}"
-        )
-    if ell < vals.shape[-1]:
-        gap = vals[..., ell - 1] - vals[..., ell]
-        if np.any(gap <= GAP_TOL):
-            raise EigengapError(
-                f"spectral_projector: gap at ell={ell} is "
-                f"{gap.flat[np.argmax(gap <= GAP_TOL)]:.3e} <= {GAP_TOL:g}"
-            )
+    for k in np.flatnonzero(ell > retained)[:1]:
+        raise RankError(f"spectral_projector: ell={ell.flat[k]} exceeds numerically "
+                        f"retained rank {retained.flat[k]}")
+    gaps = np.diff(-vals, axis=-1, append=np.inf)  # vals[i] - vals[i + 1]; none past n
+    gap = np.take_along_axis(gaps, ell[..., None] - 1, -1)[..., 0]
+    for k in np.flatnonzero(gap <= GAP_TOL)[:1]:
+        raise EigengapError(f"spectral_projector: gap at ell={ell.flat[k]} is "
+                            f"{gap.flat[k]:.3e} <= {GAP_TOL:g}")
     return ell
 
 

@@ -87,6 +87,7 @@ class ProjectionLike:
     Orthogonal ones (from population spectra) satisfy P = P' = P^2 and
     trace P = rank, checked at construction.  Empirical plug-ins are
     symmetric but only approximately idempotent, so they skip the check.
+    Either must be a finite square matrix.
     """
 
     matrix: np.ndarray
@@ -94,6 +95,9 @@ class ProjectionLike:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.matrix, dtype=float)
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or not np.isfinite(p).all():
+            raise InvalidInput(f"ProjectionLike: matrix of shape {p.shape} is not a finite "
+                               "square matrix")
         object.__setattr__(self, "matrix", p)
         if self.orthogonal:
             if np.max(np.abs(p - p.T)) > _PROJECTOR_ATOL:
@@ -132,9 +136,13 @@ def op_aa(features: FeatureSample, measure: DiscreteMeasure) -> PopOperator:
 
 def tail_energy(eigenvalues: np.ndarray, ell: int) -> float:
     """Sum of squared eigenvalues beyond the leading ell (the exact bias), from
-    descending eigenvalues such as ``PopOperator.eigenvalues``."""
+    descending eigenvalues such as ``PopOperator.eigenvalues``, one finite 1-D array."""
     ell = _count("tail_energy: ell", ell, least=0)
-    vals = np.maximum(eigenvalues, 0.0)
+    vals = np.asarray(eigenvalues, dtype=float)
+    if vals.ndim != 1 or not np.isfinite(vals).all():
+        raise InvalidInput(f"tail_energy: eigenvalues of shape {vals.shape} are not one "
+                           "finite 1-D array")
+    vals = np.maximum(vals, 0.0)
     return float(np.sum(vals[ell:] ** 2))
 
 

@@ -250,6 +250,24 @@ def test_stacked_scores_equal_the_one_case_reference(seed):
     assert max(cuts) > 2  # stacks whose members cut at several d
 
 
+def test_perturbation_suite_makes_two_projector_calls_per_dimension_stack(monkeypatch):
+    calls, real = [], kpcalab.bounds.spectral_projector
+
+    def counted(spectrum, ell):
+        calls.append((spectrum.eigenvectors.shape, np.shape(ell)))
+        return real(spectrum, ell)
+
+    monkeypatch.setattr(kpcalab.bounds, "spectral_projector", counted)
+    rows = perturbation_suite(300, 20260819).rows
+    sizes = {}  # dimension -> cases
+    for row in rows:
+        sizes[row[1]] = sizes.get(row[1], 0) + 1
+    # one call on a's stack and one on a + b's, each with one ell per member
+    expected = [((k, dim, dim), (k,)) for dim, k in sizes.items() for _ in range(2)]
+    assert sorted(calls) == sorted(expected)
+    assert len({(row[1], row[2]) for row in rows}) > 2 * len(sizes)  # stacks mix cut indices
+
+
 _GOOD_A, _GOOD_B = np.diag([2.0, 1.0, 0.5]), _offdiag(3, 0, 1, 0.05)
 
 

@@ -13,18 +13,22 @@ from kpcalab import (
     ConfigError,
     DiscreteMeasure,
     DomainError,
+    EigengapError,
     ExperimentConfig,
+    FeatureSample,
     FunctionTable,
     InvalidInput,
     Kernel,
     PerturbationCase,
     ProjectionLike,
     RankError,
+    Spectrum,
     basis_factor,
     center_gram,
     cos_form_kernel,
     derive_seed,
     discrete_measure,
+    eigengaps,
     draw_samples,
     embed_exact,
     embed_rf,
@@ -64,6 +68,8 @@ _RF_CONFIG = ExperimentConfig(decay="poly", theta=0.2, n_grid=(64, 128, 256, 512
 _CASE_A = np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
 _CASE_B = np.zeros((6, 6))
 _CASE_B[0, 5] = _CASE_B[5, 0] = 0.05
+# A stack of a full-rank spectrum and a rank-2 one tied at its top.
+_STACK_SPECTRUM = sym_eig(np.stack([np.diag(_EIGENVALUES), np.diag([1.0, 1.0, 0, 0, 0])]))
 
 # Each entry point, as a function of the one count or seed under test.
 _ENTRIES = {
@@ -213,6 +219,74 @@ _REFUSALS = {
     "fractional_power_negative": (
         lambda: fractional_power(np.eye(2), -0.5),
         InvalidInput, "fractional_power: exponent must be >= 0, got -0.5"),
+    # a Spectrum whose shapes do not pair, or whose eigenvalues are not finite and descending
+    "spectrum_extra_eigenvalue": (
+        lambda: spectral_projector(Spectrum([3.0, 2.0, 1.0], np.eye(2)), 1),
+        InvalidInput,
+        "Spectrum: eigenvalues of shape (3,) do not pair with eigenvectors of shape (2, 2)"),
+    "spectrum_extra_eigenvector": (
+        lambda: fractional_power(Spectrum([4.0, 1.0], np.eye(3)), 0.5),
+        InvalidInput,
+        "Spectrum: eigenvalues of shape (2,) do not pair with eigenvectors of shape (3, 3)"),
+    "spectrum_stack_axes": (
+        lambda: Spectrum(np.ones((2, 3)), np.ones((3, 3, 3))),
+        InvalidInput,
+        "Spectrum: eigenvalues of shape (2, 3) do not pair with eigenvectors of shape (3, 3, 3)"),
+    "spectrum_scalar": (
+        lambda: Spectrum(1.0, np.eye(1)),
+        InvalidInput, "Spectrum: eigenvalues of shape () do not pair with eigenvectors"),
+    "spectrum_ascending": (
+        lambda: eigengaps(Spectrum([1.0, 2.0], np.eye(2))),
+        InvalidInput, "Spectrum: eigenvalues must be in descending order"),
+    "spectrum_ascending_member": (
+        lambda: Spectrum([[2.0, 1.0], [1.0, 1.0 + 1e-15]], np.ones((2, 2, 2))),
+        InvalidInput, "Spectrum: eigenvalues must be in descending order"),
+    "spectrum_nan": (
+        lambda: Spectrum([1.0, math.nan], np.eye(2)),
+        InvalidInput, "Spectrum: eigenvalues must be finite"),
+    # one ell per member of a stack, each a count as a scalar ell is
+    "spectral_projector_ell_shape": (
+        lambda: spectral_projector(sym_eig(np.diag(_EIGENVALUES)), [1]),
+        ConfigError, "spectral_projector: ell has shape (1,), not () or the stack axes ()"),
+    "spectral_projector_ell_array_bool": (
+        lambda: spectral_projector(_STACK_SPECTRUM, [1, True]),
+        ConfigError, "spectral_projector: ell must be an integer, got True"),
+    "spectral_projector_ell_array_fraction": (
+        lambda: spectral_projector(_STACK_SPECTRUM, np.array([1.0, 2.5])),
+        ConfigError, "spectral_projector: ell must be an integer, got 2.5"),
+    "spectral_projector_ell_array_zero": (
+        lambda: spectral_projector(_STACK_SPECTRUM, np.array([1, 0])),
+        ConfigError, "spectral_projector: ell must be >= 1, got 0"),
+    "spectral_projector_member_rank": (
+        lambda: spectral_projector(_STACK_SPECTRUM, [5, 3]),
+        RankError, "spectral_projector: ell=3 exceeds numerically retained rank 2"),
+    "spectral_projector_member_gap": (
+        lambda: spectral_projector(_STACK_SPECTRUM, [4, 1]),
+        EigengapError, "spectral_projector: gap at ell=1 is 0.000e+00 <= 1e-12"),
+    "tail_energy_2d": (
+        lambda: tail_energy(np.ones((2, 3)), 1),
+        InvalidInput, "tail_energy: eigenvalues of shape (2, 3) are not one finite 1-D array"),
+    "tail_energy_nan": (
+        lambda: tail_energy([1.0, math.nan], 1),
+        InvalidInput, "tail_energy: eigenvalues of shape (2,) are not one finite 1-D array"),
+    "projector_not_square": (
+        lambda: ProjectionLike(np.ones((2, 3)), orthogonal=False),
+        InvalidInput, "ProjectionLike: matrix of shape (2, 3) is not a finite square matrix"),
+    "projector_stack": (
+        lambda: ProjectionLike(np.ones((2, 2, 2)), orthogonal=True),
+        InvalidInput, "ProjectionLike: matrix of shape (2, 2, 2) is not a finite square matrix"),
+    "projector_inf": (
+        lambda: ProjectionLike(np.array([[1.0, math.inf], [math.inf, 1.0]]), orthogonal=False),
+        InvalidInput, "ProjectionLike: matrix of shape (2, 2) is not a finite square matrix"),
+    "sample_finite_rank_coeffs_shape": (
+        lambda: sample_finite_rank(_KERNEL, 4, 1, coeffs=np.ones((2, 2))),
+        InvalidInput, "sample_finite_rank: coeffs of shape (2, 2) are not a finite 3 x 3 array"),
+    "sample_finite_rank_coeffs_nan": (
+        lambda: sample_finite_rank(_KERNEL, 4, 1, coeffs=np.full((3, 3), math.nan)),
+        InvalidInput, "sample_finite_rank: coeffs of shape (3, 3) are not a finite 3 x 3 array"),
+    "feature_sample_kind": (
+        lambda: FeatureSample(kind="nope", m=3),
+        InvalidInput, "FeatureSample: kind must be 'rff' or 'finite_rank', got 'nope'"),
     "projector_asymmetric": (
         lambda: ProjectionLike(np.array([[1.0, 1.0], [0.0, 0.0]]), orthogonal=True),
         InvalidInput, "ProjectionLike: orthogonal projector is not symmetric"),

@@ -5,11 +5,14 @@ bisection, so it shares no code path with the LAPACK-backed solver the
 package wraps.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpcalab import (
+    ConfigError,
     EigengapError,
     InvalidInput,
     NotPositiveSemidefinite,
@@ -303,6 +306,66 @@ def test_stack_validation_covers_every_member():
     spectral_projector(spec[:4], 3)  # the members without either defect pass
     with pytest.raises(InvalidInput):
         sym_eig(np.zeros(4))
+
+
+# A cut each member of _psd_stack admits: ell = n = 6 for member 3, the tied
+# member 4 between its clusters, the rank-4 and rank-2 members at their ranks.
+_MIXED_ELLS = [1, 3, 5, 6, 3, 4, 2]
+
+
+def test_mixed_ells_match_each_member_alone():
+    stack = _psd_stack()
+    spec = sym_eig(stack)
+    together = spectral_projector(spec, np.array(_MIXED_ELLS))
+    assert together.shape == stack.shape
+    for k, (a, ell) in enumerate(zip(stack, _MIXED_ELLS)):
+        alone = spectral_projector(sym_eig(a), ell)
+        assert np.array_equal(together[k], alone)
+        assert np.array_equal(spectral_projector(spec[k], ell), alone)
+        v = spec.eigenvectors[k][:, :ell]  # the top-ell columns' product, to rounding
+        np.testing.assert_allclose(alone, v @ v.T, rtol=0, atol=1e-14)
+    # one ell is that ell for every member, and the ells may carry any stack axes
+    assert np.array_equal(spectral_projector(spec[:4], 3),
+                          spectral_projector(spec[:4], np.full(4, 3)))
+    nested = spectral_projector(sym_eig(stack[:4].reshape(2, 2, 6, 6)),
+                                np.array(_MIXED_ELLS[:4]).reshape(2, 2))
+    assert np.array_equal(nested.reshape(4, 6, 6), together[:4])
+
+
+def test_a_member_failure_names_that_members_ell():
+    spec = sym_eig(_psd_stack())
+    # member 5 (rank 4) at ell=5 fails first; member 6 (rank 2) at ell=3 too
+    with pytest.raises(RankError, match=r"^spectral_projector: ell=5 exceeds numerically "
+                                        r"retained rank 4$"):
+        spectral_projector(spec, [1, 1, 1, 1, 3, 5, 3])
+    # member 4 splits its 0.5 pair at ell=4 first; member 5 its triple at ell=2 too
+    with pytest.raises(EigengapError, match=r"^spectral_projector: gap at ell=4 is 0\.000e\+00"):
+        spectral_projector(spec, [2, 2, 2, 2, 4, 2, 2])
+    with pytest.raises(EigengapError, match=r"gap at ell=4 is 0\.000e\+00"):
+        spectral_projector(spec[4], 4)  # the same message as the member alone
+    spectral_projector(spec, _MIXED_ELLS)  # a list is an array of ells
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 0], ids=["bool", "fraction", "zero"])
+def test_an_ell_array_entry_is_refused_as_a_scalar_ell(bad):
+    spec = sym_eig(_psd_stack()[:4])
+    with pytest.raises(ConfigError) as scalar:
+        spectral_projector(spec, bad)
+    # a list, an object array, and an array of the entry's own dtype (all True for a bool)
+    for ells in ([1, 2, bad, 3], np.array([1, 2, bad, 3], dtype=object),
+                 np.array([1, 2, bad, 3], dtype=type(bad))):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(scalar.value))}$"):
+            spectral_projector(spec, ells)
+    spectral_projector(spec, [1, 2, 4, 3])  # with a count in its place the stack passes
+
+
+@pytest.mark.parametrize("shape, axes", [((3,), (4,)), ((5,), (4,)), ((4, 1), (4,)),
+                                         ((1, 4), (4,)), ((1,), ())])
+def test_an_ell_array_off_the_stack_axes_is_refused(shape, axes):
+    spec = sym_eig(_psd_stack()[:4] if axes else _psd_stack()[0])
+    with pytest.raises(ConfigError, match=re.escape(
+            f"ell has shape {shape}, not () or the stack axes {axes}")):
+        spectral_projector(spec, np.ones(shape, dtype=int))
 
 
 def test_stack_psd_floor_is_per_member():
